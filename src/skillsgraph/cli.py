@@ -171,6 +171,8 @@ def cmd_cohort_summarize(args) -> dict:
 
 
 def cmd_train(args) -> dict:
+    if args.folds < 2:
+        raise InputError(f"--folds must be at least 2, got {args.folds}")
     records = load_cohort_csv(args.data)
     columns, labels = feature_columns(records)
     data = preprocess(columns, labels)

@@ -35,11 +35,6 @@ def integer_sum_to_float(total: int, denominator: int) -> float:
     return float(Fraction(total, denominator))
 
 
-def exact_leq(total: int, denominator: int, bound: float) -> bool:
-    """Exact comparison total/denominator <= bound, no float round-off."""
-    return Fraction(total, denominator) <= Fraction(bound)
-
-
 def quantize_hundredths(values: Sequence[float], what: str) -> list[int]:
     """Convert values to integer hundredths, rejecting finer precision.
 

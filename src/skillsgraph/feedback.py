@@ -103,9 +103,10 @@ def update_weights(
     graph: SkillsGraph, metrics: MetricsReport, config: FeedbackConfig
 ) -> SkillsGraph:
     """New graph with observed edges nudged toward their metrics; input untouched."""
+    known = {(e.src, e.dst) for e in graph.edges}
     for key, value in metrics.edge_metrics.items():
         src, dst = key
-        if graph.edge(src, dst) is None:
+        if (src, dst) not in known:
             raise UnknownEdge(f"metrics reference unknown edge ({src!r} -> {dst!r})")
         if not (0.0 <= value <= config.w_max):
             raise MetricOutOfRange(

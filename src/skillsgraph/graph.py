@@ -8,6 +8,7 @@ every traversal order is deterministic (insertion order, never hash order).
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -62,11 +63,14 @@ class SkillsGraph:
         self.nodes = tuple(nodes)
         self.edges = tuple(edges)
         self._node_by_id = {n.id: n for n in self.nodes}
-        self._out: dict[str, list[DependencyEdge]] = {n.id: [] for n in self.nodes}
-        self._edge_by_pair: dict[tuple[str, str], DependencyEdge] = {}
+        out: dict[str, list[DependencyEdge]] = {n.id: [] for n in self.nodes}
+        into: dict[str, list[DependencyEdge]] = {n.id: [] for n in self.nodes}
         for e in self.edges:
-            self._out[e.src].append(e)
-            self._edge_by_pair[(e.src, e.dst)] = e
+            out[e.src].append(e)
+            into[e.dst].append(e)
+        # tuples: smaller than lists, and handed out without a copy
+        self._out = {nid: tuple(es) for nid, es in out.items()}
+        self._in = {nid: tuple(es) for nid, es in into.items()}
 
     def node(self, node_id: str) -> SkillNode:
         return self._node_by_id[node_id]
@@ -75,10 +79,14 @@ class SkillsGraph:
         return node_id in self._node_by_id
 
     def out_edges(self, node_id: str) -> tuple[DependencyEdge, ...]:
-        return tuple(self._out[node_id])
+        return self._out[node_id]
+
+    def in_edges(self, node_id: str) -> tuple[DependencyEdge, ...]:
+        return self._in[node_id]
 
     def edge(self, src: str, dst: str) -> DependencyEdge | None:
-        return self._edge_by_pair.get((src, dst))
+        """The edge src -> dst, or None; a scan of src's out-edges."""
+        return next((e for e in self._out.get(src, ()) if e.dst == dst), None)
 
     def node_ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes)
@@ -105,6 +113,25 @@ def _check_node_fields(node: SkillNode) -> None:
             raise InvalidNodeValue(f"node {node.id!r}: capacity must be finite and >= 0 or None, got {cap!r}")
 
 
+def _check_edges(edges: Sequence[DependencyEdge], node_ids: set[str]) -> None:
+    seen_pairs = set()  # freed on return, before the graph builds its own index
+    for e in edges:
+        if e.src not in node_ids:
+            raise UnknownEndpoint(f"edge ({e.src!r} -> {e.dst!r}): unknown source {e.src!r}")
+        if e.dst not in node_ids:
+            raise UnknownEndpoint(f"edge ({e.src!r} -> {e.dst!r}): unknown target {e.dst!r}")
+        if e.src == e.dst:
+            raise SelfLoop(f"self loop on {e.src!r}")
+        if (e.src, e.dst) in seen_pairs:
+            raise DuplicateEdge(f"duplicate edge ({e.src!r} -> {e.dst!r})")
+        seen_pairs.add((e.src, e.dst))
+        if not (isinstance(e.weight, (int, float)) and math.isfinite(e.weight)) or e.weight <= 0:
+            raise NonPositiveWeight(f"edge ({e.src!r} -> {e.dst!r}): weight must be finite and > 0, got {e.weight!r}")
+        oc = e.objective_cost
+        if not (isinstance(oc, (int, float)) and math.isfinite(oc)) or oc < 0:
+            raise InvalidNodeValue(f"edge ({e.src!r} -> {e.dst!r}): objective_cost must be finite and >= 0, got {oc!r}")
+
+
 def build_graph(
     nodes: Iterable[SkillNode],
     edges: Iterable[DependencyEdge],
@@ -126,22 +153,7 @@ def build_graph(
         _check_node_fields(n)
 
     edge_list = list(edges)
-    seen_pairs = set()
-    for e in edge_list:
-        if e.src not in seen_ids:
-            raise UnknownEndpoint(f"edge ({e.src!r} -> {e.dst!r}): unknown source {e.src!r}")
-        if e.dst not in seen_ids:
-            raise UnknownEndpoint(f"edge ({e.src!r} -> {e.dst!r}): unknown target {e.dst!r}")
-        if e.src == e.dst:
-            raise SelfLoop(f"self loop on {e.src!r}")
-        if (e.src, e.dst) in seen_pairs:
-            raise DuplicateEdge(f"duplicate edge ({e.src!r} -> {e.dst!r})")
-        seen_pairs.add((e.src, e.dst))
-        if not (isinstance(e.weight, (int, float)) and math.isfinite(e.weight)) or e.weight <= 0:
-            raise NonPositiveWeight(f"edge ({e.src!r} -> {e.dst!r}): weight must be finite and > 0, got {e.weight!r}")
-        oc = e.objective_cost
-        if not (isinstance(oc, (int, float)) and math.isfinite(oc)) or oc < 0:
-            raise InvalidNodeValue(f"edge ({e.src!r} -> {e.dst!r}): objective_cost must be finite and >= 0, got {oc!r}")
+    _check_edges(edge_list, seen_ids)
 
     graph = SkillsGraph(node_list, edge_list)
     if not allow_cycles:
@@ -150,15 +162,20 @@ def build_graph(
 
 
 def _witness_cycle(graph: SkillsGraph, stuck: set[str]) -> list[str]:
-    """Walk successors inside the stuck set until a node repeats."""
+    """Walk predecessors inside the stuck set until a node repeats.
+
+    Every stuck node kept an unfinished, so stuck, predecessor; successors
+    offer no such guarantee, since a node fed by a cycle is stuck too.
+    """
     start = next(nid for nid in graph.node_ids() if nid in stuck)
     path, seen_at = [], {}
     current = start
     while current not in seen_at:
         seen_at[current] = len(path)
         path.append(current)
-        current = next(e.dst for e in graph.out_edges(current) if e.dst in stuck)
-    return path[seen_at[current]:]
+        current = next(e.src for e in graph.in_edges(current) if e.src in stuck)
+    cycle = path[seen_at[current]:]
+    return cycle[:1] + cycle[:0:-1]  # in edge direction, from the repeated node
 
 
 def validate_dag(graph: SkillsGraph) -> list[str]:
@@ -167,25 +184,26 @@ def validate_dag(graph: SkillsGraph) -> list[str]:
     Returns the topological order of node ids, or raises CycleDetected whose
     .cycle attribute carries one witness cycle.
     """
-    order_index = {nid: i for i, nid in enumerate(graph.node_ids())}
-    indegree = {nid: 0 for nid in graph.node_ids()}
+    ids = graph.node_ids()
+    order_index = {nid: i for i, nid in enumerate(ids)}
+    indegree = {nid: 0 for nid in ids}
     for e in graph.edges:
         indegree[e.dst] += 1
 
-    # frontier kept sorted by insertion index; graphs are small, a list is fine
-    frontier = [nid for nid in graph.node_ids() if indegree[nid] == 0]
+    # frontier: a heap of insertion indices, so the earliest ready node goes next
+    frontier = [i for i, nid in enumerate(ids) if indegree[nid] == 0]
     result: list[str] = []
     while frontier:
-        current = min(frontier, key=order_index.__getitem__)
-        frontier.remove(current)
+        current = ids[heapq.heappop(frontier)]
         result.append(current)
         for e in graph.out_edges(current):
             indegree[e.dst] -= 1
             if indegree[e.dst] == 0:
-                frontier.append(e.dst)
+                heapq.heappush(frontier, order_index[e.dst])
 
     if len(result) != len(graph.nodes):
-        stuck = {nid for nid in graph.node_ids() if nid not in set(result)}
+        done = set(result)
+        stuck = {nid for nid in ids if nid not in done}
         cycle = _witness_cycle(graph, stuck)
         raise CycleDetected(f"graph contains a cycle: {' -> '.join(cycle)}", cycle=cycle)
     return result
@@ -235,7 +253,10 @@ def _number(obj: Mapping, key: str, where: str, default=None):
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise GraphFormatError(f"{where}: {key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise GraphFormatError(f"{where}: {key} is too large for a float") from None
 
 
 def graph_from_dict(data: Mapping, allow_cycles: bool = False) -> SkillsGraph:

@@ -1,9 +1,14 @@
 """Shortest and resource-constrained paths through the dependency graph.
 
 Path cost is the sum of edge weights; each edge also consumes objective_cost,
-and a query may cap the total consumption at tau. Unconstrained queries run
-plain Dijkstra. Constrained ones run bi-criteria label setting with Pareto
-pruning, since a pricier prefix that consumes less can still win later.
+and a query may cap the total consumption at tau. One exact best-first search
+answers both kinds of query (Irnich & Desaulniers 2005): labels leave a heap
+in (cost, node sequence) order, so ties on cost go to the lexicographically
+smallest node sequence, and the first label to reach the target is the
+answer. A constrained query keeps a label only while its consumption is
+strictly below that of every earlier label at its node, since a pricier
+prefix that consumes less can still win later; without tau the first label
+at each node wins, which is Dijkstra.
 
 All comparisons happen on exact integer renditions of the float inputs (see
 exact.py), so optima and ties are well-defined and reproducible.
@@ -38,77 +43,84 @@ def _check_endpoints(graph: SkillsGraph, source: str, target: str) -> None:
             raise UnknownNode(f"unknown node {nid!r}")
 
 
-def _scaled_edges(graph: SkillsGraph):
-    """Exact integer weight and consumption per edge, plus the denominators."""
-    weights, wden = scale_to_integers([e.weight for e in graph.edges])
-    consumption, cden = scale_to_integers([e.objective_cost for e in graph.edges])
-    w = {(e.src, e.dst): weights[i] for i, e in enumerate(graph.edges)}
-    f = {(e.src, e.dst): consumption[i] for i, e in enumerate(graph.edges)}
-    return w, wden, f, cden
+def _scaled(edges) -> tuple[list, int, int]:
+    """(edge, integer weight, integer consumption) triples, plus both denominators.
+
+    Any common denominator yields the same correctly rounded sums, so a query
+    scales only the edges it can use.
+    """
+    weights, wden = scale_to_integers([e.weight for e in edges])
+    consumption, cden = scale_to_integers([e.objective_cost for e in edges])
+    return list(zip(edges, weights, consumption)), wden, cden
 
 
-def _dijkstra(graph: SkillsGraph, source: str, target: str) -> tuple[int, int, tuple[str, ...]]:
-    w, _, f, _ = _scaled_edges(graph)
-    # heap keys (cost, path) break cost ties by lexicographic node sequence
-    heap = [(0, (source,))]
-    done = set()
+def _edges_into(graph: SkillsGraph, target: str) -> list:
+    """Every edge on some path to target: the in-edges of its ancestors."""
+    seen, stack, edges = {target}, [target], []
+    while stack:
+        for edge in graph.in_edges(stack.pop()):
+            edges.append(edge)
+            if edge.src not in seen:
+                seen.add(edge.src)
+                stack.append(edge.src)
+    return edges
+
+
+def _least_consumption(scaled: list, target: str) -> dict:
+    """Reverse Dijkstra: least exact consumption from each node to target."""
+    into: dict[str, list] = {}
+    for edge, _, consumption in scaled:
+        into.setdefault(edge.dst, []).append((edge.src, consumption))
+    need = {target: 0}
+    heap = [(0, target)]
     while heap:
-        cost, path = heapq.heappop(heap)
-        node = path[-1]
-        if node in done:
+        used, node = heapq.heappop(heap)
+        if used > need[node]:
             continue
-        done.add(node)
+        for src, consumption in into.get(node, ()):
+            total = used + consumption
+            if src not in need or total < need[src]:
+                need[src] = total
+                heapq.heappush(heap, (total, src))
+    return need
+
+
+def _search(graph: SkillsGraph, source: str, target: str, tau: float | None) -> Path:
+    """Least (cost, node sequence) path with consumption <= tau, exact."""
+    scaled, wden, cden = _scaled(_edges_into(graph, target))
+    # edges out of each node that lead on to target; others are never tried
+    succ: dict[str, list] = {}
+    for edge, weight, consumption in scaled:
+        succ.setdefault(edge.src, []).append((edge.dst, weight, consumption))
+
+    if tau is None:
+        cap, need = None, None
+    else:
+        # consumption is an integer count of 1/cden units, so <= tau is <= cap
+        cap = math.floor(Fraction(tau) * cden)
+        need = _least_consumption(scaled, target)
+
+    # kept[node]: consumption of the last label kept there; labels pop in
+    # (cost, nodes) order, so a later one survives only by consuming less
+    kept: dict[str, int] = {}
+    heap = [(0, (source,), 0)]
+    while heap:
+        cost, nodes, used = heapq.heappop(heap)
+        node = nodes[-1]
+        if node in kept and (cap is None or used >= kept[node]):
+            continue
         if node == target:
-            obj = sum(f[(a, b)] for a, b in zip(path, path[1:]))
-            return cost, obj, path
-        for edge in graph.out_edges(node):
-            if edge.dst not in done:
-                heapq.heappush(heap, (cost + w[(node, edge.dst)], path + (edge.dst,)))
-    raise NoFeasiblePath(f"no path from {source!r} to {target!r}")
-
-
-def _label_setting(
-    graph: SkillsGraph, source: str, target: str, tau: float
-) -> tuple[int, int, tuple[str, ...]]:
-    w, _, f, cden = _scaled_edges(graph)
-    tau_frac = Fraction(tau)
-
-    def pruned_by(label, other) -> bool:
-        # other makes label redundant: never better on consumption, and either
-        # strictly cheaper, or same cost with a path that wins every tie
-        lc, lo, lp = label
-        oc, oo, op = other
-        if (lc, lo, lp) == (oc, oo, op):
-            return False
-        return oo <= lo and (oc < lc or (oc == lc and op <= lp))
-
-    frontier: dict[str, list] = {nid: [] for nid in graph.node_ids()}
-    start = (0, 0, (source,))
-    frontier[source].append(start)
-    work = [start]
-    while work:
-        label = work.pop()
-        node = label[2][-1]
-        if label not in frontier[node]:
-            continue  # pruned after being queued
-        if node == target:
-            continue  # extensions of a target label never improve it
-        cost, obj, path = label
-        for edge in graph.out_edges(node):
-            nxt = (cost + w[(node, edge.dst)], obj + f[(node, edge.dst)], path + (edge.dst,))
-            bucket = frontier[edge.dst]
-            if any(pruned_by(nxt, kept) for kept in bucket):
+            return Path(nodes, integer_sum_to_float(cost, wden), integer_sum_to_float(used, cden))
+        kept[node] = used
+        for dst, weight, consumption in succ.get(node, ()):
+            total = used + consumption
+            if cap is not None and total + need[dst] > cap:
                 continue
-            bucket[:] = [kept for kept in bucket if not pruned_by(kept, nxt)]
-            bucket.append(nxt)
-            work.append(nxt)
-
-    feasible = [lab for lab in frontier[target] if Fraction(lab[1], cden) <= tau_frac]
-    if not feasible:
-        raise NoFeasiblePath(
-            f"no path from {source!r} to {target!r} with consumption <= {tau}"
-        )
-    return min(feasible, key=lambda lab: (lab[0], lab[2]))
+            if dst in kept and (cap is None or total >= kept[dst]):
+                continue
+            heapq.heappush(heap, (cost + weight, nodes + (dst,), total))
+    within = "" if tau is None else f" with consumption <= {tau}"
+    raise NoFeasiblePath(f"no path from {source!r} to {target!r}{within}")
 
 
 def find_optimal_path(
@@ -125,16 +137,7 @@ def find_optimal_path(
     if source == target:
         return Path(nodes=(source,), cost=0.0, objective=0.0)
 
-    _, wden, _, cden = _scaled_edges(graph)
-    if tau is None:
-        cost, obj, nodes = _dijkstra(graph, source, target)
-    else:
-        cost, obj, nodes = _label_setting(graph, source, target, tau)
-    return Path(
-        nodes=nodes,
-        cost=integer_sum_to_float(cost, wden),
-        objective=integer_sum_to_float(obj, cden),
-    )
+    return _search(graph, source, target, tau)
 
 
 def enumerate_paths(graph: SkillsGraph, source: str, target: str) -> list[Path]:
@@ -144,7 +147,8 @@ def enumerate_paths(graph: SkillsGraph, source: str, target: str) -> list[Path]:
     """
     _check_endpoints(graph, source, target)
     validate_dag(graph)
-    w, wden, f, cden = _scaled_edges(graph)
+    scaled, wden, cden = _scaled(graph.edges)
+    sums = {edge: (weight, consumption) for edge, weight, consumption in scaled}
 
     results: list[Path] = []
 
@@ -156,7 +160,8 @@ def enumerate_paths(graph: SkillsGraph, source: str, target: str) -> list[Path]:
             )
             return
         for edge in graph.out_edges(node):
-            walk(path + (edge.dst,), cost + w[(node, edge.dst)], obj + f[(node, edge.dst)])
+            weight, consumption = sums[edge]
+            walk(path + (edge.dst,), cost + weight, obj + consumption)
 
     walk((source,), 0, 0)
     return results

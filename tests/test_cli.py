@@ -75,6 +75,18 @@ class TestExitCodes:
         assert code == 2
         assert "line" in payload["error"]["message"]
 
+    def test_number_beyond_float_range_is_two(self, capsys, tmp_path):
+        graph = json.loads((CASE_STUDY / "graph.json").read_text())
+        text = json.dumps(graph).replace('"weight": 1.0', '"weight": 1' + "0" * 400, 1)
+        assert "0" * 400 in text
+        huge = tmp_path / "huge.json"
+        huge.write_text(text)
+        code, out, err = run_cli(capsys, "validate", "--graph", str(huge))
+        assert code == 2
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"]["kind"] == "GraphFormatError"
+        assert "Traceback" not in err
+
     def test_missing_file_is_two(self, capsys, tmp_path):
         code, payload = run_json(capsys, "validate", "--graph", str(tmp_path / "absent.json"))
         assert code == 2
@@ -260,6 +272,16 @@ class TestModelCommands:
         )
         assert code == 2
         assert "--grid-depth" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("folds", ["0", "1"])
+    def test_fewer_than_two_folds_is_two(self, capsys, cohort_csv, folds):
+        code, out, err = run_cli(capsys, "train", "--data", str(cohort_csv), "--folds", folds)
+        assert code == 2
+        assert out.count("\n") == 1
+        payload = json.loads(out)
+        assert payload["error"]["kind"] == "InputError"
+        assert "--folds" in payload["error"]["message"]
+        assert "Traceback" not in err
 
     def test_predict_rejects_model_without_preprocessing(self, capsys, tmp_path, cohort_csv):
         model = tmp_path / "model.json"

@@ -96,6 +96,24 @@ class TestBuildValidation:
             validate_dag(g)
         assert sorted(exc.value.cycle) == ["a", "b"]
 
+    def test_long_chain_into_two_cycle(self):
+        # the stuck set is found in linear time; the witness is the 2-cycle
+        n = 8000
+        nodes = [node(f"n{i}") for i in range(n)]
+        edges = [DependencyEdge(f"n{i}", f"n{i + 1}", 1.0) for i in range(n - 1)]
+        edges.append(DependencyEdge(f"n{n - 1}", f"n{n - 2}", 1.0))
+        with pytest.raises(CycleDetected) as exc:
+            build_graph(nodes, edges)
+        assert exc.value.cycle == (f"n{n - 2}", f"n{n - 1}")
+
+    def test_witness_skips_nodes_downstream_of_the_cycle(self):
+        # c comes first and is stuck behind the cycle, but has no successor
+        nodes = [node(x) for x in "cab"]
+        edges = [DependencyEdge("a", "b", 1.0), DependencyEdge("b", "a", 1.0), DependencyEdge("b", "c", 1.0)]
+        with pytest.raises(CycleDetected) as exc:
+            build_graph(nodes, edges)
+        assert sorted(exc.value.cycle) == ["a", "b"]
+
     def test_allow_cycles_defers_check(self):
         nodes = [node(x) for x in "ab"]
         edges = [DependencyEdge("a", "b", 1.0), DependencyEdge("b", "a", 1.0)]
