@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from .errors import (
     CostPrecisionError,
     CostResolutionExceeded,
@@ -20,7 +22,7 @@ from .errors import (
     UnknownNode,
 )
 from .exact import integer_sum_to_float, quantize_hundredths, scale_to_integers
-from .graph import UNBOUNDED, SkillsGraph
+from .graph import UNBOUNDED, SkillsGraph, finite_number
 
 DEFAULT_MAX_CELLS = 10_000_000
 
@@ -44,7 +46,7 @@ class AllocationPlan:
 
 
 def _check_budget(budget: float) -> None:
-    if not (isinstance(budget, (int, float)) and math.isfinite(budget)) or budget < 0:
+    if not finite_number(budget) or budget < 0:
         raise NegativeBudget(f"budget must be finite and >= 0, got {budget!r}")
 
 
@@ -57,6 +59,10 @@ def select_knapsack(
     rounded. Ties on the objective prefer fewer nodes, then the
     lexicographically smallest id set. Effectiveness sums are compared in
     exact arithmetic so ties are well-defined.
+
+    Cost: with n nodes and cap budget cents (capped at the total cost), time
+    is O(n * cap) spent in numpy row operations, one per node, and memory is
+    one byte per table cell plus one row of keys.
     """
     _check_budget(budget)
     try:
@@ -79,36 +85,36 @@ def select_knapsack(
     # the lexicographically smallest optimal id set
     order = sorted(range(n), key=lambda i: graph.nodes[i].id)
 
-    # suffix DP: best[i][w] = (max objective, min count) over items order[i:]
-    obj = [[0] * (cap + 1) for _ in range(n + 1)]
-    cnt = [[0] * (cap + 1) for _ in range(n + 1)]
+    # One key per (objective, count): key = objective * (n + 1) - count. As
+    # 0 <= count <= n, a larger key means a larger objective, then fewer
+    # nodes. int64 holds every key when the total fits; otherwise exact
+    # Python ints in an object array run the same row operations.
+    dtype = np.int64 if (sum(values) + 1) * (n + 1) < 2**62 else object
+    # suffix DP: after step i, best[w] is the largest key over items order[i:]
+    # within w cents; take[i, w] says item order[i] is in such an optimum
+    best = np.zeros(cap + 1, dtype=dtype)
+    take = np.zeros((n, cap + 1), dtype=bool)
     for i in range(n - 1, -1, -1):
         item = order[i]
-        c, f = cost_units[item], values[item]
-        obj_row, cnt_row = obj[i], cnt[i]
-        obj_next, cnt_next = obj[i + 1], cnt[i + 1]
-        for w in range(cap + 1):
-            best_obj, best_cnt = obj_next[w], cnt_next[w]
-            if c <= w:
-                take_obj = obj_next[w - c] + f
-                take_cnt = cnt_next[w - c] + 1
-                if take_obj > best_obj or (take_obj == best_obj and take_cnt < best_cnt):
-                    best_obj, best_cnt = take_obj, take_cnt
-            obj_row[w] = best_obj
-            cnt_row[w] = best_cnt
+        c = cost_units[item]
+        if c > cap:  # never fits; its take row stays all False
+            continue
+        cand = best[: cap + 1 - c] + (values[item] * (n + 1) - 1)
+        bits = take[i, c:]
+        np.greater_equal(cand, best[c:], out=bits)
+        np.copyto(best[c:], cand, where=bits)
 
     # include an item iff doing so still reaches the optimal (objective, count);
     # visiting ids in ascending order makes the surviving set lex-smallest
     chosen_ids = set()
     w = cap
     for i in range(n):
-        item = order[i]
-        c, f = cost_units[item], values[item]
-        if c <= w and obj[i + 1][w - c] + f == obj[i][w] and cnt[i + 1][w - c] + 1 == cnt[i][w]:
+        if take[i, w]:
+            item = order[i]
             chosen_ids.add(graph.nodes[item].id)
-            w -= c
+            w -= cost_units[item]
 
-    total = obj[0][cap]
+    total = (int(best[cap]) + n) // (n + 1)
     return NodeSelection(
         chosen=tuple(nid for nid in graph.node_ids() if nid in chosen_ids),
         objective=integer_sum_to_float(total, denom),

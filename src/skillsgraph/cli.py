@@ -27,7 +27,7 @@ from .cohort import (
     summarize,
     write_cohort_csv,
 )
-from .errors import InputError, ModelFormatError, ToolError
+from .errors import InputError, ModelFormatError, ToolError, open_text
 from .feedback import FeedbackConfig, load_metrics, run_feedback_cycle, save_history, snapshot_to_dict
 from .graph import load_graph, validate_dag, weighted_centrality
 from .markov import build_transition_matrix, load_counts, stationary_distribution, step_distribution
@@ -208,7 +208,7 @@ def cmd_train(args) -> dict:
 
 
 def cmd_predict(args) -> dict:
-    with open(args.model, "r", encoding="utf-8") as fh:
+    with open_text(args.model, ModelFormatError) as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -332,10 +332,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         _emit_error("FileNotFound", str(exc))
         return 2
-    except IsADirectoryError as exc:
-        _emit_error("IOError", str(exc))
-        return 2
-    except PermissionError as exc:
+    except OSError as exc:
         _emit_error("IOError", str(exc))
         return 2
     _emit(payload)

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DuplicateStudentId, InputError, InvalidProfile, SchemaViolation
+from .errors import DuplicateStudentId, InputError, InvalidProfile, SchemaViolation, open_text
 from .prepare import CATEGORICAL, NUMERIC, RawColumn
 
 GENDERS = ("M", "F")
@@ -326,7 +326,7 @@ def _parse_int(raw: str, lineno: int, column: str, minimum: int = 0) -> int:
 def load_cohort_csv(path) -> list[CohortRecord]:
     """Parse and validate a cohort CSV; empty fields are missing values."""
     expected = CSV_HEADER.split(",")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, InputError, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -451,7 +451,7 @@ def profile_from_dict(data: Mapping) -> CohortProfile:
 
 
 def load_profile(path) -> CohortProfile:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, InputError) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:

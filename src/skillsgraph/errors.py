@@ -3,7 +3,11 @@
 Two families matter to callers: InputError for malformed files, rows, or
 values handed in from outside (CLI exit code 2), and DomainError for
 well-formed inputs that violate a model-level contract (CLI exit code 1).
+Every file loader opens its input through open_text, so bytes that are not
+UTF-8 become that loader's InputError rather than a UnicodeDecodeError.
 """
+
+from contextlib import contextmanager
 
 
 class ToolError(Exception):
@@ -26,6 +30,20 @@ class InputError(ToolError):
     """Malformed or out-of-contract external input (files, rows, flags)."""
 
     exit_code = 2
+
+
+@contextmanager
+def open_text(path, error: type, newline=None):
+    """Open an input file as UTF-8 text; bytes that are not UTF-8 raise error.
+
+    Decoding is lazy, so the failure can surface anywhere in the with-body;
+    it is turned into the loader's own InputError there, not a traceback.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 # graph construction and analysis

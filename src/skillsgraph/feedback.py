@@ -26,6 +26,7 @@ from .errors import (
     MetricsFormatError,
     MissingOutcome,
     UnknownEdge,
+    open_text,
 )
 from .graph import DependencyEdge, SkillsGraph, weighted_centrality
 
@@ -220,7 +221,7 @@ def metrics_from_dict(data: Mapping) -> list[MetricsReport]:
 
 
 def load_metrics(path) -> list[MetricsReport]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, MetricsFormatError) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -24,6 +24,7 @@ from .errors import (
     NonPositiveWeight,
     SelfLoop,
     UnknownEndpoint,
+    open_text,
 )
 
 UNBOUNDED = None  # capacity sentinel: node can absorb any allocation
@@ -102,14 +103,19 @@ class SkillsGraph:
         return f"SkillsGraph({len(self.nodes)} nodes, {len(self.edges)} edges)"
 
 
+def finite_number(value) -> bool:
+    """A finite int or float; bool is not a number here, as in the JSON loaders."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _check_node_fields(node: SkillNode) -> None:
     for field in ("effectiveness", "cost"):
         value = getattr(node, field)
-        if not (isinstance(value, (int, float)) and math.isfinite(value)) or value < 0:
+        if not finite_number(value) or value < 0:
             raise InvalidNodeValue(f"node {node.id!r}: {field} must be finite and >= 0, got {value!r}")
     cap = node.capacity
     if cap is not UNBOUNDED:
-        if not (isinstance(cap, (int, float)) and math.isfinite(cap)) or cap < 0:
+        if not finite_number(cap) or cap < 0:
             raise InvalidNodeValue(f"node {node.id!r}: capacity must be finite and >= 0 or None, got {cap!r}")
 
 
@@ -125,10 +131,10 @@ def _check_edges(edges: Sequence[DependencyEdge], node_ids: set[str]) -> None:
         if (e.src, e.dst) in seen_pairs:
             raise DuplicateEdge(f"duplicate edge ({e.src!r} -> {e.dst!r})")
         seen_pairs.add((e.src, e.dst))
-        if not (isinstance(e.weight, (int, float)) and math.isfinite(e.weight)) or e.weight <= 0:
+        if not finite_number(e.weight) or e.weight <= 0:
             raise NonPositiveWeight(f"edge ({e.src!r} -> {e.dst!r}): weight must be finite and > 0, got {e.weight!r}")
         oc = e.objective_cost
-        if not (isinstance(oc, (int, float)) and math.isfinite(oc)) or oc < 0:
+        if not finite_number(oc) or oc < 0:
             raise InvalidNodeValue(f"edge ({e.src!r} -> {e.dst!r}): objective_cost must be finite and >= 0, got {oc!r}")
 
 
@@ -316,7 +322,7 @@ def graph_to_dict(graph: SkillsGraph) -> dict:
 
 
 def load_graph(path, allow_cycles: bool = False) -> SkillsGraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, GraphFormatError) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -27,6 +27,7 @@ from .errors import (
     NotConverged,
     ShapeMismatch,
     StateMismatch,
+    open_text,
 )
 
 DIFF_TOLERANCE = 1e-10
@@ -136,7 +137,7 @@ def _residual(d: np.ndarray, P: np.ndarray) -> float:
 
 
 def load_counts(path) -> tuple[list[str], list[list[int]]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, CountsFormatError, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise CountsFormatError(f"{path}: empty counts file")

@@ -30,7 +30,7 @@ from typing import Mapping
 
 from . import __version__
 from .allocate import allocate_fractional, plan_to_dict, select_knapsack
-from .errors import ScenarioFormatError
+from .errors import ScenarioFormatError, open_text
 from .feedback import (
     FeedbackConfig,
     execute_plan,
@@ -48,7 +48,7 @@ _QUERY_KEYS = {"from", "to", "tau"}
 
 
 def load_scenario(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, ScenarioFormatError) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:

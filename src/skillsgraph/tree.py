@@ -27,6 +27,7 @@ from .errors import (
     MissingFeature,
     ModelFormatError,
     PartitionMismatch,
+    open_text,
 )
 from .prepare import PreparedDataset
 
@@ -414,7 +415,7 @@ def save_tree(tree: DecisionTree, path, extra: Mapping | None = None) -> None:
 
 
 def load_tree(path) -> DecisionTree:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path, ModelFormatError) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:

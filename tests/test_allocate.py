@@ -8,6 +8,7 @@ means equality, not closeness. The fractional oracle walks the whole
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,13 +22,14 @@ from skillsgraph import (
     objective_value,
     select_knapsack,
 )
-from skillsgraph.allocate import plan_to_dict
+from skillsgraph.allocate import DEFAULT_MAX_CELLS, plan_to_dict
 from skillsgraph.errors import (
     CostPrecisionError,
     CostResolutionExceeded,
     NegativeBudget,
     UnknownNode,
 )
+from skillsgraph.exact import scale_to_integers
 
 
 def item_graph(items, capacities=None):
@@ -104,6 +106,60 @@ class TestKnapsack:
             # reported objective is the correctly-rounded float of the exact sum
             assert sel.objective == float(want_value), (trial, items, budget)
 
+    def test_int64_keys_match_oracle(self):
+        # effectiveness in 64ths keeps every DP key inside int64
+        rng = random.Random(64)
+        for trial in range(40):
+            n = rng.randint(1, 11)
+            items = [(rng.randint(0, 64) / 64, rng.randint(0, 400) / 100) for _ in range(n)]
+            values, _ = scale_to_integers([f for f, _ in items])
+            assert (sum(values) + 1) * (n + 1) < 2**62
+            budget = rng.randint(0, 1800) / 100
+            sel = select_knapsack(item_graph(items), budget)
+            want_ids, want_value = knapsack_oracle(items, budget)
+            assert sel.chosen == want_ids, (trial, items, budget)
+            assert sel.objective == float(want_value), (trial, items, budget)
+
+    def test_exact_python_int_keys_match_oracle(self):
+        # 1e300 next to 1e-300 needs integers far beyond int64; the tiny
+        # values can still decide between otherwise equal big sums
+        rng = random.Random(300)
+        choices = [1e300, 0.5e300, 1e-300, 3e-300, 0.0, 1.0]
+        for trial in range(40):
+            n = rng.randint(2, 10)
+            items = [(rng.choice(choices), rng.randint(0, 8) / 2) for _ in range(n)]
+            items[0] = (1e300, items[0][1])
+            items[1] = (1e-300, items[1][1])
+            values, _ = scale_to_integers([f for f, _ in items])
+            assert (sum(values) + 1) * (n + 1) >= 2**62
+            budget = rng.randint(0, 1600) / 100
+            sel = select_knapsack(item_graph(items), budget)
+            want_ids, want_value = knapsack_oracle(items, budget)
+            assert sel.chosen == want_ids, (trial, items, budget)
+            assert sel.objective == float(want_value), (trial, items, budget)
+
+    def test_memory_near_the_cell_cap(self):
+        # 99 nodes x 99,901 budget cells, just under the cap. Nine "g" nodes
+        # fill the budget exactly; "h" ties each of them but sorts after,
+        # and the cheap "d" nodes are worth far less per cent.
+        nodes = [SkillNode(f"g{i}", "gold", 100.0, 111.0) for i in range(9)]
+        nodes.append(SkillNode("h", "twin", 100.0, 111.0))
+        nodes += [SkillNode(f"d{i:02d}", "decoy", 1.0, 11.1) for i in range(89)]
+        g = build_graph(nodes, [])
+        budget = 999.0
+        cells = (len(g.nodes) + 1) * (round(budget * 100) + 1)
+        assert cells == 9_990_100 <= DEFAULT_MAX_CELLS
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            sel = select_knapsack(g, budget)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sel.chosen == tuple(f"g{i}" for i in range(9))
+        assert sel.objective == 900.0
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
     def test_budget_monotonicity(self):
         rng = random.Random(5)
         for _ in range(50):
@@ -141,6 +197,12 @@ class TestKnapsack:
         g = item_graph([(1.0, 1.0)])
         with pytest.raises(NegativeBudget):
             select_knapsack(g, -1.0)
+
+    @pytest.mark.parametrize("budget", [True, False])
+    def test_bool_budget_rejected(self, budget):
+        g = item_graph([(1.0, 1.0)])
+        with pytest.raises(NegativeBudget):
+            select_knapsack(g, budget)
 
     def test_table_bound(self):
         g = item_graph([(1.0, 50_000.0), (2.0, 60_000.0)])
@@ -198,6 +260,12 @@ class TestFractional:
         g = item_graph([(1.0, 0.0), (1.0, 0.0)], capacities={0: 1.0, 1: 1.0})
         plan = allocate_fractional(g, 1.0)
         assert plan.allocation == {"a": 1.0, "b": 0.0}
+
+    @pytest.mark.parametrize("budget", [True, False])
+    def test_bool_budget_rejected(self, budget):
+        g = item_graph([(1.0, 0.0)], capacities={0: 1.0})
+        with pytest.raises(NegativeBudget):
+            allocate_fractional(g, budget)
 
     def test_zero_effectiveness_gets_nothing(self):
         g = item_graph([(0.0, 0.0), (1.0, 0.0)], capacities={0: 1.0, 1: 1.0})

@@ -225,6 +225,68 @@ class TestCohortCommands:
         assert payload == json.loads(json.dumps(report_to_dict(summarize(records))))
 
 
+class TestUndecodableInput:
+    """Each loader turns bytes that are not UTF-8 into a one-line error, exit 2."""
+
+    @staticmethod
+    def corrupt(path, src=None):
+        """Write src's bytes (or nothing) followed by a byte no UTF-8 text holds."""
+        data = Path(src).read_bytes() if src else b""
+        path.write_bytes(data + b"\xff\n")
+        return str(path)
+
+    def assert_input_error(self, capsys, kind, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out.count("\n") == 1
+        error = json.loads(out)["error"]
+        assert error["kind"] == kind
+        assert "not UTF-8" in error["message"]
+        assert "Traceback" not in err
+
+    def test_graph(self, capsys, tmp_path):
+        bad = self.corrupt(tmp_path / "graph.json")
+        self.assert_input_error(capsys, "GraphFormatError", "validate", "--graph", bad)
+
+    def test_scenario(self, capsys, tmp_path):
+        bad = self.corrupt(tmp_path / "scenario.json")
+        self.assert_input_error(capsys, "ScenarioFormatError", "run", bad, "--out", str(tmp_path / "out"))
+
+    def test_metrics(self, capsys, tmp_path):
+        bad = self.corrupt(tmp_path / "metrics.json")
+        self.assert_input_error(
+            capsys, "MetricsFormatError",
+            "feedback", "--graph", str(CASE_STUDY / "graph.json"),
+            "--metrics", bad, "--eta", "0.5", "--budget", "10",
+        )
+
+    def test_counts(self, capsys, tmp_path):
+        # the bad byte follows valid rows, so it surfaces mid-read
+        bad = self.corrupt(tmp_path / "counts.csv", CASE_STUDY / "transitions.csv")
+        self.assert_input_error(capsys, "CountsFormatError", "markov", "--counts", bad)
+
+    def test_cohort_csv(self, capsys, tmp_path):
+        good = tmp_path / "good.csv"
+        write_cohort_csv(generate_cohort(20, seed=3, profile=planted_profile()), good)
+        bad = self.corrupt(tmp_path / "cohort.csv", good)
+        self.assert_input_error(capsys, "InputError", "cohort", "summarize", "--data", bad)
+
+    def test_profile(self, capsys, tmp_path):
+        bad = self.corrupt(tmp_path / "profile.json")
+        self.assert_input_error(capsys, "InputError", "cohort", "gen", "--n", "5", "--profile", bad)
+
+    def test_model(self, capsys, tmp_path):
+        data = tmp_path / "cohort.csv"
+        write_cohort_csv(generate_cohort(20, seed=3, profile=planted_profile()), data)
+        bad = self.corrupt(tmp_path / "model.json")
+        self.assert_input_error(capsys, "ModelFormatError", "predict", "--model", bad, "--data", str(data))
+
+    def test_directory_is_an_io_error(self, capsys, tmp_path):
+        code, payload = run_json(capsys, "validate", "--graph", str(tmp_path))
+        assert code == 2
+        assert payload["error"]["kind"] == "IOError"
+
+
 class TestModelCommands:
     @pytest.fixture()
     def cohort_csv(self, tmp_path):

@@ -73,6 +73,25 @@ class TestBuildValidation:
         with pytest.raises(InvalidNodeValue):
             build_graph([bad], [])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            SkillNode("a", "A", True, 1.0),
+            SkillNode("a", "A", 1.0, False),
+            SkillNode("a", "A", 1.0, 1.0, capacity=True),
+        ],
+    )
+    def test_bool_node_values_rejected(self, bad):
+        # bool is an int subclass; the JSON loader already refuses it
+        with pytest.raises(InvalidNodeValue):
+            build_graph([bad], [])
+
+    def test_bool_edge_values_rejected(self):
+        with pytest.raises(NonPositiveWeight):
+            build_graph([node("a"), node("b")], [DependencyEdge("a", "b", True)])
+        with pytest.raises(InvalidNodeValue):
+            build_graph([node("a"), node("b")], [DependencyEdge("a", "b", 1.0, False)])
+
     def test_cycle_rejected_with_witness(self):
         nodes = [node(x) for x in "abc"]
         edges = [
