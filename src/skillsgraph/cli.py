@@ -221,6 +221,11 @@ def cmd_predict(args) -> dict:
     records = load_cohort_csv(args.data)
     columns, labels = feature_columns(records)
     X = apply_stats(columns, stats)
+    if X.shape[1] != len(tree.feature_names):
+        raise ModelFormatError(
+            f"{args.model}: the tree names {len(tree.feature_names)} features, "
+            f"its preprocessing makes {X.shape[1]}"
+        )
     predictions = predict_many(tree, X)
     correct = sum(1 for p, y in zip(predictions, labels) if p == y)
     return {

@@ -28,7 +28,7 @@ from .errors import (
     UnknownEdge,
     open_text,
 )
-from .graph import DependencyEdge, SkillsGraph, weighted_centrality
+from .graph import DependencyEdge, SkillsGraph, finite_number, weighted_centrality
 
 EdgeKey = tuple  # (src, dst)
 
@@ -190,7 +190,7 @@ def _check_nonnegative(value, what: str) -> float:
     # enforced at update time, the file format only fixes the floor
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MetricsFormatError(f"{what} must be a number, got {value!r}")
-    if value < 0.0 or not math.isfinite(value):
+    if not finite_number(value) or value < 0.0:
         raise MetricsFormatError(f"{what} must be finite and >= 0, got {value!r}")
     return float(value)
 
@@ -208,6 +208,9 @@ def metrics_from_dict(data: Mapping) -> list[MetricsReport]:
         unknown = set(raw) - {"edge_metrics", "action_outcomes"}
         if unknown:
             raise MetricsFormatError(f"iterations[{i}]: unknown keys {sorted(unknown)}")
+        for key in ("edge_metrics", "action_outcomes"):
+            if not isinstance(raw.get(key, {}), Mapping):
+                raise MetricsFormatError(f"iterations[{i}].{key} must be an object")
         edge_metrics = {
             _parse_edge_key(k): _check_nonnegative(v, f"iterations[{i}].edge_metrics[{k!r}]")
             for k, v in raw.get("edge_metrics", {}).items()

@@ -104,8 +104,16 @@ class SkillsGraph:
 
 
 def finite_number(value) -> bool:
-    """A finite int or float; bool is not a number here, as in the JSON loaders."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """A finite int or float; bool is not a number here, as in the JSON loaders.
+
+    An int too large for a float is not finite here either.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _check_node_fields(node: SkillNode) -> None:

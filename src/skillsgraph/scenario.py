@@ -39,7 +39,7 @@ from .feedback import (
     save_history,
     snapshot_to_dict,
 )
-from .graph import graph_to_dict, load_graph, validate_dag, weighted_centrality
+from .graph import finite_number, graph_to_dict, load_graph, validate_dag, weighted_centrality
 from .paths import find_optimal_path, path_to_dict
 
 _SCENARIO_KEYS = {"graph", "budget", "allocation_mode", "paths", "actions", "feedback", "seed"}
@@ -64,9 +64,14 @@ def load_scenario(path) -> dict:
         raise ScenarioFormatError(f"{path}: missing required key 'graph'")
     if "budget" not in data:
         raise ScenarioFormatError(f"{path}: missing required key 'budget'")
+    if not isinstance(data.get("paths", []), list):
+        raise ScenarioFormatError(f"{path}: paths must be an array of queries")
     for i, query in enumerate(data.get("paths", [])):
         if not isinstance(query, Mapping) or set(query) - _QUERY_KEYS or {"from", "to"} - set(query):
             raise ScenarioFormatError(f"{path}: paths[{i}] must be an object with from/to[/tau]")
+        tau = query.get("tau")
+        if tau is not None and (not finite_number(tau) or tau < 0):
+            raise ScenarioFormatError(f"{path}: paths[{i}].tau must be a finite number >= 0, got {tau!r}")
     fb = data.get("feedback")
     if fb is not None:
         if not isinstance(fb, Mapping) or set(fb) - _FEEDBACK_KEYS or {"metrics", "eta", "iterations"} - set(fb):

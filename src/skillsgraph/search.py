@@ -6,6 +6,14 @@ configuration is refit on the full training split, and that single model is
 scored once on the held-out test split. Ties on mean accuracy prefer the
 shallower tree, then the larger leaf minimum, then the criterion name in
 ascending order: the least complex model that achieves the score.
+
+Depths share their fits. A node's split does not depend on max_depth beyond
+the depth < max_depth gate, so a depth-d tree predicts exactly like the
+deepest tree of the same (min_samples_leaf, criterion) cut off at depth d.
+Each fold is therefore fit once per (min_samples_leaf, criterion), at the
+grid's largest depth, and every depth is scored from that tree by a walk that
+stops at depth d. A search makes leaves x criteria x folds + 1 fits; the
+scores, and so the cv table, equal those of one fit per configuration.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import numpy as np
 
 from .errors import InsufficientSamples
 from .prepare import PreparedDataset, stratified_folds, stratified_split
-from .tree import DecisionTree, TreeParams, accuracy, fit_tree
+from .tree import DecisionTree, TreeParams, _node_arrays, _score, accuracy, fit_tree
 
 
 @dataclass(frozen=True)
@@ -71,24 +79,36 @@ def grid_search_cv(
         )
 
     fold_indices = stratified_folds(train.y, folds, seed=seed)
-    fold_sets = [set(f.tolist()) for f in fold_indices]
     all_rows = np.arange(len(train))
+    fold_parts = [
+        (train.subset(all_rows[~np.isin(all_rows, held)]), train.subset(held))
+        for held in fold_indices
+    ]
+
+    configs = grid.configs()
+    deepest = max((params.max_depth for params in configs), default=0)
+    shares: dict[tuple[int, str], list[int]] = {}
+    for config_id, params in enumerate(configs):
+        shares.setdefault((params.min_samples_leaf, params.criterion), []).append(config_id)
+
+    # one fit per (leaf minimum, criterion, fold), cut off at each grid depth
+    scores: list[list[float]] = [[] for _ in configs]
+    for (leaf, criterion), config_ids in shares.items():
+        shared = TreeParams(max_depth=deepest, min_samples_leaf=leaf, criterion=criterion)
+        for fit_part, held_part in fold_parts:
+            arrays = _node_arrays(fit_tree(fit_part, shared))
+            for config_id in config_ids:
+                scores[config_id].append(_score(arrays, held_part, configs[config_id].max_depth))
 
     cv_table: list[CVRow] = []
-    for config_id, params in enumerate(grid.configs()):
-        scores = []
-        for k in range(folds):
-            held = fold_sets[k]
-            fit_rows = np.array([i for i in all_rows if i not in held], dtype=int)
-            model = fit_tree(train.subset(fit_rows), params)
-            scores.append(accuracy(model, train.subset(fold_indices[k])))
-        scores = np.array(scores)
+    for config_id, params in enumerate(configs):
+        fold_scores = np.array(scores[config_id])
         cv_table.append(
             CVRow(
                 config_id=config_id,
                 params=params,
-                mean_accuracy=float(scores.mean()),
-                std_accuracy=float(scores.std()),
+                mean_accuracy=float(fold_scores.mean()),
+                std_accuracy=float(fold_scores.std()),
             )
         )
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .errors import (
     PartitionMismatch,
     open_text,
 )
+from .graph import finite_number
 from .prepare import PreparedDataset
 
 CRITERIA = ("entropy", "gini")
@@ -146,48 +147,45 @@ def _majority(counts: np.ndarray, classes: tuple[int, ...]) -> int:
 def _best_split(X, codes, rows, n_classes, min_leaf, criterion):
     """Best admissible (gain, feature, threshold) plus the fallback split.
 
-    The fallback is the first admissible (feature, threshold) in scan order,
+    One stable argsort sorts every column and one (n, F, K) prefix holds the
+    class counts left of each cut, so every admissible (feature, threshold)
+    is scored at once. Candidates are listed feature-major with thresholds
+    ascending, so the first argmax breaks ties toward the lowest feature, then
+    the smallest threshold. The fallback is the first admissible candidate,
     used when the best gain is exactly zero.
     """
     n = len(rows)
-    parent_counts = np.bincount(codes[rows], minlength=n_classes).astype(float)
+    y = codes[rows]
+    parent_counts = np.bincount(y, minlength=n_classes).astype(float)
     parent_imp = float(_impurity_rows(parent_counts[None, :], np.array([float(n)]), criterion)[0])
 
-    best = None
-    fallback = None
-    for j in range(X.shape[1]):
-        col = X[rows, j]
-        order = np.argsort(col, kind="stable")
-        sv = col[order]
-        sy = codes[rows][order]
-        change = np.nonzero(sv[1:] != sv[:-1])[0]
-        if change.size == 0:
-            continue
-        left_sizes = change + 1
-        admissible = (left_sizes >= min_leaf) & ((n - left_sizes) >= min_leaf)
-        if not np.any(admissible):
-            continue
-        idx = change[admissible]
-        thresholds = (sv[idx] + sv[idx + 1]) / 2.0
-        if fallback is None:
-            fallback = (j, float(thresholds[0]))
+    sub = X[rows]
+    order = np.argsort(sub, axis=0, kind="stable")
+    sv = np.take_along_axis(sub, order, axis=0)
+    # cut i of a column falls between sorted rows i and i+1: a candidate when
+    # the values differ there and both sides keep min_leaf rows
+    left_sizes = np.arange(1, n)
+    sized = (left_sizes >= min_leaf) & ((n - left_sizes) >= min_leaf)
+    feature, cut = np.nonzero(((sv[1:] != sv[:-1]) & sized[:, None]).T)
+    if feature.size == 0:
+        return None, None
+    thresholds = (sv[cut, feature] + sv[cut + 1, feature]) / 2.0
 
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), sy] = 1.0
-        prefix = np.cumsum(onehot, axis=0)
-        left_counts = prefix[idx]
-        right_counts = prefix[-1] - left_counts
-        lsz = (idx + 1).astype(float)
-        rsz = float(n) - lsz
-        gains = (
-            parent_imp
-            - (lsz / n) * _impurity_rows(left_counts, lsz, criterion)
-            - (rsz / n) * _impurity_rows(right_counts, rsz, criterion)
-        )
-        k = int(np.argmax(gains))  # first max: smallest threshold wins ties
-        if best is None or gains[k] > best[0]:  # strict: lowest feature wins ties
-            best = (float(gains[k]), j, float(thresholds[k]))
-    return best, fallback
+    onehot = np.zeros(sub.shape + (n_classes,))
+    onehot[np.arange(n)[:, None], np.arange(sub.shape[1]), y[order]] = 1.0
+    prefix = np.cumsum(onehot, axis=0)
+    left_counts = prefix[cut, feature]
+    right_counts = prefix[-1, feature] - left_counts
+    lsz = (cut + 1).astype(float)
+    rsz = float(n) - lsz
+    gains = (
+        parent_imp
+        - (lsz / n) * _impurity_rows(left_counts, lsz, criterion)
+        - (rsz / n) * _impurity_rows(right_counts, rsz, criterion)
+    )
+    k = int(np.argmax(gains))  # first max: lowest feature, then smallest threshold
+    best = (float(gains[k]), int(feature[k]), float(thresholds[k]))
+    return best, (int(feature[0]), float(thresholds[0]))
 
 
 def fit_tree(data: PreparedDataset, params: TreeParams) -> DecisionTree:
@@ -282,19 +280,69 @@ def predict(tree: DecisionTree, row) -> int:
     return node.prediction
 
 
-def predict_many(tree: DecisionTree, X) -> list[int]:
+class _NodeArrays(NamedTuple):
+    """tree.nodes as parallel arrays; a leaf has feature -1 and itself as children."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    prediction: np.ndarray  # object dtype: the nodes' own prediction values
+
+
+def _node_arrays(tree: DecisionTree) -> _NodeArrays:
+    n = len(tree.nodes)
+    arrays = _NodeArrays(
+        feature=np.full(n, -1, dtype=np.intp),
+        threshold=np.full(n, np.nan),
+        left=np.arange(n),
+        right=np.arange(n),
+        prediction=np.empty(n, dtype=object),
+    )
+    for i, node in enumerate(tree.nodes):
+        arrays.prediction[i] = node.prediction
+        if node.kind == "split":
+            arrays.feature[i], arrays.threshold[i] = node.feature, node.threshold
+            arrays.left[i], arrays.right[i] = node.left, node.right
+    return arrays
+
+
+def _descend(arrays: _NodeArrays, X: np.ndarray, max_depth: int | None = None) -> np.ndarray:
+    """Node each row of X reaches, moving all rows down one level per step.
+
+    With max_depth the walk stops there: a split node at depth max_depth then
+    stands in for the leaf a max_depth fit puts there, as both predict the
+    majority of the same counts. Children lie after their parent in preorder,
+    so the walk ends within len(nodes) steps.
+    """
+    node = np.zeros(len(X), dtype=np.intp)
+    live = np.flatnonzero(arrays.feature[node] >= 0)
+    depth = 0
+    while live.size and (max_depth is None or depth < max_depth):
+        at = node[live]
+        goes_left = X[live, arrays.feature[at]] <= arrays.threshold[at]
+        node[live] = np.where(goes_left, arrays.left[at], arrays.right[at])
+        live = live[arrays.feature[node[live]] >= 0]
+        depth += 1
+    return node
+
+
+def _predict_rows(arrays: _NodeArrays, X, max_depth: int | None = None) -> list:
     X = np.asarray(X, dtype=float)
-    out = []
-    for i in range(len(X)):
-        node = tree.nodes[0]
-        while node.kind == "split":
-            node = tree.nodes[node.left if X[i, node.feature] <= node.threshold else node.right]
-        out.append(node.prediction)
-    return out
+    return arrays.prediction[_descend(arrays, X, max_depth)].tolist()
+
+
+def _score(arrays: _NodeArrays, data: PreparedDataset, max_depth: int | None = None) -> float:
+    """Accuracy on data of the tree cut off at max_depth (whole when None)."""
+    return float(np.mean(np.asarray(_predict_rows(arrays, data.X, max_depth)) == data.y))
+
+
+def predict_many(tree: DecisionTree, X) -> list:
+    return _predict_rows(_node_arrays(tree), X)
 
 
 def accuracy(tree: DecisionTree, data: PreparedDataset) -> float:
-    return float(np.mean(np.asarray(predict_many(tree, data.X)) == data.y))
+    return _score(_node_arrays(tree), data)
 
 
 def feature_importance(tree: DecisionTree, train: PreparedDataset | None = None) -> dict:
@@ -397,12 +445,19 @@ def tree_from_dict(data: Mapping) -> DecisionTree:
             continue
         if node.kind != "split":
             raise ModelFormatError(f"malformed model: node {i} has kind {node.kind!r}")
-        if node.feature is None or not 0 <= node.feature < len(tree.feature_names):
+        if not _is_index(node.feature) or not 0 <= node.feature < len(tree.feature_names):
             raise ModelFormatError(f"malformed model: node {i} splits on feature {node.feature!r}")
+        if not finite_number(node.threshold):
+            raise ModelFormatError(f"malformed model: node {i} has threshold {node.threshold!r}")
+        # children after their parent: every walk down the tree then ends
         for child in (node.left, node.right):
-            if not isinstance(child, int) or not 0 <= child < len(tree.nodes):
+            if not _is_index(child) or not i < child < len(tree.nodes):
                 raise ModelFormatError(f"malformed model: node {i} points at child {child!r}")
     return tree
+
+
+def _is_index(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def save_tree(tree: DecisionTree, path, extra: Mapping | None = None) -> None:

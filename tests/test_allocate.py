@@ -204,6 +204,12 @@ class TestKnapsack:
         with pytest.raises(NegativeBudget):
             select_knapsack(g, budget)
 
+    def test_int_budget_beyond_float_range_rejected(self):
+        # a JSON budget of 1 followed by 400 zeros loads as an exact int
+        g = item_graph([(1.0, 1.0)])
+        with pytest.raises(NegativeBudget):
+            select_knapsack(g, 10**400)
+
     def test_table_bound(self):
         g = item_graph([(1.0, 50_000.0), (2.0, 60_000.0)])
         with pytest.raises(CostResolutionExceeded):

@@ -29,6 +29,15 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def assert_input_error(capsys, kind, *argv):
+    """The command ends in exit 2 with one JSON error line and no traceback."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"]["kind"] == kind
+    assert "Traceback" not in err
+
+
 class TestExitCodes:
     def test_success_is_zero(self, capsys):
         code, payload = run_json(capsys, "validate", "--graph", str(CASE_STUDY / "graph.json"))
@@ -173,6 +182,19 @@ class TestGraphCommands:
         assert len(payload["snapshots"]) == 3
         assert len(out.read_text().splitlines()) == 3
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("edge_metrics", [1]), ("action_outcomes", "v1"), ("edge_metrics", {"v1->v2": 10**400})],
+    )
+    def test_feedback_metrics_section_not_an_object_is_two(self, capsys, tmp_path, key, value):
+        bad = tmp_path / "metrics.json"
+        bad.write_text(json.dumps({"iterations": [{key: value}]}))
+        assert_input_error(
+            capsys, "MetricsFormatError",
+            "feedback", "--graph", str(CASE_STUDY / "graph.json"),
+            "--metrics", str(bad), "--eta", "0.5", "--budget", "10",
+        )
+
     def test_markov_stationary(self, capsys):
         code, payload = run_json(
             capsys, "markov", "--counts", str(CASE_STUDY / "transitions.csv"), "--iters", "2"
@@ -294,6 +316,17 @@ class TestModelCommands:
         write_cohort_csv(generate_cohort(150, seed=12, profile=planted_profile()), path)
         return path
 
+    @staticmethod
+    def trained_model(capsys, tmp_path, cohort_csv):
+        """model.json of a one-config train on cohort_csv, parsed."""
+        out = tmp_path / "model_dir"
+        code, _ = run_json(
+            capsys, "train", "--data", str(cohort_csv), "--grid-depth", "2",
+            "--grid-leaf", "2", "--criteria", "gini", "--folds", "3", "--out", str(out),
+        )
+        assert code == 0
+        return json.loads((out / "model.json").read_text())
+
     def test_train_then_predict(self, capsys, tmp_path, cohort_csv):
         out = tmp_path / "model_dir"
         code, trained = run_json(
@@ -345,6 +378,33 @@ class TestModelCommands:
         assert "--folds" in payload["error"]["message"]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("left", 0),  # a child pointer back at the root: the walk never ended
+            ("right", 0),
+            ("threshold", "x"),
+            ("threshold", None),
+            ("threshold", 1e400),  # json.dumps writes Infinity
+            ("feature", True),
+        ],
+    )
+    def test_predict_rejects_malformed_split(self, capsys, tmp_path, cohort_csv, field, value):
+        payload = self.trained_model(capsys, tmp_path, cohort_csv)
+        assert payload["nodes"][0]["kind"] == "split"
+        payload["nodes"][0][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert_input_error(capsys, "ModelFormatError", "predict", "--model", str(bad), "--data", str(cohort_csv))
+
+    def test_predict_rejects_tree_wider_than_its_preprocessing(self, capsys, tmp_path, cohort_csv):
+        payload = self.trained_model(capsys, tmp_path, cohort_csv)
+        payload["feature_names"].append("extra")
+        payload["nodes"][0]["feature"] = len(payload["feature_names"]) - 1
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert_input_error(capsys, "ModelFormatError", "predict", "--model", str(bad), "--data", str(cohort_csv))
+
     def test_predict_rejects_model_without_preprocessing(self, capsys, tmp_path, cohort_csv):
         model = tmp_path / "model.json"
         model.write_text(json.dumps({"nodes": []}))
@@ -393,6 +453,25 @@ class TestRunScenario:
         for report in reports:
             report.pop("timings")
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize(
+        "paths",
+        [
+            [{"from": "v1", "to": "v5", "tau": "x"}],
+            [{"from": "v1", "to": "v5", "tau": True}],
+            [{"from": "v1", "to": "v5", "tau": -1.0}],
+            [{"from": "v1", "to": "v5", "tau": 10**400}],
+            5,
+            {"from": "v1", "to": "v5"},
+        ],
+    )
+    def test_malformed_path_queries_are_two(self, capsys, tmp_path, paths):
+        scenario = json.loads((CASE_STUDY / "scenario.json").read_text())
+        scenario.update(graph=str(CASE_STUDY / "graph.json"), paths=paths)
+        scenario.pop("feedback")
+        bad = tmp_path / "scenario.json"
+        bad.write_text(json.dumps(scenario))
+        assert_input_error(capsys, "ScenarioFormatError", "run", str(bad), "--out", str(tmp_path / "out"))
 
     def test_scenario_error_names_missing_key(self, capsys, tmp_path):
         bad = tmp_path / "scenario.json"

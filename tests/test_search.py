@@ -3,6 +3,8 @@
 The recomputation oracle rebuilds every fold score from the public split,
 fold, fit, and accuracy primitives and demands exact agreement with the
 cv table, so the config loop cannot silently shuffle folds or configs.
+reference_grid_search_cv fits every config on every fold from scratch, as
+grid_search_cv did before it shared one fit across the grid's depths.
 """
 
 import math
@@ -19,6 +21,7 @@ from skillsgraph import (
 )
 from skillsgraph.errors import InsufficientSamples
 from skillsgraph.prepare import PreprocessStats, stratified_folds, stratified_split
+from skillsgraph import search
 from skillsgraph.search import CVRow, save_cv_table
 from skillsgraph.tree import accuracy, fit_tree, tree_to_dict
 
@@ -42,6 +45,78 @@ def noisy(seed=3, n=60):
     X = rng.random((n, 2)).round(2)
     y = ((X[:, 0] + 0.2 * rng.standard_normal(n)) > 0.5).astype(int)
     return dataset(X, y)
+
+
+def reference_grid_search_cv(data, grid, folds=5, seed=0, train_fraction=0.7):
+    """One fit per (config, fold), each at the config's own depth."""
+    train, test = stratified_split(data, train_fraction=train_fraction, seed=seed)
+    fold_indices = stratified_folds(train.y, folds, seed=seed)
+    fold_sets = [set(f.tolist()) for f in fold_indices]
+    cv_table = []
+    for config_id, params in enumerate(grid.configs()):
+        scores = []
+        for k in range(folds):
+            fit_rows = np.array([i for i in range(len(train)) if i not in fold_sets[k]], dtype=int)
+            model = fit_tree(train.subset(fit_rows), params)
+            scores.append(accuracy(model, train.subset(fold_indices[k])))
+        scores = np.array(scores)
+        cv_table.append(CVRow(config_id, params, float(scores.mean()), float(scores.std())))
+    best = min(
+        cv_table,
+        key=lambda row: (
+            -row.mean_accuracy,
+            row.params.max_depth,
+            -row.params.min_samples_leaf,
+            row.params.criterion,
+        ),
+    )
+    model = fit_tree(train, best.params)
+    return GridSearchResult(
+        best_params=best.params,
+        cv_table=tuple(cv_table),
+        test_accuracy=accuracy(model, test),
+        model=model,
+        train_size=len(train),
+        test_size=len(test),
+    )
+
+
+class TestSharedDepthFits:
+    @pytest.mark.parametrize("trial", range(12))
+    def test_matches_one_fit_per_config(self, trial):
+        rng = np.random.default_rng(100 + trial)
+        n = int(rng.integers(45, 140))
+        classes = 2 + trial % 2
+        X = rng.random((n, int(rng.integers(1, 5)))).round(int(rng.integers(1, 3)))  # ties
+        y = (X.sum(axis=1) * classes / X.shape[1] + 0.4 * rng.standard_normal(n)).astype(int)
+        y = np.clip(y, 0, classes - 1)
+        y[:classes * 4] = np.repeat(np.arange(classes), 4)  # every class fills every fold
+        depths = [(0, 5, 2), (3,), (6, 1, 4, 0), (2, 7)][trial % 4]
+        leaves = [(1,), (1, 4, 2), (3, 1), (5, 2, 9)][trial % 4]
+        criteria = [("entropy", "gini"), ("gini",), ("gini", "entropy")][trial % 3]
+        grid = GridSpec(max_depths=depths, min_samples_leaves=leaves, criteria=criteria)
+        data = dataset(X, y)
+        got = grid_search_cv(data, grid, folds=3, seed=trial)
+        want = reference_grid_search_cv(data, grid, folds=3, seed=trial)
+        assert got.cv_table == want.cv_table
+        assert got.best_params == want.best_params
+        assert tree_to_dict(got.model) == tree_to_dict(want.model)
+        assert got.test_accuracy == want.test_accuracy
+        assert (got.train_size, got.test_size) == (want.train_size, want.test_size)
+
+    def test_one_fit_per_leaf_criterion_and_fold_plus_the_refit(self, monkeypatch):
+        fits = []
+
+        def counting_fit(data, params):
+            fits.append(params)
+            return fit_tree(data, params)
+
+        monkeypatch.setattr(search, "fit_tree", counting_fit)
+        grid = GridSpec(max_depths=(3, 1, 2), min_samples_leaves=(1, 2, 4), criteria=("entropy", "gini"))
+        result = grid_search_cv(noisy(seed=2, n=90), grid, folds=4, seed=1)
+        assert len(fits) == 3 * 2 * 4 + 1
+        assert all(params.max_depth == 3 for params in fits[:-1])
+        assert fits[-1] == result.best_params
 
 
 class TestGridSpec:

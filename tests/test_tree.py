@@ -33,7 +33,17 @@ from skillsgraph.errors import (
     PartitionMismatch,
 )
 from skillsgraph.prepare import PreprocessStats
-from skillsgraph.tree import load_tree, predict_many, save_tree, tree_from_dict, tree_to_dict
+from skillsgraph.tree import (
+    _best_split,
+    _impurity_rows,
+    _node_arrays,
+    _predict_rows,
+    load_tree,
+    predict_many,
+    save_tree,
+    tree_from_dict,
+    tree_to_dict,
+)
 
 
 def direct_entropy(counts):
@@ -271,6 +281,77 @@ class TestFitTree:
         assert 0.0 <= accuracy(model, data) <= 1.0
 
 
+def reference_best_split(X, codes, rows, n_classes, min_leaf, criterion):
+    """One argsort and one prefix per feature, features scanned in order."""
+    n = len(rows)
+    parent_counts = np.bincount(codes[rows], minlength=n_classes).astype(float)
+    parent_imp = float(_impurity_rows(parent_counts[None, :], np.array([float(n)]), criterion)[0])
+    best = fallback = None
+    for j in range(X.shape[1]):
+        col = X[rows, j]
+        order = np.argsort(col, kind="stable")
+        sv, sy = col[order], codes[rows][order]
+        change = np.nonzero(sv[1:] != sv[:-1])[0]
+        admissible = ((change + 1) >= min_leaf) & ((n - change - 1) >= min_leaf)
+        idx = change[admissible]
+        if idx.size == 0:
+            continue
+        thresholds = (sv[idx] + sv[idx + 1]) / 2.0
+        if fallback is None:
+            fallback = (j, float(thresholds[0]))
+        onehot = np.zeros((n, n_classes))
+        onehot[np.arange(n), sy] = 1.0
+        prefix = np.cumsum(onehot, axis=0)
+        left_counts = prefix[idx]
+        right_counts = prefix[-1] - left_counts
+        lsz = (idx + 1).astype(float)
+        rsz = float(n) - lsz
+        gains = (
+            parent_imp
+            - (lsz / n) * _impurity_rows(left_counts, lsz, criterion)
+            - (rsz / n) * _impurity_rows(right_counts, rsz, criterion)
+        )
+        k = int(np.argmax(gains))
+        if best is None or gains[k] > best[0]:
+            best = (float(gains[k]), j, float(thresholds[k]))
+    return best, fallback
+
+
+class TestBestSplit:
+    def test_matches_per_feature_scan(self):
+        rng = np.random.default_rng(31)
+        for trial in range(300):
+            n = int(rng.integers(2, 80))
+            d = int(rng.integers(1, 8))
+            k = int(rng.integers(2, 12))
+            X = rng.random((n, d)).round(int(rng.integers(0, 3)))  # rounding forces ties
+            codes = rng.integers(0, k, n)
+            rows = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+            min_leaf = int(rng.integers(1, 6))
+            criterion = ("entropy", "gini")[trial % 2]
+            got = _best_split(X, codes, rows, k, min_leaf, criterion)
+            assert got == reference_best_split(X, codes, rows, k, min_leaf, criterion)
+
+    def test_no_admissible_split(self):
+        X = np.array([[0.5, 1.0], [0.5, 1.0], [0.5, 1.0]])
+        assert _best_split(X, np.array([0, 1, 0]), np.arange(3), 2, 1, "gini") == (None, None)
+
+
+class TestTruncation:
+    @pytest.mark.parametrize("criterion", ["entropy", "gini"])
+    @pytest.mark.parametrize("min_leaf", [1, 3, 7])
+    def test_deep_tree_cut_at_depth_predicts_like_shallow_fit(self, criterion, min_leaf):
+        rng = np.random.default_rng(min_leaf)
+        X = rng.random((300, 4)).round(2)
+        y = ((X[:, 0] + X[:, 1] * X[:, 2] + 0.3 * rng.standard_normal(300)) > 0.8).astype(int)
+        data = dataset(X, y)
+        arrays = _node_arrays(fit_tree(data, TreeParams(max_depth=10, min_samples_leaf=min_leaf, criterion=criterion)))
+        Z = rng.random((500, 4)).round(2)
+        for depth in range(11):
+            shallow = fit_tree(data, TreeParams(max_depth=depth, min_samples_leaf=min_leaf, criterion=criterion))
+            assert _predict_rows(arrays, Z, depth) == predict_many(shallow, Z)
+
+
 class TestPredict:
     def setup_method(self):
         self.model = fit_tree(XOR, TreeParams(max_depth=2, min_samples_leaf=1, criterion="entropy"))
@@ -294,6 +375,18 @@ class TestPredict:
     def test_predict_many_matches_predict(self):
         rows = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
         assert predict_many(self.model, rows) == [predict(self.model, r) for r in rows]
+
+    def test_predict_many_matches_predict_on_random_trees(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            X = rng.random((80, 3)).round(1)
+            y = rng.integers(0, 3, 80)
+            model = fit_tree(dataset(X, y), TreeParams(max_depth=int(rng.integers(0, 7)), min_samples_leaf=1))
+            Z = rng.random((50, 3)).round(1)
+            assert predict_many(model, Z) == [predict(model, row) for row in Z]
+
+    def test_predict_many_no_rows(self):
+        assert predict_many(self.model, []) == []
 
 
 class TestImportance:
@@ -369,6 +462,16 @@ class TestSerialization:
             lambda d: d.pop("nodes"),
             lambda d: d["nodes"][0].update(kind="branch"),
             lambda d: d.update(params={"max_depth": 2}),
+            lambda d: d["nodes"][0].update(left=0),
+            lambda d: d["nodes"][0].update(right=0),
+            lambda d: d["nodes"][1].update(kind="split", feature=0, threshold=0.5, left=0, right=2),
+            lambda d: d["nodes"][0].update(left=True),
+            lambda d: d["nodes"][0].update(threshold="0.5"),
+            lambda d: d["nodes"][0].update(threshold=None),
+            lambda d: d["nodes"][0].update(threshold=float("nan")),
+            lambda d: d["nodes"][0].update(threshold=10**400),
+            lambda d: d["nodes"][0].update(feature=True),
+            lambda d: d["nodes"][0].update(feature=0.0),
         ],
     )
     def test_malformed_rejected(self, mutate):
