@@ -30,6 +30,7 @@ from .cohort import (
 from .errors import InputError, ModelFormatError, ToolError, open_text
 from .feedback import FeedbackConfig, load_metrics, run_feedback_cycle, save_history, snapshot_to_dict
 from .graph import load_graph, validate_dag, weighted_centrality
+from .jsonio import dumps
 from .markov import build_transition_matrix, load_counts, stationary_distribution, step_distribution
 from .paths import find_optimal_path, path_to_dict
 from .prepare import apply_stats, preprocess, stats_from_dict, stats_to_dict
@@ -52,8 +53,22 @@ def _emit_error(kind: str, message: str) -> None:
     print(f"error [{kind}]: {message}", file=sys.stderr)
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _emit(payload) -> None:
+    """Print a command's result: a dict through the writer, or a command's
+    already encoded text as it is."""
+    sys.stdout.write(payload if isinstance(payload, str) else dumps(payload) + "\n")
+
+
+def _predictions_text(accuracy, n: int, student_ids, predictions) -> str:
+    """The predict result as _emit would print it, each row of the fixed
+    shape {"prediction": int, "student_id": str} formatted directly."""
+    head = dumps({"accuracy": accuracy, "n": n})[: -len("\n}")]
+    rows = ",".join(
+        f'\n    {{\n      "prediction": {int(p)},\n      "student_id": {json.dumps(sid)}\n    }}'
+        for sid, p in zip(student_ids, predictions)
+    )
+    body = f"[{rows}\n  ]" if rows else "[]"
+    return f'{head},\n  "predictions": {body}\n}}\n'
 
 
 def _parse_range(text: str, flag: str) -> tuple[int, ...]:
@@ -207,7 +222,7 @@ def cmd_train(args) -> dict:
     }
 
 
-def cmd_predict(args) -> dict:
+def cmd_predict(args) -> str:
     with open_text(args.model, ModelFormatError) as fh:
         try:
             payload = json.load(fh)
@@ -228,18 +243,18 @@ def cmd_predict(args) -> dict:
         )
     predictions = predict_many(tree, X)
     correct = sum(1 for p, y in zip(predictions, labels) if p == y)
-    return {
-        "n": len(records),
-        "accuracy": correct / len(records) if records else None,
-        "predictions": [
-            {"student_id": r.student_id, "prediction": int(p)}
-            for r, p in zip(records, predictions)
-        ],
-    }
+    return _predictions_text(
+        correct / len(records) if records else None,
+        len(records),
+        [r.student_id for r in records],
+        predictions,
+    )
 
 
-def cmd_run(args) -> dict:
-    return run_scenario(args.scenario, args.out)
+def cmd_run(args) -> str:
+    run_scenario(args.scenario, args.out)
+    # the report's one encoding is report.json; print its text
+    return (FsPath(args.out) / "report.json").read_text(encoding="utf-8")
 
 
 # -- wiring ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .errors import (
     UnknownEndpoint,
     open_text,
 )
+from .jsonio import write_json
 
 UNBOUNDED = None  # capacity sentinel: node can absorb any allocation
 
@@ -339,6 +340,4 @@ def load_graph(path, allow_cycles: bool = False) -> SkillsGraph:
 
 
 def save_graph(graph: SkillsGraph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_dict(graph), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, graph_to_dict(graph))

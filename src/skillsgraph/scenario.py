@@ -19,6 +19,24 @@ Scenario layout (paths are relative to the scenario file):
                    "w_min": 0.01, "w_max": 10.0},   // optional
       "seed": 42                             // optional, recorded in the report
     }
+
+load_scenario checks every key's type before anything runs, and a value of
+the wrong type is a ScenarioFormatError (exit 2):
+
+    graph, feedback.metrics          a string
+    budget, feedback.eta,
+    feedback.w_min, feedback.w_max   a finite number (not a bool)
+    feedback.iterations              an integer (not a bool)
+    allocation_mode                  "fractional" or "select"
+    paths                            an array of {from, to[, tau]} objects;
+                                     from and to strings, tau null or a
+                                     finite number >= 0
+    actions                          an array of strings, or null
+    feedback                         an object, or null
+
+A null "actions" or "feedback" is the same as leaving the key out. Ranges the
+analyses own stay theirs: a negative budget is NegativeBudget, an eta outside
+(0, 1] or a negative iteration count is MetricOutOfRange (exit 1).
 """
 
 from __future__ import annotations
@@ -40,11 +58,53 @@ from .feedback import (
     snapshot_to_dict,
 )
 from .graph import finite_number, graph_to_dict, load_graph, validate_dag, weighted_centrality
+from .jsonio import write_json
 from .paths import find_optimal_path, path_to_dict
 
 _SCENARIO_KEYS = {"graph", "budget", "allocation_mode", "paths", "actions", "feedback", "seed"}
-_FEEDBACK_KEYS = {"metrics", "eta", "iterations", "w_min", "w_max"}
-_QUERY_KEYS = {"from", "to", "tau"}
+
+
+def _string(value) -> bool:
+    return isinstance(value, str)
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _strings(value) -> bool:
+    return value is None or (isinstance(value, list) and all(isinstance(v, str) for v in value))
+
+
+def _tau(value) -> bool:
+    return value is None or (finite_number(value) and value >= 0)
+
+
+# key -> (check, what the value must be); a key that is absent is not checked
+_SCENARIO_TYPES = {
+    "graph": (_string, "a string"),
+    "budget": (finite_number, "a finite number"),
+    "allocation_mode": (lambda v: v in ("fractional", "select"), "'fractional' or 'select'"),
+    "actions": (_strings, "an array of strings"),
+}
+_QUERY_TYPES = {
+    "from": (_string, "a string"),
+    "to": (_string, "a string"),
+    "tau": (_tau, "a finite number >= 0"),
+}
+_FEEDBACK_TYPES = {
+    "metrics": (_string, "a string"),
+    "eta": (finite_number, "a finite number"),
+    "iterations": (_integer, "an integer"),
+    "w_min": (finite_number, "a finite number"),
+    "w_max": (finite_number, "a finite number"),
+}
+
+
+def _check_types(path, where: str, data: Mapping, types: dict) -> None:
+    for key, (ok, what) in types.items():
+        if key in data and not ok(data[key]):
+            raise ScenarioFormatError(f"{path}: {where}{key} must be {what}, got {data[key]!r}")
 
 
 def load_scenario(path) -> dict:
@@ -64,25 +124,29 @@ def load_scenario(path) -> dict:
         raise ScenarioFormatError(f"{path}: missing required key 'graph'")
     if "budget" not in data:
         raise ScenarioFormatError(f"{path}: missing required key 'budget'")
+    _check_types(path, "", data, _SCENARIO_TYPES)
     if not isinstance(data.get("paths", []), list):
         raise ScenarioFormatError(f"{path}: paths must be an array of queries")
     for i, query in enumerate(data.get("paths", [])):
-        if not isinstance(query, Mapping) or set(query) - _QUERY_KEYS or {"from", "to"} - set(query):
+        if not isinstance(query, Mapping) or set(query) - set(_QUERY_TYPES) or {"from", "to"} - set(query):
             raise ScenarioFormatError(f"{path}: paths[{i}] must be an object with from/to[/tau]")
-        tau = query.get("tau")
-        if tau is not None and (not finite_number(tau) or tau < 0):
-            raise ScenarioFormatError(f"{path}: paths[{i}].tau must be a finite number >= 0, got {tau!r}")
+        _check_types(path, f"paths[{i}].", query, _QUERY_TYPES)
     fb = data.get("feedback")
     if fb is not None:
-        if not isinstance(fb, Mapping) or set(fb) - _FEEDBACK_KEYS or {"metrics", "eta", "iterations"} - set(fb):
+        if not isinstance(fb, Mapping) or set(fb) - set(_FEEDBACK_TYPES) or {"metrics", "eta", "iterations"} - set(fb):
             raise ScenarioFormatError(
                 f"{path}: feedback must be an object with metrics/eta/iterations[/w_min/w_max]"
             )
+        _check_types(path, "feedback.", fb, _FEEDBACK_TYPES)
     return dict(data)
 
 
 def run_scenario(scenario_path, out_dir) -> dict:
-    """Execute a scenario and return the report (also written to report.json)."""
+    """Execute a scenario and return the report, also written to report.json.
+
+    report.json holds the report's only encoding: `skillsgraph run` prints
+    that file's text rather than encoding the report a second time.
+    """
     scenario_path = FsPath(scenario_path)
     base = scenario_path.parent
     out = FsPath(out_dir)
@@ -100,9 +164,7 @@ def run_scenario(scenario_path, out_dir) -> dict:
         return result
 
     def write_artifact(name: str, payload) -> None:
-        with open(out / name, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(out / name, payload)
         artifacts[name.split(".")[0]] = name
 
     graph = load_graph(base / scenario["graph"])
@@ -120,8 +182,6 @@ def run_scenario(scenario_path, out_dir) -> dict:
     write_artifact("centrality.json", centrality)
 
     mode = scenario.get("allocation_mode", "fractional")
-    if mode not in ("fractional", "select"):
-        raise ScenarioFormatError(f"allocation_mode must be 'fractional' or 'select', got {mode!r}")
     allocator = select_knapsack if mode == "select" else allocate_fractional
     plan = timed("allocation", lambda: allocator(graph, budget))
     stages["allocation"] = plan_to_dict(plan)
@@ -180,7 +240,5 @@ def run_scenario(scenario_path, out_dir) -> dict:
         "artifacts": artifacts,
         "timings": timings,
     }
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "report.json", report)
     return report

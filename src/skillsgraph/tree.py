@@ -30,6 +30,7 @@ from .errors import (
     open_text,
 )
 from .graph import finite_number
+from .jsonio import write_json
 from .prepare import PreparedDataset
 
 CRITERIA = ("entropy", "gini")
@@ -464,9 +465,7 @@ def save_tree(tree: DecisionTree, path, extra: Mapping | None = None) -> None:
     payload = tree_to_dict(tree)
     if extra:
         payload.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_tree(path) -> DecisionTree:

@@ -367,9 +367,8 @@ def test_criterion_09_feedback_bounds_and_geometric_decay():
         assert graph.edge("a", "b").weight == pytest.approx(want, rel=1e-9)
 
 
-def test_criterion_10_cli_byte_identical_reruns(capsys, tmp_path):
-    cohort_csv = tmp_path / "cohort.csv"
-    invocations = [
+def criterion_10_invocations(cohort_csv) -> list:
+    return [
         ["validate", "--graph", str(CASE_STUDY / "graph.json")],
         ["centrality", "--graph", str(CASE_STUDY / "graph.json")],
         ["allocate", "--graph", str(CASE_STUDY / "graph.json"), "--budget", "10.0"],
@@ -383,7 +382,11 @@ def test_criterion_10_cli_byte_identical_reruns(capsys, tmp_path):
         ["cohort", "gen", "--n", "60", "--seed", "5", "--out", str(cohort_csv)],
         ["cohort", "summarize", "--data", str(cohort_csv)],
     ]
-    for argv in invocations:
+
+
+def test_criterion_10_cli_byte_identical_reruns(capsys, tmp_path):
+    cohort_csv = tmp_path / "cohort.csv"
+    for argv in criterion_10_invocations(cohort_csv):
         outputs = []
         for _ in range(2):
             assert main(argv) == 0
@@ -398,3 +401,31 @@ def test_criterion_10_cli_byte_identical_reruns(capsys, tmp_path):
         report.pop("timings")
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+def canonical(text: str) -> str:
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_criterion_10_cli_output_is_canonical(capsys, tmp_path):
+    """stdout and every .json artifact are json.dumps(indent=2, sort_keys=True)
+    plus a newline, and run prints report.json byte for byte."""
+    cohort_csv = tmp_path / "cohort.csv"
+    model_dir, run_dir = tmp_path / "model", tmp_path / "run"
+    invocations = criterion_10_invocations(cohort_csv) + [
+        ["train", "--data", str(cohort_csv), "--seed", "3", "--grid-depth", "2:4",
+         "--grid-leaf", "1:2", "--folds", "3", "--out", str(model_dir)],
+        ["predict", "--model", str(model_dir / "model.json"), "--data", str(cohort_csv)],
+        ["run", str(CASE_STUDY / "scenario.json"), "--out", str(run_dir)],
+    ]
+    for argv in invocations:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert out == canonical(out), f"stdout of {argv} is not canonical"
+    assert out.encode("utf-8") == (run_dir / "report.json").read_bytes()
+
+    artifacts = sorted(model_dir.glob("*.json")) + sorted(run_dir.glob("*.json"))
+    assert {p.name for p in artifacts} >= {"model.json", "report.json", "final_graph.json", "paths.json"}
+    for path in artifacts:
+        text = path.read_text(encoding="utf-8")
+        assert text == canonical(text), f"{path.name} is not canonical"

@@ -480,6 +480,63 @@ class TestRunScenario:
         assert code == 2
         assert "budget" in payload["error"]["message"]
 
+    @staticmethod
+    def case_study_scenario(tmp_path, **changes) -> Path:
+        """The case-study scenario with absolute input paths, `changes` applied:
+        a top-level key, or feedback_<key> for a key of the feedback block."""
+        scenario = json.loads((CASE_STUDY / "scenario.json").read_text())
+        scenario["graph"] = str(CASE_STUDY / "graph.json")
+        scenario["feedback"]["metrics"] = str(CASE_STUDY / "metrics.json")
+        for key, value in changes.items():
+            if key.startswith("feedback_"):
+                scenario["feedback"][key[len("feedback_"):]] = value
+            else:
+                scenario[key] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        return path
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"feedback_eta": "x"},
+            {"feedback_iterations": "2"},
+            {"feedback_iterations": 2.5},
+            {"feedback_iterations": True},
+            {"feedback_w_min": "a"},
+            {"feedback_w_max": 10**400},
+            {"feedback_metrics": 5},
+            {"graph": 5},
+            {"actions": "v1"},
+            {"actions": ["v1", 2]},
+            {"budget": "x"},
+            {"budget": True},
+            {"allocation_mode": "greedy"},
+            {"paths": [{"from": 1, "to": "v5"}]},
+            {"paths": [{"from": "v1", "to": ["v5"]}]},
+        ],
+        ids=lambda changes: json.dumps(changes)[:40],
+    )
+    def test_scenario_value_types_are_two(self, capsys, tmp_path, changes):
+        bad = self.case_study_scenario(tmp_path, **changes)
+        assert_input_error(capsys, "ScenarioFormatError", "run", str(bad), "--out", str(tmp_path / "out"))
+
+    def test_negative_budget_stays_domain_error(self, capsys, tmp_path):
+        scenario = self.case_study_scenario(tmp_path, budget=-1.0)
+        code, payload = run_json(capsys, "run", str(scenario), "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert payload["error"]["kind"] == "NegativeBudget"
+
+    def test_null_actions_and_feedback_mean_absent(self, capsys, tmp_path):
+        scenario = self.case_study_scenario(tmp_path, actions=None)
+        code, report = run_json(capsys, "run", str(scenario), "--out", str(tmp_path / "a"))
+        assert code == 0
+        assert len(report["stages"]["feedback"]["success_rates"]) == 2
+        scenario = self.case_study_scenario(tmp_path, feedback=None)
+        code, report = run_json(capsys, "run", str(scenario), "--out", str(tmp_path / "b"))
+        assert code == 0
+        assert "feedback" not in report["stages"]
+
 
 def test_module_entry_point_subprocess():
     result = subprocess.run(

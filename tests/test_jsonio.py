@@ -1,0 +1,141 @@
+"""The JSON writer against json.dumps(obj, indent=2, sort_keys=True), and the
+fixed-shape predict writer against the same."""
+
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skillsgraph.cli import _predictions_text
+from skillsgraph.jsonio import dumps, write_json
+
+ODD_TEXT = ['"', "\\", "{", "}", "[", "]", ",", ":", "\n", "\t", "\x00", "\x1f", "é", "ключ", " ", "😀"]
+ODD_FLOATS = [-0.0, 0.0, 1e-300, 1e300, 5e-324, math.nan, math.inf, -math.inf, 0.1]
+BIG_INTS = [2**64, 2**64 + 1, -(2**70), 10**30]
+
+texts = st.one_of(st.text(max_size=6), st.sampled_from(ODD_TEXT), st.lists(st.sampled_from(ODD_TEXT)).map("".join))
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from(BIG_INTS),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(ODD_FLOATS),
+    texts,
+)
+any_keys = st.one_of(texts, st.integers(), st.floats(), st.sampled_from(ODD_FLOATS), st.booleans(), st.none())
+
+
+def containers(children, keys=texts):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(keys, children, max_size=4),
+    )
+
+
+documents = st.recursive(scalars, containers, max_leaves=40)
+
+
+def reference(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def outcome(fn, obj):
+    """The text fn gives, or the class of the exception it raises."""
+    try:
+        return fn(obj)
+    except Exception as exc:  # the class is what gets compared
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents)
+def test_matches_json_dumps(obj):
+    assert dumps(obj) == reference(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.recursive(scalars, lambda children: containers(children, any_keys), max_leaves=30))
+def test_non_string_keys_match_or_raise_alike(obj):
+    # keys of mixed types cannot be sorted: both must then raise the same class
+    assert outcome(dumps, obj) == outcome(reference, obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        (),
+        {"a": {}, "b": [], "c": ()},
+        [[[[]]]],
+        {"a": {"b": {"c": {"d": [1, 2.5, None]}}}},
+        [[1, [2, [3, {"x": (4,)}]]], {"y": []}],
+        {"deep": [{"k": v} for v in ODD_FLOATS + BIG_INTS + [True, False, None]]},
+        {k: [k] for k in ODD_TEXT},
+        {1: [1], 2: {"a": 1}},
+        {1.5: [1], -0.0: [2], 1e300: [3]},
+        {math.nan: {"a": 1}},
+        {None: {"b": 2}},
+        {False: [0], True: {"x": 1}},
+        "top-level text é",
+        1e300,
+        2**70,
+        None,
+    ],
+)
+def test_edge_cases(obj):
+    assert dumps(obj) == reference(obj)
+
+
+@pytest.mark.parametrize("obj", [{1: [1], "a": [2]}, {True: [1], None: {"b": 2}}, {(1, 2): [1]}, [object()], {"a": [{"b": {1, 2}}]}])
+def test_errors_match(obj):
+    assert outcome(dumps, obj) is outcome(reference, obj)
+    assert isinstance(outcome(dumps, obj), type)
+
+
+def test_circular_reference_is_value_error():
+    loop = {"a": []}
+    loop["a"].append(loop)
+    with pytest.raises(ValueError):
+        dumps(loop)
+
+
+def test_write_json_adds_newline(tmp_path):
+    payload = {"b": [1, {"c": "é"}], "a": 1.0}
+    write_json(tmp_path / "x.json", payload)
+    assert (tmp_path / "x.json").read_bytes() == (reference(payload) + "\n").encode("ascii")
+
+
+def predictions_reference(accuracy, n, ids, predictions) -> str:
+    payload = {
+        "n": n,
+        "accuracy": accuracy,
+        "predictions": [{"student_id": s, "prediction": int(p)} for s, p in zip(ids, predictions)],
+    }
+    return reference(payload) + "\n"
+
+
+class TestPredictionsText:
+    def test_zero_rows(self):
+        assert _predictions_text(None, 0, [], []) == predictions_reference(None, 0, [], [])
+        assert '"predictions": []' in _predictions_text(None, 0, [], [])
+
+    def test_odd_ids(self):
+        ids = ['say "hi"', "back\\slash", "{}[],:", "two\nlines", "tab\tnul\x00bell\x07", "Zoë", "学生", "😀"]
+        predictions = [i % 2 for i in range(len(ids))]
+        assert _predictions_text(0.5, len(ids), ids, predictions) == predictions_reference(
+            0.5, len(ids), ids, predictions
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(texts, st.integers(min_value=0, max_value=9)), max_size=8), st.floats(0, 1))
+    def test_matches_json_dumps(self, rows, accuracy):
+        ids = [r[0] for r in rows]
+        predictions = [r[1] for r in rows]
+        assert _predictions_text(accuracy, len(rows), ids, predictions) == predictions_reference(
+            accuracy, len(rows), ids, predictions
+        )
