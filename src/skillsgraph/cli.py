@@ -21,6 +21,7 @@ from .cohort import (
     feature_columns,
     generate_cohort,
     load_cohort_csv,
+    load_cohort_table,
     load_profile,
     planted_profile,
     report_to_dict,
@@ -188,8 +189,7 @@ def cmd_cohort_summarize(args) -> dict:
 def cmd_train(args) -> dict:
     if args.folds < 2:
         raise InputError(f"--folds must be at least 2, got {args.folds}")
-    records = load_cohort_csv(args.data)
-    columns, labels = feature_columns(records)
+    columns, labels = feature_columns(load_cohort_table(args.data))
     data = preprocess(columns, labels)
     grid = GridSpec(
         max_depths=_parse_range(args.grid_depth, "--grid-depth"),
@@ -233,8 +233,8 @@ def cmd_predict(args) -> str:
         raise ModelFormatError(f"{args.model}: model lacks the preprocessing section")
     stats = stats_from_dict(payload["preprocessing"])
 
-    records = load_cohort_csv(args.data)
-    columns, labels = feature_columns(records)
+    table = load_cohort_table(args.data)
+    columns, labels = feature_columns(table)
     X = apply_stats(columns, stats)
     if X.shape[1] != len(tree.feature_names):
         raise ModelFormatError(
@@ -243,12 +243,8 @@ def cmd_predict(args) -> str:
         )
     predictions = predict_many(tree, X)
     correct = sum(1 for p, y in zip(predictions, labels) if p == y)
-    return _predictions_text(
-        correct / len(records) if records else None,
-        len(records),
-        [r.student_id for r in records],
-        predictions,
-    )
+    n = len(table)
+    return _predictions_text(correct / n if n else None, n, table.student_id, predictions)
 
 
 def cmd_run(args) -> str:

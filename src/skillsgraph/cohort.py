@@ -13,6 +13,13 @@ may additionally shift the probability per education level and add a linear
 mentoring dose response; both knobs default to zero so the calibrated default
 profile stays a pure mixture, while planted_profile() uses them to embed a
 recoverable signal for learner evaluation.
+
+A cohort CSV is read straight into columns (a CohortTable), a few thousand
+rows at a time, and checked column by column. A file that fails a check is
+read again row by row, so the error still names the first bad row and its
+column. Count cells (mentoring_sessions, research_projects) must be
+integers >= 0 small enough to convert to a float, since the learner works
+in floats.
 """
 
 from __future__ import annotations
@@ -20,12 +27,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import DuplicateStudentId, InputError, InvalidProfile, SchemaViolation, open_text
+from .graph import finite_number
 from .prepare import CATEGORICAL, NUMERIC, RawColumn
 
 GENDERS = ("M", "F")
@@ -323,24 +334,84 @@ def _parse_int(raw: str, lineno: int, column: str, minimum: int = 0) -> int:
     return value
 
 
-def load_cohort_csv(path) -> list[CohortRecord]:
-    """Parse and validate a cohort CSV; empty fields are missing values."""
-    expected = CSV_HEADER.split(",")
+def _parse_count(raw: str, lineno: int, column: str) -> int:
+    """A count cell: an integer >= 0 small enough for the learner's floats."""
+    value = _parse_int(raw, lineno, column)
+    if not finite_number(value):
+        raise SchemaViolation(
+            lineno, column, f"must fit a float, got an integer of {len(str(value))} digits"
+        )
+    return value
+
+
+_COLUMNS = tuple(CSV_HEADER.split(","))
+_VOCABULARIES = {
+    "gender": GENDERS,
+    "ethnicity": ETHNICITIES,
+    "education_level": EDUCATION_LEVELS,
+    "region": REGIONS,
+}
+_CHUNK_ROWS = 4096  # rows held as strings at once while the columns fill
+
+
+@dataclass(frozen=True)
+class CohortTable:
+    """A cohort read into columns: one tuple per CSV column, in CSV order.
+
+    Categorical cells are the vocabulary's own strings; None is a missing
+    mentoring or workshop value.
+    """
+
+    student_id: tuple[str, ...]
+    gender: tuple[str, ...]
+    ethnicity: tuple[str, ...]
+    education_level: tuple[str, ...]
+    region: tuple[str, ...]
+    mentoring_sessions: tuple[int | None, ...]
+    workshop_hours: tuple[float | None, ...]
+    research_projects: tuple[int, ...]
+    employed: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.student_id)
+
+    @classmethod
+    def from_records(cls, records: Sequence[CohortRecord]) -> "CohortTable":
+        rows = map(attrgetter(*_COLUMNS), records)
+        return cls(*(zip(*rows) if records else [()] * len(_COLUMNS)))
+
+    def records(self) -> list[CohortRecord]:
+        return list(map(CohortRecord, *(getattr(self, name) for name in _COLUMNS)))
+
+
+@contextmanager
+def _cohort_rows(path):
+    """The CSV reader of a cohort file, positioned after its checked header."""
     with open_text(path, InputError, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise InputError(f"{path}: empty file, expected header {CSV_HEADER!r}") from None
-        if header != expected:
+        if tuple(header) != _COLUMNS:
             raise InputError(f"{path}: header must be exactly {CSV_HEADER!r}")
+        yield reader
 
-        records = []
+
+def _first_error(path) -> None:
+    """Check a cohort file row by row and raise its first error.
+
+    The columnar loader's bulk checks only tell that some cell is bad; this
+    finds the first one, so an error names the same line and column however
+    the file was read.
+    """
+    width = len(_COLUMNS)
+    with _cohort_rows(path) as reader:
         seen_ids = set()
         for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(expected):
-                raise SchemaViolation(lineno, "", f"expected {len(expected)} fields, got {len(row)}")
-            values = dict(zip(expected, row))
+            if len(row) != width:
+                raise SchemaViolation(lineno, "", f"expected {width} fields, got {len(row)}")
+            values = dict(zip(_COLUMNS, row))
 
             student_id = values["student_id"]
             if not student_id:
@@ -349,25 +420,15 @@ def load_cohort_csv(path) -> list[CohortRecord]:
                 raise DuplicateStudentId(f"line {lineno}: duplicate student_id {student_id!r}")
             seen_ids.add(student_id)
 
-            for column, vocabulary in (
-                ("gender", GENDERS),
-                ("ethnicity", ETHNICITIES),
-                ("education_level", EDUCATION_LEVELS),
-                ("region", REGIONS),
-            ):
+            for column, vocabulary in _VOCABULARIES.items():
                 if values[column] not in vocabulary:
                     raise SchemaViolation(
                         lineno, column, f"{values[column]!r} not in {list(vocabulary)}"
                     )
 
-            mentoring = (
-                None
-                if values["mentoring_sessions"] == ""
-                else _parse_int(values["mentoring_sessions"], lineno, "mentoring_sessions")
-            )
-            if values["workshop_hours"] == "":
-                workshop = None
-            else:
+            if values["mentoring_sessions"] != "":
+                _parse_count(values["mentoring_sessions"], lineno, "mentoring_sessions")
+            if values["workshop_hours"] != "":
                 try:
                     workshop = float(values["workshop_hours"])
                 except ValueError:
@@ -377,47 +438,92 @@ def load_cohort_csv(path) -> list[CohortRecord]:
                 if not math.isfinite(workshop) or workshop < 0:
                     raise SchemaViolation(lineno, "workshop_hours", f"must be >= 0, got {workshop}")
 
-            research = _parse_int(values["research_projects"], lineno, "research_projects")
+            _parse_count(values["research_projects"], lineno, "research_projects")
             employed = _parse_int(values["employed"], lineno, "employed")
             if employed not in (0, 1):
                 raise SchemaViolation(lineno, "employed", f"must be 0 or 1, got {employed}")
 
-            records.append(
-                CohortRecord(
-                    student_id=student_id,
-                    gender=values["gender"],
-                    ethnicity=values["ethnicity"],
-                    education_level=values["education_level"],
-                    region=values["region"],
-                    mentoring_sessions=mentoring,
-                    workshop_hours=workshop,
-                    research_projects=research,
-                    employed=employed,
+
+def _read_columns(path) -> CohortTable | None:
+    """Read a cohort file into columns; None if any cell fails a check.
+
+    The conversions are int() and float() themselves, so a cell passes here
+    exactly when it passes _first_error.
+    """
+    width = len(_COLUMNS)
+    lookups = {name: {v: v for v in vocabulary} for name, vocabulary in _VOCABULARIES.items()}
+    columns = {name: [] for name in _COLUMNS}
+    with _cohort_rows(path) as reader:
+        try:
+            while chunk := list(islice(reader, _CHUNK_ROWS)):
+                if any(len(row) != width for row in chunk):
+                    return None
+                cells = dict(zip(_COLUMNS, zip(*chunk)))
+                del chunk
+                columns["student_id"].extend(cells["student_id"])
+                for name, lookup in lookups.items():
+                    columns[name].extend(map(lookup.__getitem__, cells[name]))
+                columns["mentoring_sessions"].extend(
+                    [int(v) if v else None for v in cells["mentoring_sessions"]]
                 )
-            )
-    return records
+                columns["workshop_hours"].extend(
+                    [float(v) if v else None for v in cells["workshop_hours"]]
+                )
+                columns["research_projects"].extend(map(int, cells["research_projects"]))
+                columns["employed"].extend(map(int, cells["employed"]))
+                del cells
+        # an unknown category, a cell that int() or float() refuses, bytes
+        # that are not UTF-8, or a row the csv module cannot split
+        except (KeyError, ValueError, csv.Error):
+            return None
+
+    ids = columns["student_id"]
+    counts = [v for v in columns["mentoring_sessions"] if v is not None]
+    counts += columns["research_projects"]
+    if (
+        len(set(ids)) != len(ids)
+        or "" in ids
+        or min(counts, default=0) < 0
+        or not finite_number(max(counts, default=0))
+        or not all(0.0 <= h < math.inf for h in columns["workshop_hours"] if h is not None)
+        or not set(columns["employed"]) <= {0, 1}
+    ):
+        return None
+    return CohortTable(**{name: tuple(values) for name, values in columns.items()})
 
 
-def feature_columns(records: Sequence[CohortRecord]) -> tuple[list[RawColumn], list[int]]:
+def load_cohort_table(path) -> CohortTable:
+    """Read and validate a cohort CSV into columns; empty fields are missing values.
+
+    Rows are read in chunks and checked in bulk. A file that fails any check
+    is read again row by row, so the error raised is the first in the file,
+    with its line and column.
+    """
+    table = _read_columns(path)
+    if table is None:
+        _first_error(path)
+        raise RuntimeError(f"{path}: a bulk check failed but no row did")
+    return table
+
+
+def load_cohort_csv(path) -> list[CohortRecord]:
+    """Parse and validate a cohort CSV into records; empty fields are missing values."""
+    return load_cohort_table(path).records()
+
+
+def feature_columns(table: CohortTable) -> tuple[list[RawColumn], list[int]]:
     """Learner view of a cohort: feature columns plus the employment labels."""
-    def col(name, kind, getter):
-        return RawColumn(name=name, kind=kind, values=tuple(getter(r) for r in records))
-
+    mentoring = tuple(None if v is None else float(v) for v in table.mentoring_sessions)
     columns = [
-        col("gender", CATEGORICAL, lambda r: r.gender),
-        col("ethnicity", CATEGORICAL, lambda r: r.ethnicity),
-        col("education_level", CATEGORICAL, lambda r: r.education_level),
-        col("region", CATEGORICAL, lambda r: r.region),
-        col(
-            "mentoring_sessions",
-            NUMERIC,
-            lambda r: None if r.mentoring_sessions is None else float(r.mentoring_sessions),
-        ),
-        col("workshop_hours", NUMERIC, lambda r: r.workshop_hours),
-        col("research_projects", NUMERIC, lambda r: float(r.research_projects)),
+        RawColumn("gender", CATEGORICAL, table.gender),
+        RawColumn("ethnicity", CATEGORICAL, table.ethnicity),
+        RawColumn("education_level", CATEGORICAL, table.education_level),
+        RawColumn("region", CATEGORICAL, table.region),
+        RawColumn("mentoring_sessions", NUMERIC, mentoring),
+        RawColumn("workshop_hours", NUMERIC, table.workshop_hours),
+        RawColumn("research_projects", NUMERIC, tuple(map(float, table.research_projects))),
     ]
-    labels = [r.employed for r in records]
-    return columns, labels
+    return columns, list(table.employed)
 
 
 # -- profile files ----------------------------------------------------------------

@@ -21,8 +21,10 @@ from .errors import (
     AllMissingColumn,
     DegenerateSplit,
     EmptyFitSet,
+    ModelFormatError,
     PartitionMismatch,
 )
+from .graph import finite_number
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -128,16 +130,18 @@ def _transform_categorical(
     name: str, values, stats: CategoricalStats
 ) -> tuple[list[str], np.ndarray]:
     col_index = {c: j for j, c in enumerate(stats.categories)}
+    # each distinct value is looked up once; missing reads as the mode and
+    # a category unseen at fit time as -1
+    code_of = {v: col_index.get(stats.mode if v is None else v, -1) for v in set(values)}
+    codes = np.fromiter(map(code_of.__getitem__, values), dtype=np.intp, count=len(values))
     out = np.zeros((len(values), len(stats.categories)))
-    for i, v in enumerate(values):
-        v = stats.mode if v is None else v
-        j = col_index.get(v)
-        if j is None:
-            warnings.warn(
-                f"column {name!r}: category {v!r} not seen at fit time, encoding as all zeros"
-            )
-        else:
-            out[i, j] = 1.0
+    rows = np.flatnonzero(codes >= 0)
+    out[rows, codes[rows]] = 1.0
+    for i in np.flatnonzero(codes < 0):
+        v = stats.mode if values[i] is None else values[i]
+        warnings.warn(
+            f"column {name!r}: category {v!r} not seen at fit time, encoding as all zeros"
+        )
     return [f"{name}={c}" for c in stats.categories], out
 
 
@@ -236,24 +240,49 @@ def stats_to_dict(stats: PreprocessStats) -> dict:
     return {"columns": columns, "feature_names": list(stats.feature_names)}
 
 
+_NUMERIC_FIELDS = ("median", "lower_fence", "upper_fence", "minimum", "maximum")
+
+
+def _malformed(reason: str) -> ModelFormatError:
+    return ModelFormatError(f"malformed preprocessing stats: {reason}")
+
+
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _column_stats(raw) -> tuple:
+    """(name, kind, stats) of one column entry of a stats dict."""
+    if not isinstance(raw, dict):
+        raise _malformed(f"column entry {raw!r} is not an object")
+    name, kind = raw.get("name"), raw.get("kind")
+    if not isinstance(name, str):
+        raise _malformed(f"column name {name!r} is not a string")
+    if kind == NUMERIC:
+        for key in _NUMERIC_FIELDS:
+            if not finite_number(raw.get(key)):
+                raise _malformed(f"column {name!r}: {key} must be a finite number, got {raw.get(key)!r}")
+        return name, kind, NumericStats(**{key: raw[key] for key in _NUMERIC_FIELDS})
+    if kind == CATEGORICAL:
+        mode, categories = raw.get("mode"), raw.get("categories")
+        if not isinstance(mode, str):
+            raise _malformed(f"column {name!r}: mode must be a string, got {mode!r}")
+        if not _is_str_list(categories):
+            raise _malformed(f"column {name!r}: categories must be a list of strings, got {categories!r}")
+        return name, kind, CategoricalStats(mode=mode, categories=tuple(categories))
+    raise _malformed(f"column {name!r}: kind must be {NUMERIC!r} or {CATEGORICAL!r}, got {kind!r}")
+
+
 def stats_from_dict(data) -> PreprocessStats:
-    try:
-        columns = []
-        for raw in data["columns"]:
-            if raw["kind"] == NUMERIC:
-                fitted = NumericStats(
-                    median=raw["median"],
-                    lower_fence=raw["lower_fence"],
-                    upper_fence=raw["upper_fence"],
-                    minimum=raw["minimum"],
-                    maximum=raw["maximum"],
-                )
-            else:
-                fitted = CategoricalStats(mode=raw["mode"], categories=tuple(raw["categories"]))
-            columns.append((raw["name"], raw["kind"], fitted))
-        return PreprocessStats(columns=tuple(columns), feature_names=tuple(data["feature_names"]))
-    except (KeyError, TypeError) as exc:
-        raise PartitionMismatch(f"malformed preprocessing stats: {exc}") from None
+    """Rebuild fitted statistics from stats_to_dict's layout, checking every field's type."""
+    if not isinstance(data, dict) or not isinstance(data.get("columns"), list):
+        raise _malformed("expected an object with a 'columns' list")
+    if not _is_str_list(data.get("feature_names")):
+        raise _malformed("feature_names must be a list of strings")
+    return PreprocessStats(
+        columns=tuple(_column_stats(raw) for raw in data["columns"]),
+        feature_names=tuple(data["feature_names"]),
+    )
 
 
 def _largest_remainder(ideals: list[Fraction], total: int) -> list[int]:

@@ -397,6 +397,54 @@ class TestModelCommands:
         bad.write_text(json.dumps(payload))
         assert_input_error(capsys, "ModelFormatError", "predict", "--model", str(bad), "--data", str(cohort_csv))
 
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("numeric", "median", "x"),
+            ("numeric", "lower_fence", "x"),  # np.clip had no loop for it
+            ("numeric", "median", None),
+            ("numeric", "maximum", True),
+            ("numeric", "median", KeyError),  # the key is missing
+            ("numeric", "kind", "weird"),
+            ("categorical", "categories", [[1]]),
+            ("categorical", "categories", [1, 2]),
+            ("categorical", "categories", "MF"),
+            ("categorical", "mode", 1),
+            ("categorical", "name", [1]),
+        ],
+    )
+    def test_predict_rejects_malformed_preprocessing(self, capsys, tmp_path, cohort_csv, kind, field, value):
+        payload = self.trained_model(capsys, tmp_path, cohort_csv)
+        column = next(c for c in payload["preprocessing"]["columns"] if c["kind"] == kind)
+        if value is KeyError:
+            del column[field]
+        else:
+            column[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert_input_error(capsys, "ModelFormatError", "predict", "--model", str(bad), "--data", str(cohort_csv))
+
+    @pytest.mark.parametrize("column", [5, 7])  # mentoring_sessions, research_projects
+    def test_count_too_large_for_a_float_names_the_cell(self, capsys, tmp_path, cohort_csv, column):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(self.trained_model(capsys, tmp_path, cohort_csv)))
+        lines = cohort_csv.read_text().splitlines()
+        cells = lines[9].split(",")
+        cells[column] = "1" + "0" * 400
+        lines[9] = ",".join(cells)
+        huge = tmp_path / "huge.csv"
+        huge.write_text("\n".join(lines) + "\n")
+        name = lines[0].split(",")[column]
+        for argv in (
+            ["train", "--data", str(huge), "--grid-depth", "2", "--grid-leaf", "2", "--folds", "3"],
+            ["predict", "--model", str(model), "--data", str(huge)],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and "Traceback" not in err
+            error = json.loads(out)["error"]
+            assert error["kind"] == "SchemaViolation"
+            assert error["message"].startswith(f"row 10, column {name!r}: must fit a float")
+
     def test_predict_rejects_tree_wider_than_its_preprocessing(self, capsys, tmp_path, cohort_csv):
         payload = self.trained_model(capsys, tmp_path, cohort_csv)
         payload["feature_names"].append("extra")

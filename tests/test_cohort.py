@@ -1,6 +1,15 @@
-"""Cohort generation, CSV schema enforcement, and summary statistics."""
+"""Cohort generation, CSV schema enforcement, and summary statistics.
 
+reference_load_cohort_csv checks and builds one record per row, as
+load_cohort_csv did before cohort files were read into columns, with the
+check that a count fits a float; the columnar loader must raise the same
+first error and give the same records and learner columns.
+"""
+
+import csv
 import math
+import random
+import tracemalloc
 
 import pytest
 
@@ -14,11 +23,16 @@ from skillsgraph import (
     summarize,
     write_cohort_csv,
 )
+from skillsgraph import cohort as cohort_module
 from skillsgraph.cohort import (
     CSV_HEADER,
     EDUCATION_LEVELS,
     ETHNICITIES,
+    GENDERS,
+    REGIONS,
+    CohortTable,
     feature_columns,
+    load_cohort_table,
     load_profile,
     profile_from_dict,
     profile_to_dict,
@@ -29,8 +43,126 @@ from skillsgraph.errors import (
     InputError,
     InvalidProfile,
     SchemaViolation,
+    open_text,
 )
-from skillsgraph.prepare import CATEGORICAL, NUMERIC
+from skillsgraph.prepare import CATEGORICAL, NUMERIC, RawColumn
+
+
+def _reference_parse_int(raw, lineno, column, minimum=0):
+    try:
+        value = int(raw)
+    except ValueError:
+        raise SchemaViolation(lineno, column, f"not an integer: {raw!r}") from None
+    if value < minimum:
+        raise SchemaViolation(lineno, column, f"must be >= {minimum}, got {value}")
+    return value
+
+
+def _reference_parse_count(raw, lineno, column):
+    value = _reference_parse_int(raw, lineno, column)
+    try:
+        float(value)
+    except OverflowError:
+        raise SchemaViolation(
+            lineno, column, f"must fit a float, got an integer of {len(str(value))} digits"
+        ) from None
+    return value
+
+
+def reference_load_cohort_csv(path):
+    """Row by row: one dict, one check per field and one record per row."""
+    expected = CSV_HEADER.split(",")
+    with open_text(path, InputError, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InputError(f"{path}: empty file, expected header {CSV_HEADER!r}") from None
+        if header != expected:
+            raise InputError(f"{path}: header must be exactly {CSV_HEADER!r}")
+
+        records = []
+        seen_ids = set()
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(expected):
+                raise SchemaViolation(lineno, "", f"expected {len(expected)} fields, got {len(row)}")
+            values = dict(zip(expected, row))
+
+            student_id = values["student_id"]
+            if not student_id:
+                raise SchemaViolation(lineno, "student_id", "must not be empty")
+            if student_id in seen_ids:
+                raise DuplicateStudentId(f"line {lineno}: duplicate student_id {student_id!r}")
+            seen_ids.add(student_id)
+
+            for column, vocabulary in (
+                ("gender", GENDERS),
+                ("ethnicity", ETHNICITIES),
+                ("education_level", EDUCATION_LEVELS),
+                ("region", REGIONS),
+            ):
+                if values[column] not in vocabulary:
+                    raise SchemaViolation(
+                        lineno, column, f"{values[column]!r} not in {list(vocabulary)}"
+                    )
+
+            mentoring = (
+                None
+                if values["mentoring_sessions"] == ""
+                else _reference_parse_count(values["mentoring_sessions"], lineno, "mentoring_sessions")
+            )
+            if values["workshop_hours"] == "":
+                workshop = None
+            else:
+                try:
+                    workshop = float(values["workshop_hours"])
+                except ValueError:
+                    raise SchemaViolation(
+                        lineno, "workshop_hours", f"not a number: {values['workshop_hours']!r}"
+                    ) from None
+                if not math.isfinite(workshop) or workshop < 0:
+                    raise SchemaViolation(lineno, "workshop_hours", f"must be >= 0, got {workshop}")
+
+            research = _reference_parse_count(values["research_projects"], lineno, "research_projects")
+            employed = _reference_parse_int(values["employed"], lineno, "employed")
+            if employed not in (0, 1):
+                raise SchemaViolation(lineno, "employed", f"must be 0 or 1, got {employed}")
+
+            records.append(
+                CohortRecord(
+                    student_id=student_id,
+                    gender=values["gender"],
+                    ethnicity=values["ethnicity"],
+                    education_level=values["education_level"],
+                    region=values["region"],
+                    mentoring_sessions=mentoring,
+                    workshop_hours=workshop,
+                    research_projects=research,
+                    employed=employed,
+                )
+            )
+    return records
+
+
+def reference_feature_columns(records):
+    """The learner's columns built record by record."""
+    def col(name, kind, getter):
+        return RawColumn(name=name, kind=kind, values=tuple(getter(r) for r in records))
+
+    columns = [
+        col("gender", CATEGORICAL, lambda r: r.gender),
+        col("ethnicity", CATEGORICAL, lambda r: r.ethnicity),
+        col("education_level", CATEGORICAL, lambda r: r.education_level),
+        col("region", CATEGORICAL, lambda r: r.region),
+        col(
+            "mentoring_sessions",
+            NUMERIC,
+            lambda r: None if r.mentoring_sessions is None else float(r.mentoring_sessions),
+        ),
+        col("workshop_hours", NUMERIC, lambda r: r.workshop_hours),
+        col("research_projects", NUMERIC, lambda r: float(r.research_projects)),
+    ]
+    return columns, [r.employed for r in records]
 
 
 def record(i=1, **over):
@@ -273,7 +405,7 @@ class TestFeatureColumns:
             record(1, mentoring_sessions=None, employed=0),
             record(2, mentoring_sessions=7, workshop_hours=None, employed=1),
         ]
-        columns, labels = feature_columns(records)
+        columns, labels = feature_columns(CohortTable.from_records(records))
         assert [(c.name, c.kind) for c in columns] == [
             ("gender", CATEGORICAL),
             ("ethnicity", CATEGORICAL),
@@ -288,3 +420,140 @@ class TestFeatureColumns:
         assert by_name["mentoring_sessions"].values == (None, 7.0)
         assert by_name["workshop_hours"].values == (2.5, None)
         assert by_name["research_projects"].values == (1.0, 1.0)
+
+
+# -- the columnar loader against the row-wise reference ------------------------
+
+
+def _generated_rows(n, seed):
+    """n generated rows as lists of CSV cells, some numeric cells left empty."""
+    rng = random.Random(seed)
+    rows = []
+    for r in generate_cohort(n, seed=seed):
+        row = [
+            r.student_id, r.gender, r.ethnicity, r.education_level, r.region,
+            str(r.mentoring_sessions), str(r.workshop_hours), str(r.research_projects), str(r.employed),
+        ]
+        for j in (5, 6):
+            if rng.random() < 0.05:
+                row[j] = ""
+        rows.append(row)
+    return rows
+
+
+def _write_rows(path, rows):
+    path.write_text(CSV_HEADER + "\n" + "".join(",".join(row) + "\n" for row in rows))
+    return path
+
+
+def _corrupt(rng, rows):
+    """Spoil one random cell or row in place, with one of the schema's faults."""
+    i = rng.randrange(len(rows))
+    row = rows[i]
+    kind = rng.randrange(11)
+    if kind == 0:  # a value outside the vocabulary
+        row[rng.randint(1, 4)] = rng.choice(["X", "Asian", "", " M", "martian"])
+    elif kind == 1:  # not a number
+        row[rng.randint(5, 8)] = rng.choice(["abc", "1.2.3", "--1", "5x"])
+    elif kind == 2:  # a negative number
+        row[rng.randint(5, 7)] = rng.choice(["-1", "-3", "-0.5"])
+    elif kind == 3:  # hours that are not finite
+        row[6] = rng.choice(["nan", "inf", "-inf", "NaN", "1e400"])
+    elif kind == 4:  # a fractional count
+        row[rng.choice([5, 7, 8])] = rng.choice(["1.5", "2.0", "0.1"])
+    elif kind == 5:
+        row[8] = rng.choice(["2", "10"])
+    elif kind == 6:
+        row[0] = ""
+    elif kind == 7:
+        row[0] = rows[rng.randrange(len(rows))][0]
+    elif kind == 8:  # a wrong field count
+        rows[i] = row[:-1] if rng.random() < 0.5 else row + ["1"]
+    elif kind == 9:
+        rows.insert(i, [])  # a blank line
+    else:  # an integer too large for a float
+        row[rng.choice([5, 7])] = "1" + "0" * rng.randint(309, 450)
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except InputError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+
+
+def assert_same_as_reference(path):
+    want = _outcome(reference_load_cohort_csv, path)
+    got = _outcome(load_cohort_csv, path)
+    assert got == want
+    if isinstance(want, list):
+        assert feature_columns(load_cohort_table(path)) == reference_feature_columns(want)
+
+
+class TestColumnarLoader:
+    def test_random_corruptions_match_the_row_wise_reference(self, tmp_path, monkeypatch):
+        # small chunks, so every file below spans several of them
+        monkeypatch.setattr(cohort_module, "_CHUNK_ROWS", 64)
+        rng = random.Random(2024)
+        base = _generated_rows(400, seed=11)
+        failures = 0
+        for trial in range(300):
+            rows = [list(row) for row in base[: rng.randint(65, 400)]]
+            for _ in range(rng.randint(0, 3)):
+                _corrupt(rng, rows)
+            path = _write_rows(tmp_path / f"c{trial}.csv", rows)
+            assert_same_as_reference(path)
+            failures += not isinstance(_outcome(load_cohort_csv, path), list)
+        assert 100 <= failures < 300  # both outcomes were exercised
+
+    def test_first_chunk_vocabulary_error_beats_a_later_field_count(self, tmp_path):
+        rows = _generated_rows(cohort_module._CHUNK_ROWS + 300, seed=5)
+        rows[100][3] = "postdoc"
+        rows[-50] = rows[-50][:-1]
+        path = _write_rows(tmp_path / "c.csv", rows)
+        assert_same_as_reference(path)
+        with pytest.raises(SchemaViolation) as err:
+            load_cohort_table(path)
+        assert (err.value.row, err.value.column) == (102, "education_level")
+
+    def test_duplicate_id_across_chunks(self, tmp_path):
+        rows = _generated_rows(cohort_module._CHUNK_ROWS + 300, seed=6)
+        rows[-1][0] = rows[3][0]
+        path = _write_rows(tmp_path / "c.csv", rows)
+        assert_same_as_reference(path)
+        with pytest.raises(DuplicateStudentId, match=f"line {len(rows) + 1}: duplicate"):
+            load_cohort_table(path)
+
+    def test_clean_file_longer_than_one_chunk(self, tmp_path):
+        rows = _generated_rows(cohort_module._CHUNK_ROWS + 300, seed=7)
+        path = _write_rows(tmp_path / "c.csv", rows)
+        assert_same_as_reference(path)
+        assert len(load_cohort_table(path)) == len(rows)
+
+    def test_header_only_file_is_an_empty_table(self, tmp_path):
+        table = load_cohort_table(write_lines(tmp_path / "c.csv"))
+        assert len(table) == 0
+        assert table == CohortTable.from_records([])
+        columns, labels = feature_columns(table)
+        assert labels == [] and all(c.values == () for c in columns)
+
+    def test_categories_are_the_vocabulary_strings(self, tmp_path):
+        table = load_cohort_table(write_lines(tmp_path / "c.csv", GOOD_ROW, GOOD_ROW.replace("S00001", "S00002")))
+        assert all(v is GENDERS[0] for v in table.gender)
+        assert all(v is EDUCATION_LEVELS[1] for v in table.education_level)
+
+    def test_peak_memory_within_the_row_wise_loader(self, tmp_path):
+        path = tmp_path / "cohort.csv"
+        write_cohort_csv(generate_cohort(20_000, seed=3), path)
+
+        def peak(load):
+            tracemalloc.start()
+            try:
+                load()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        reference = peak(lambda: reference_feature_columns(reference_load_cohort_csv(path)))
+        columnar = peak(lambda: feature_columns(load_cohort_table(path)))
+        assert columnar <= reference

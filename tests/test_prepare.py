@@ -1,11 +1,26 @@
-"""Preprocessing (impute, winsorize, scale, one-hot) and stratified splitting."""
+"""Preprocessing (impute, winsorize, scale, one-hot) and stratified splitting.
+
+reference_transform_categorical one-hot encodes row by row, as
+_transform_categorical did before it encoded by lookup; the two must give
+the same matrix and the same warnings in the same order.
+"""
+
+import random
+import warnings
 
 import numpy as np
 import pytest
 
 from skillsgraph import RawColumn, apply_stats, preprocess, stratified_folds, stratified_split
 from skillsgraph.errors import AllMissingColumn, DegenerateSplit, EmptyFitSet, PartitionMismatch
-from skillsgraph.prepare import CATEGORICAL, NUMERIC, stats_from_dict, stats_to_dict
+from skillsgraph.prepare import (
+    CATEGORICAL,
+    NUMERIC,
+    CategoricalStats,
+    _transform_categorical,
+    stats_from_dict,
+    stats_to_dict,
+)
 
 
 def num(name, values):
@@ -81,6 +96,42 @@ class TestCategoricalPipeline:
             [0, 1],
         )
         assert data.feature_names == ("g=f", "g=m", "x", "y")
+
+
+def reference_transform_categorical(name, values, stats):
+    """One row at a time: impute the mode, then set that category's column."""
+    col_index = {c: j for j, c in enumerate(stats.categories)}
+    out = np.zeros((len(values), len(stats.categories)))
+    for i, v in enumerate(values):
+        v = stats.mode if v is None else v
+        j = col_index.get(v)
+        if j is None:
+            warnings.warn(
+                f"column {name!r}: category {v!r} not seen at fit time, encoding as all zeros"
+            )
+        else:
+            out[i, j] = 1.0
+    return [f"{name}={c}" for c in stats.categories], out
+
+
+def test_lookup_one_hot_matches_the_row_loop():
+    rng = random.Random(77)
+    for _ in range(200):
+        categories = tuple(sorted(rng.sample("abcdefg", rng.randint(0, 5))))
+        mode = rng.choice(categories + ("z",))  # a mode may be unseen too
+        pool = list(categories) + [None, "x", "y", "z"]
+        values = tuple(rng.choice(pool) for _ in range(rng.randint(0, 40)))
+        stats = CategoricalStats(mode=mode, categories=categories)
+        results = []
+        for transform in (_transform_categorical, reference_transform_categorical):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                names, X = transform("c", values, stats)
+            results.append((names, X, [str(w.message) for w in caught]))
+        (names, X, messages), (want_names, want_X, want_messages) = results
+        assert names == want_names
+        assert X.shape == want_X.shape and np.array_equal(X, want_X)
+        assert messages == want_messages
 
 
 class TestApplyStats:
