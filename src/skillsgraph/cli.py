@@ -29,9 +29,9 @@ from .cohort import (
     write_cohort_csv,
 )
 from .errors import InputError, ModelFormatError, ToolError, open_text
-from .feedback import FeedbackConfig, load_metrics, run_feedback_cycle, save_history, snapshot_to_dict
+from .feedback import FeedbackConfig, load_metrics, run_feedback_cycle, save_history
 from .graph import load_graph, validate_dag, weighted_centrality
-from .jsonio import dumps
+from .jsonio import Encoded, dumps
 from .markov import build_transition_matrix, load_counts, stationary_distribution, step_distribution
 from .paths import find_optimal_path, path_to_dict
 from .prepare import apply_stats, preprocess, stats_from_dict, stats_to_dict
@@ -138,12 +138,11 @@ def cmd_feedback(args) -> dict:
     history = run_feedback_cycle(graph, metrics, config, args.budget)
     if args.out:
         save_history(history, args.out)
-    snapshots = [snapshot_to_dict(s) for s in history.snapshots]
     return {
         "iterations": iterations,
         "learning_rate": args.eta,
-        "snapshots": snapshots,
-        "final_objective": snapshots[-1]["objective"],
+        "snapshots": [Encoded(s.text) for s in history.snapshots],
+        "final_objective": history.snapshots[-1].allocation.objective,
     }
 
 

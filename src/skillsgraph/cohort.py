@@ -29,7 +29,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import count, islice
 from operator import attrgetter
 from typing import Mapping, Sequence
 
@@ -393,9 +393,24 @@ def _cohort_rows(path):
             header = next(reader)
         except StopIteration:
             raise InputError(f"{path}: empty file, expected header {CSV_HEADER!r}") from None
+        except csv.Error as exc:  # a header cell beyond the csv field limit
+            raise InputError(f"{path}: line 1: {exc}") from None
         if tuple(header) != _COLUMNS:
             raise InputError(f"{path}: header must be exactly {CSV_HEADER!r}")
         yield reader
+
+
+def _numbered(reader):
+    """(line number, row) from line 2 on; a row the csv module refuses, such
+    as one with a cell beyond its field limit, is a SchemaViolation."""
+    for lineno in count(2):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise SchemaViolation(lineno, "", str(exc)) from None
+        yield lineno, row
 
 
 def _first_error(path) -> None:
@@ -408,7 +423,7 @@ def _first_error(path) -> None:
     width = len(_COLUMNS)
     with _cohort_rows(path) as reader:
         seen_ids = set()
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in _numbered(reader):
             if len(row) != width:
                 raise SchemaViolation(lineno, "", f"expected {width} fields, got {len(row)}")
             values = dict(zip(_COLUMNS, row))

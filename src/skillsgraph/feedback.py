@@ -7,8 +7,14 @@ constant-rate update
     w' = clamp(w + eta * (m - w), w_min, w_max)
 
 so the gap to a steady observation decays by (1 - eta) per round. The loop
-re-derives centrality and the fractional allocation after every update and
-keeps the full trajectory.
+re-derives centrality after every update and keeps the full trajectory. It
+runs on one float64 array of the weights, in graph edge order, and builds
+the updated graph once, at the end. The fractional allocation depends only
+on the nodes and the budget, which no round changes, so it is computed once
+per cycle and every snapshot shares it.
+
+Each snapshot is encoded once (CycleSnapshot.text): history.jsonl holds the
+compact form of that text and the reports embed it as it is.
 """
 
 from __future__ import annotations
@@ -16,7 +22,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .allocate import AllocationPlan, allocate_fractional
 from .errors import (
@@ -29,12 +39,16 @@ from .errors import (
     open_text,
 )
 from .graph import DependencyEdge, SkillsGraph, finite_number, weighted_centrality
+from .jsonio import compact, dumps
 
 EdgeKey = tuple  # (src, dst)
 
 
 @dataclass(frozen=True)
 class FeedbackConfig:
+    """Update parameters; learning_rate, w_min and w_max are stored as floats,
+    so a clamped weight is a float even when a bound was given as an int."""
+
     learning_rate: float
     w_min: float = 0.01
     w_max: float = 10.0
@@ -49,6 +63,11 @@ class FeedbackConfig:
             )
         if self.iterations < 0:
             raise MetricOutOfRange(f"iterations must be >= 0, got {self.iterations!r}")
+        for name in ("learning_rate", "w_min", "w_max"):
+            try:
+                object.__setattr__(self, name, float(getattr(self, name)))
+            except OverflowError:
+                raise MetricOutOfRange(f"{name} is too large for a float") from None
 
 
 @dataclass(frozen=True)
@@ -72,6 +91,12 @@ class CycleSnapshot:
     weights: dict  # (src, dst) -> weight, edge insertion order
     centrality: dict
     allocation: AllocationPlan
+
+    @cached_property
+    def text(self) -> str:
+        """dumps(snapshot_to_dict(self)), encoded on first use and then shared
+        by history.jsonl and the reports."""
+        return dumps(snapshot_to_dict(self))
 
 
 @dataclass(frozen=True)
@@ -100,41 +125,63 @@ def execute_plan(
     )
 
 
-def update_weights(
-    graph: SkillsGraph, metrics: MetricsReport, config: FeedbackConfig
-) -> SkillsGraph:
-    """New graph with observed edges nudged toward their metrics; input untouched."""
-    known = {(e.src, e.dst) for e in graph.edges}
-    for key, value in metrics.edge_metrics.items():
+def _step(weights: np.ndarray, metrics: np.ndarray, config: FeedbackConfig) -> np.ndarray:
+    """The update rule, elementwise: clamp(w + eta * (m - w), w_min, w_max).
+
+    These are the IEEE operations of the scalar rule, one at a time, so each
+    result has the bits the scalar rule gives."""
+    moved = weights + config.learning_rate * (metrics - weights)
+    return np.minimum(np.maximum(moved, config.w_min), config.w_max)
+
+
+def _checked_round(index: Mapping, metrics: MetricsReport, config: FeedbackConfig):
+    """The edge indices and values of one round's metrics, in report order.
+
+    The first metric, in report order, whose edge is unknown or whose value
+    is outside [0, w_max] raises. numpy gathers and checks a round of plain
+    numbers; anything else, and every round that fails, goes through the
+    same checks one metric at a time, which find the error to raise.
+    """
+    observed = metrics.edge_metrics
+    n = len(observed)
+    if set(map(type, observed.values())) <= {float, int}:
+        try:
+            idx = np.fromiter(map(index.__getitem__, observed), np.intp, n)
+            values = np.fromiter(observed.values(), np.float64, n)
+            if ((values >= 0.0) & (values <= config.w_max)).all():
+                return idx, values
+        except (KeyError, TypeError, OverflowError):
+            pass
+    positions = []
+    for key, value in observed.items():
         src, dst = key
-        if (src, dst) not in known:
+        if (src, dst) not in index:
             raise UnknownEdge(f"metrics reference unknown edge ({src!r} -> {dst!r})")
         if not (0.0 <= value <= config.w_max):
             raise MetricOutOfRange(
                 f"metric for ({src!r} -> {dst!r}) must be in [0, w_max={config.w_max}], got {value!r}"
             )
+        positions.append(index[(src, dst)])
+    return np.array(positions, np.intp), np.array(list(observed.values()), np.float64)
 
-    eta = config.learning_rate
-    new_edges = []
-    for e in graph.edges:
-        if (e.src, e.dst) in metrics.edge_metrics:
-            m = metrics.edge_metrics[(e.src, e.dst)]
-            w = e.weight + eta * (m - e.weight)
-            w = min(max(w, config.w_min), config.w_max)
-            new_edges.append(DependencyEdge(e.src, e.dst, w, e.objective_cost))
-        else:
-            new_edges.append(e)
+
+def _edge_index(graph: SkillsGraph) -> dict:
+    return {(e.src, e.dst): i for i, e in enumerate(graph.edges)}
+
+
+def update_weights(
+    graph: SkillsGraph, metrics: MetricsReport, config: FeedbackConfig
+) -> SkillsGraph:
+    """New graph with observed edges nudged toward their metrics; input untouched."""
+    idx, values = _checked_round(_edge_index(graph), metrics, config)
+    positions = idx.tolist()
+    edges = list(graph.edges)
+    old = np.array([edges[i].weight for i in positions], np.float64)
+    for i, w in zip(positions, _step(old, values, config).tolist()):
+        e = edges[i]
+        edges[i] = DependencyEdge(e.src, e.dst, w, e.objective_cost)
     # construction invariants already hold; rebuild without re-running Kahn
-    return SkillsGraph(graph.nodes, new_edges)
-
-
-def _snapshot(iteration: int, graph: SkillsGraph, budget: float) -> CycleSnapshot:
-    return CycleSnapshot(
-        iteration=iteration,
-        weights={(e.src, e.dst): e.weight for e in graph.edges},
-        centrality=weighted_centrality(graph),
-        allocation=allocate_fractional(graph, budget),
-    )
+    return SkillsGraph(graph.nodes, edges)
 
 
 def run_feedback_cycle(
@@ -148,9 +195,29 @@ def run_feedback_cycle(
     The history holds iterations + 1 snapshots; snapshot 0 is the state before
     any update. Raises MetricsExhausted if the stream runs dry early.
     """
-    snapshots = [_snapshot(0, graph, budget)]
+    index = _edge_index(graph)
+    keys = list(index)
+    snapshots = [
+        CycleSnapshot(
+            iteration=0,
+            weights={key: e.weight for key, e in zip(keys, graph.edges)},
+            centrality=weighted_centrality(graph),
+            allocation=allocate_fractional(graph, budget),
+        )
+    ]
+    plan = snapshots[0].allocation  # nodes and budget fix it for every round
+
+    weights = np.array([e.weight for e in graph.edges], np.float64)
+    # the edges by source node, so each node's out-edges are one slice; fsum
+    # is exactly rounded, so these sums are weighted_centrality's own
+    ids = graph.node_ids()
+    by_source = np.array(
+        [index[(e.src, e.dst)] for nid in ids for e in graph.out_edges(nid)], np.intp
+    )
+    ends = list(accumulate(len(graph.out_edges(nid)) for nid in ids))
+    spans = list(zip(ids, [0, *ends[:-1]], ends))
+
     stream: Iterator[MetricsReport] = iter(metrics_stream)
-    current = graph
     for k in range(1, config.iterations + 1):
         try:
             metrics = next(stream)
@@ -158,9 +225,29 @@ def run_feedback_cycle(
             raise MetricsExhausted(
                 f"iteration {k} of {config.iterations} has no metrics report"
             ) from None
-        current = update_weights(current, metrics, config)
-        snapshots.append(_snapshot(k, current, budget))
-    return CycleHistory(snapshots=tuple(snapshots), final_graph=current)
+        idx, values = _checked_round(index, metrics, config)
+        weights[idx] = _step(weights[idx], values, config)
+        grouped = weights[by_source].tolist()
+        total = math.fsum(grouped)
+        snapshots.append(
+            CycleSnapshot(
+                iteration=k,
+                weights=dict(zip(keys, weights.tolist())),
+                centrality={nid: math.fsum(grouped[a:b]) / total for nid, a, b in spans},
+                allocation=plan,
+            )
+        )
+
+    final = graph
+    if config.iterations:
+        final = SkillsGraph(
+            graph.nodes,
+            [
+                DependencyEdge(e.src, e.dst, w, e.objective_cost)
+                for e, w in zip(graph.edges, weights.tolist())
+            ],
+        )
+    return CycleHistory(snapshots=tuple(snapshots), final_graph=final)
 
 
 # -- file formats --------------------------------------------------------------
@@ -245,7 +332,9 @@ def snapshot_to_dict(snap: CycleSnapshot) -> dict:
 
 
 def save_history(history: CycleHistory, path) -> None:
+    """One line per snapshot: json.dumps(snapshot_to_dict(snap), sort_keys=True),
+    made from the snapshot's cached text."""
     with open(path, "w", encoding="utf-8") as fh:
         for snap in history.snapshots:
-            fh.write(json.dumps(snapshot_to_dict(snap), sort_keys=True))
+            fh.write(compact(snap.text))
             fh.write("\n")

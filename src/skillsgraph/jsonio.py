@@ -12,15 +12,38 @@ depth, built on first use.
 Keys, numbers (NaN and the infinities too), strings and errors are the C
 encoder's or follow json.encoder's own rules, so the text, or the exception
 class, is the one json.dumps gives.
+
+A value whose text is already known goes in as Encoded(dumps(value)): the
+writer copies that text, indented to the depth it lands at, instead of
+encoding the value again. compact() turns dumps text into the one-line text
+of json.dumps(obj, sort_keys=True). Both edit only the newlines and the
+indentation after them, which is exact: an encoded JSON string never holds a
+raw newline, so every newline in the text is the writer's own.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from json.encoder import encode_basestring_ascii
 
 _INDENT = "  "
-_NESTED = (dict, list, tuple)
+
+
+class Encoded:
+    """A value's dumps() text, written in place of the value."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+_NESTED = (dict, list, tuple, Encoded)
+# the value types the C encoder takes as they are; a container whose values
+# all have one of these exact types is flat without an isinstance scan
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+_LINE_BREAK = re.compile("\n *")
 
 # _flat[d] encodes a flat container at depth d, its items one line each
 _flat: list = []
@@ -58,6 +81,9 @@ def _write(obj, depth: int, write, path: set) -> None:
         values, opening, closing = obj.values(), "{", "}"
     elif isinstance(obj, (list, tuple)):
         values, opening, closing = obj, "[", "]"
+    elif isinstance(obj, Encoded):
+        write(obj.text.replace("\n", "\n" + _INDENT * depth) if depth else obj.text)
+        return
     else:
         write(_flat_encoder(depth)(obj))
         return
@@ -65,7 +91,7 @@ def _write(obj, depth: int, write, path: set) -> None:
         write(opening + closing)
         return
     item_indent = "\n" + _INDENT * (depth + 1)
-    if not any(isinstance(v, _NESTED) for v in values):
+    if set(map(type, values)) <= _PLAIN or not any(isinstance(v, _NESTED) for v in values):
         text = _flat_encoder(depth)(obj)
         write(opening + item_indent + text[1:-1] + "\n" + _INDENT * depth + closing)
         return
@@ -99,3 +125,9 @@ def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         _write(obj, 0, fh.write, set())
         fh.write("\n")
+
+
+def compact(text: str) -> str:
+    """json.dumps(obj, sort_keys=True) from the text of dumps(obj): an item's
+    comma and line break become ", ", any other line break goes."""
+    return _LINE_BREAK.sub("", text.replace(",\n", ", \n"))

@@ -58,7 +58,7 @@ from .feedback import (
     snapshot_to_dict,
 )
 from .graph import finite_number, graph_to_dict, load_graph, validate_dag, weighted_centrality
-from .jsonio import write_json
+from .jsonio import Encoded, write_json
 from .paths import find_optimal_path, path_to_dict
 
 _SCENARIO_KEYS = {"graph", "budget", "allocation_mode", "paths", "actions", "feedback", "seed"}
@@ -145,7 +145,9 @@ def run_scenario(scenario_path, out_dir) -> dict:
     """Execute a scenario and return the report, also written to report.json.
 
     report.json holds the report's only encoding: `skillsgraph run` prints
-    that file's text rather than encoding the report a second time.
+    that file's text rather than encoding the report a second time. Each
+    feedback snapshot goes into it as the text it was encoded to for
+    history.jsonl.
     """
     scenario_path = FsPath(scenario_path)
     base = scenario_path.parent
@@ -224,7 +226,7 @@ def run_scenario(scenario_path, out_dir) -> dict:
         stages["feedback"] = {
             "iterations": config.iterations,
             "learning_rate": config.learning_rate,
-            "snapshots": [snapshot_to_dict(s) for s in history.snapshots],
+            "snapshots": [Encoded(s.text) for s in history.snapshots],
             "final_objective": final.allocation.objective,
             "success_rates": success_rates,
         }
@@ -241,4 +243,7 @@ def run_scenario(scenario_path, out_dir) -> dict:
         "timings": timings,
     }
     write_json(out / "report.json", report)
+    if fb is not None:
+        # the caller gets the snapshots as the dicts report.json spells out
+        stages["feedback"]["snapshots"] = [snapshot_to_dict(s) for s in history.snapshots]
     return report

@@ -409,13 +409,18 @@ def canonical(text: str) -> str:
 
 def test_criterion_10_cli_output_is_canonical(capsys, tmp_path):
     """stdout and every .json artifact are json.dumps(indent=2, sort_keys=True)
-    plus a newline, and run prints report.json byte for byte."""
+    plus a newline, run prints report.json byte for byte, and every
+    history.jsonl line is json.dumps(sort_keys=True)."""
     cohort_csv = tmp_path / "cohort.csv"
     model_dir, run_dir = tmp_path / "model", tmp_path / "run"
+    feedback_history = tmp_path / "feedback.jsonl"
     invocations = criterion_10_invocations(cohort_csv) + [
         ["train", "--data", str(cohort_csv), "--seed", "3", "--grid-depth", "2:4",
          "--grid-leaf", "1:2", "--folds", "3", "--out", str(model_dir)],
         ["predict", "--model", str(model_dir / "model.json"), "--data", str(cohort_csv)],
+        ["feedback", "--graph", str(CASE_STUDY / "graph.json"),
+         "--metrics", str(CASE_STUDY / "metrics.json"), "--eta", "0.5", "--budget", "10.0",
+         "--out", str(feedback_history)],
         ["run", str(CASE_STUDY / "scenario.json"), "--out", str(run_dir)],
     ]
     for argv in invocations:
@@ -429,3 +434,10 @@ def test_criterion_10_cli_output_is_canonical(capsys, tmp_path):
     for path in artifacts:
         text = path.read_text(encoding="utf-8")
         assert text == canonical(text), f"{path.name} is not canonical"
+
+    # history lines are the compact form: json.dumps(line, sort_keys=True)
+    for path in (feedback_history, run_dir / "history.jsonl"):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 3
+        for line in lines:
+            assert line == json.dumps(json.loads(line), sort_keys=True), f"{path.name}: {line[:60]}"

@@ -445,6 +445,34 @@ class TestModelCommands:
             assert error["kind"] == "SchemaViolation"
             assert error["message"].startswith(f"row 10, column {name!r}: must fit a float")
 
+    def test_cell_beyond_the_csv_field_limit_names_the_line(self, capsys, tmp_path, cohort_csv):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(self.trained_model(capsys, tmp_path, cohort_csv)))
+        lines = cohort_csv.read_text().splitlines()[:11]
+        cells = lines[6].split(",")
+        cells[0] = "x" * 140_000  # the sixth student_id; the csv module's limit is 131,072
+        lines[6] = ",".join(cells)
+        big = tmp_path / "big.csv"
+        big.write_text("\n".join(lines) + "\n")
+        for argv in (
+            ["cohort", "summarize", "--data", str(big)],
+            ["train", "--data", str(big), "--grid-depth", "2", "--grid-leaf", "2", "--folds", "3"],
+            ["predict", "--model", str(model), "--data", str(big)],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out.count("\n") == 1 and "Traceback" not in err, argv
+            error = json.loads(out)["error"]
+            assert error["kind"] == "SchemaViolation"
+            assert error["message"].startswith("row 7, column ''") and "field limit" in error["message"]
+
+    def test_header_beyond_the_csv_field_limit_is_two(self, capsys, tmp_path):
+        big = tmp_path / "big.csv"
+        big.write_text("x" * 140_000 + "\n")
+        code, out, err = run_cli(capsys, "cohort", "summarize", "--data", str(big))
+        assert code == 2 and out.count("\n") == 1 and "Traceback" not in err
+        error = json.loads(out)["error"]
+        assert error["kind"] == "InputError" and "line 1" in error["message"]
+
     def test_predict_rejects_tree_wider_than_its_preprocessing(self, capsys, tmp_path, cohort_csv):
         payload = self.trained_model(capsys, tmp_path, cohort_csv)
         payload["feature_names"].append("extra")
@@ -568,6 +596,24 @@ class TestRunScenario:
     def test_scenario_value_types_are_two(self, capsys, tmp_path, changes):
         bad = self.case_study_scenario(tmp_path, **changes)
         assert_input_error(capsys, "ScenarioFormatError", "run", str(bad), "--out", str(tmp_path / "out"))
+
+    def test_integer_feedback_bounds_write_float_weights(self, capsys, tmp_path):
+        # eta 1 moves each observed weight onto its metric; the case study's
+        # metrics below 1 are then clamped to w_min = 1, which is written 1.0
+        scenario = self.case_study_scenario(
+            tmp_path, feedback_eta=1, feedback_w_min=1, feedback_w_max=10
+        )
+        out = tmp_path / "out"
+        code, report = run_json(capsys, "run", str(scenario), "--out", str(out))
+        assert code == 0
+        feedback = report["stages"]["feedback"]
+        assert type(feedback["learning_rate"]) is float
+        history = [json.loads(line) for line in (out / "history.jsonl").read_text().splitlines()]
+        final = json.loads((out / "final_graph.json").read_text())
+        assert history[-1]["weights"]["v1->v2"] == 1.0
+        for snapshots in (feedback["snapshots"], history):
+            assert all(type(w) is float for snap in snapshots for w in snap["weights"].values())
+        assert all(type(e["weight"]) is float for e in final["edges"])
 
     def test_negative_budget_stays_domain_error(self, capsys, tmp_path):
         scenario = self.case_study_scenario(tmp_path, budget=-1.0)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,15 +18,25 @@ from skillsgraph import (
     run_feedback_cycle,
     update_weights,
 )
+from skillsgraph.allocate import allocate_fractional
 from skillsgraph.errors import (
     EmptyPlan,
     MetricOutOfRange,
     MetricsExhausted,
     MetricsFormatError,
     MissingOutcome,
+    ToolError,
     UnknownEdge,
 )
-from skillsgraph.feedback import load_metrics, metrics_from_dict, save_history, snapshot_to_dict
+from skillsgraph.feedback import (
+    CycleHistory,
+    CycleSnapshot,
+    load_metrics,
+    metrics_from_dict,
+    save_history,
+    snapshot_to_dict,
+)
+from skillsgraph.graph import SkillsGraph, weighted_centrality
 
 
 def chain_graph(weights=(1.0, 1.0)):
@@ -235,3 +246,185 @@ class TestMetricsFiles:
         assert [row["iteration"] for row in parsed] == [0, 1, 2]
         assert parsed[1]["weights"] == {"n0->n1": 0.75}
         assert parsed[0] == snapshot_to_dict(history.snapshots[0])
+
+
+class TestIntegerBounds:
+    def test_clamped_weights_are_floats(self):
+        # eta 1 moves each weight onto its metric; 0.5 is clamped to w_min = 1
+        g = chain_graph([2.0, 3.0])
+        config = FeedbackConfig(learning_rate=1, w_min=1, w_max=10, iterations=5)
+        stream = [MetricsReport(edge_metrics={("n0", "n1"): 0.5, ("n1", "n2"): 10})] * 5
+        history = run_feedback_cycle(g, stream, config, budget=1.0)
+        assert (config.learning_rate, config.w_min, config.w_max) == (1.0, 1.0, 10.0)
+        assert all(type(v) is float for v in (config.learning_rate, config.w_min, config.w_max))
+        for snap in history.snapshots[1:]:
+            assert snap.weights == {("n0", "n1"): 1.0, ("n1", "n2"): 10.0}
+            assert all(type(w) is float for w in snap.weights.values())
+        assert all(type(e.weight) is float for e in history.final_graph.edges)
+        assert '"n0->n1": 1.0' in history.snapshots[-1].text
+
+
+# -- the per-round graph rebuild, kept as the oracle of the array rounds --------
+
+
+def reference_update_weights(graph, metrics, config):
+    known = {(e.src, e.dst) for e in graph.edges}
+    for key, value in metrics.edge_metrics.items():
+        src, dst = key
+        if (src, dst) not in known:
+            raise UnknownEdge(f"metrics reference unknown edge ({src!r} -> {dst!r})")
+        if not (0.0 <= value <= config.w_max):
+            raise MetricOutOfRange(
+                f"metric for ({src!r} -> {dst!r}) must be in [0, w_max={config.w_max}], got {value!r}"
+            )
+    eta = config.learning_rate
+    new_edges = []
+    for e in graph.edges:
+        if (e.src, e.dst) in metrics.edge_metrics:
+            m = metrics.edge_metrics[(e.src, e.dst)]
+            w = e.weight + eta * (m - e.weight)
+            w = min(max(w, config.w_min), config.w_max)
+            new_edges.append(DependencyEdge(e.src, e.dst, w, e.objective_cost))
+        else:
+            new_edges.append(e)
+    return SkillsGraph(graph.nodes, new_edges)
+
+
+def reference_snapshot(iteration, graph, budget):
+    return CycleSnapshot(
+        iteration=iteration,
+        weights={(e.src, e.dst): e.weight for e in graph.edges},
+        centrality=weighted_centrality(graph),
+        allocation=allocate_fractional(graph, budget),
+    )
+
+
+def reference_run_feedback_cycle(graph, metrics_stream, config, budget):
+    snapshots = [reference_snapshot(0, graph, budget)]
+    stream = iter(metrics_stream)
+    current = graph
+    for k in range(1, config.iterations + 1):
+        try:
+            metrics = next(stream)
+        except StopIteration:
+            raise MetricsExhausted(f"iteration {k} of {config.iterations} has no metrics report") from None
+        current = reference_update_weights(current, metrics, config)
+        snapshots.append(reference_snapshot(k, current, budget))
+    return CycleHistory(snapshots=tuple(snapshots), final_graph=current)
+
+
+def reference_history_bytes(history) -> bytes:
+    lines = [json.dumps(snapshot_to_dict(snap), sort_keys=True) + "\n" for snap in history.snapshots]
+    return "".join(lines).encode("utf-8")
+
+
+def random_feedback_case(seed):
+    """A small random DAG, config, budget and metrics stream. Weights start on
+    both sides of [w_min, w_max] and metrics include 0, w_min / 2 and w_max,
+    so rounds clamp at both bounds. Some cases plant an unknown edge, an
+    out-of-range metric or both in one round, or end the stream early."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    nodes = [
+        SkillNode(f"n{i}", "", rng.choice([0.0, 0.5, 1.0, 2.25]), rng.choice([0.5, 1.0]),
+                  rng.choice([None, 0.5, 1.0, 2.5]))
+        for i in range(n)
+    ]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    w_min = rng.choice([0.01, 0.2, 1.0, rng.uniform(0.001, 2.0)])
+    w_max = w_min + rng.choice([0.0, 0.5, 3.0, 10.0, rng.uniform(0.0, 20.0)])
+    config = FeedbackConfig(
+        learning_rate=rng.choice([1.0, 0.5, 0.3, rng.uniform(1e-3, 1.0)]),
+        w_min=w_min,
+        w_max=w_max,
+        iterations=rng.choice([0, 1, 2, 3, 5, 8]),
+    )
+    edges = [
+        DependencyEdge(f"n{i}", f"n{j}",
+                       rng.choice([1e-3, w_min, w_max, 3 * w_max, rng.uniform(1e-3, 2 * w_max)]),
+                       rng.choice([0.0, 1.0]))
+        for i, j in rng.sample(pairs, 0 if rng.random() < 0.05 else rng.randint(1, len(pairs)))
+    ]
+    graph = build_graph(nodes, edges)
+
+    keys = [(e.src, e.dst) for e in edges]
+    stream = []
+    for _ in range(config.iterations):
+        observed = rng.sample(keys, rng.randint(0, len(keys)))
+        items = [(k, rng.choice([0.0, w_min / 2, w_max, rng.uniform(0.0, w_max)])) for k in observed]
+        stream.append(items)
+    if stream and rng.random() < 0.3:
+        items = stream[rng.randrange(len(stream))]
+        faults = rng.sample(
+            [(("n0", "zz"), 0.5), (("n1", "n0"), 0.5), (keys[0] if keys else ("a", "b"), -0.25),
+             (("n0", "n1"), w_max * 1.5 + 1), (("x", "y"), math.nan)],
+            rng.randint(1, 2),
+        )
+        for fault in faults:
+            items.insert(rng.randint(0, len(items)), fault)
+    reports = [MetricsReport(edge_metrics=dict(items)) for items in stream]
+    if reports and rng.random() < 0.15:
+        reports = reports[: rng.randrange(len(reports))]
+    budget = -1.0 if rng.random() < 0.05 else rng.choice([0.0, 1.0, 2.5, 100.0])
+    return graph, reports, config, budget
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ToolError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_cycle_matches_per_round_rebuild(seed, tmp_path):
+    graph, reports, config, budget = random_feedback_case(seed)
+    got = outcome(run_feedback_cycle, graph, reports, config, budget)
+    want = outcome(reference_run_feedback_cycle, graph, reports, config, budget)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.snapshots == want.snapshots
+    assert got.final_graph == want.final_graph
+    assert [e.weight for e in got.final_graph.edges] == [e.weight for e in want.final_graph.edges]
+    save_history(got, tmp_path / "history.jsonl")
+    assert (tmp_path / "history.jsonl").read_bytes() == reference_history_bytes(want)
+
+
+def test_oracle_cases_reach_every_branch():
+    """The seeded cases above clamp at both bounds and hit every error."""
+    seen = set()
+    for seed in range(200):
+        graph, reports, config, budget = random_feedback_case(seed)
+        result = outcome(reference_run_feedback_cycle, graph, reports, config, budget)
+        if isinstance(result, tuple):
+            seen.add(result[0].__name__)
+            continue
+        seen.add("ok")
+        if config.iterations == 0:
+            seen.add("zero iterations")
+        if any(not r.edge_metrics for r in reports[: config.iterations]):
+            seen.add("empty round")
+        for snap in result.snapshots[1:]:
+            seen.update(
+                "clamp " + ("w_min" if w == config.w_min else "w_max")
+                for w in snap.weights.values() if w in (config.w_min, config.w_max)
+            )
+    assert seen >= {
+        "ok", "zero iterations", "empty round", "clamp w_min", "clamp w_max",
+        "UnknownEdge", "MetricOutOfRange", "MetricsExhausted", "EmptyGraph", "NegativeBudget",
+    }
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_update_weights_matches_reference(seed):
+    graph, reports, config, _ = random_feedback_case(seed)
+    current = graph
+    for report in reports:
+        got = outcome(update_weights, current, report, config)
+        want = outcome(reference_update_weights, current, report, config)
+        assert got == want
+        if isinstance(want, tuple):
+            break
+        assert [e.weight for e in got.edges] == [e.weight for e in want.edges]
+        current = want

@@ -1,15 +1,17 @@
-"""The JSON writer against json.dumps(obj, indent=2, sort_keys=True), and the
-fixed-shape predict writer against the same."""
+"""The JSON writer against json.dumps(obj, indent=2, sort_keys=True), its
+pre-encoded values and compact() against the same and json.dumps(obj,
+sort_keys=True), and the fixed-shape predict writer against the first."""
 
 import json
 import math
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skillsgraph.cli import _predictions_text
-from skillsgraph.jsonio import dumps, write_json
+from skillsgraph.jsonio import Encoded, compact, dumps, write_json
 
 ODD_TEXT = ['"', "\\", "{", "}", "[", "]", ",", ":", "\n", "\t", "\x00", "\x1f", "é", "ключ", " ", "😀"]
 ODD_FLOATS = [-0.0, 0.0, 1e-300, 1e300, 5e-324, math.nan, math.inf, -math.inf, 0.1]
@@ -108,6 +110,101 @@ def test_write_json_adds_newline(tmp_path):
     payload = {"b": [1, {"c": "é"}], "a": 1.0}
     write_json(tmp_path / "x.json", payload)
     assert (tmp_path / "x.json").read_bytes() == (reference(payload) + "\n").encode("ascii")
+
+
+# strings that look like the writer's own layout: newlines, commas, runs of
+# spaces, and non-ASCII text, next to nested empty containers
+LAYOUT_TEXT = ["\n", ",", ", ", ",\n  ", "  ", "    ", "\n    ", "é ,\n", "ключ  ,"]
+layout_texts = st.one_of(texts, st.lists(st.sampled_from(LAYOUT_TEXT), max_size=4).map("".join))
+layout_documents = st.recursive(
+    st.one_of(scalars, layout_texts, st.sampled_from([{}, [], (), {"": {}}, [[]], {"a": [{}]}])),
+    lambda children: containers(children, layout_texts),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(layout_documents)
+def test_compact_matches_json_dumps(obj):
+    assert compact(dumps(obj)) == json.dumps(obj, sort_keys=True)
+
+
+SLOT = object()  # where a template takes the value
+
+
+def fill(template, value):
+    if template is SLOT:
+        return value
+    if isinstance(template, dict):
+        return {k: fill(v, value) for k, v in template.items()}
+    if isinstance(template, (list, tuple)):
+        return type(template)(fill(v, value) for v in template)
+    return template
+
+
+templates = st.recursive(st.one_of(st.just(SLOT), scalars), containers, max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(templates, layout_documents)
+def test_encoded_text_writes_as_its_value(template, value):
+    encoded = Encoded(dumps(value))
+    assert dumps(fill(template, encoded)) == dumps(fill(template, value))
+
+
+def test_encoded_at_every_depth(tmp_path):
+    value = {"k": ["a,\n  b", {}, [[]], "é"], "z": {"y": 1.5}}
+    for depth in range(5):
+        template = SLOT
+        for _ in range(depth):
+            template = {"outer": [template, 1]}
+        assert dumps(fill(template, Encoded(dumps(value)))) == reference(fill(template, value))
+        write_json(tmp_path / "x.json", fill(template, Encoded(dumps(value))))
+        assert (tmp_path / "x.json").read_text() == reference(fill(template, value)) + "\n"
+
+
+class Level(IntEnum):
+    LOW = 0
+    HIGH = 7
+
+
+class DictSub(dict):
+    pass
+
+
+class ListSub(list):
+    pass
+
+
+class StrSub(str):
+    pass
+
+
+class FloatSub(float):
+    pass
+
+
+subclass_scalars = st.one_of(
+    scalars,
+    st.sampled_from(list(Level)),
+    texts.map(StrSub),
+    st.floats(allow_nan=False, allow_infinity=False).map(FloatSub),
+)
+
+
+def subclass_containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4).map(ListSub),
+        st.dictionaries(texts, children, max_size=4).map(DictSub),
+        containers(children),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.recursive(subclass_scalars, subclass_containers, max_leaves=30))
+def test_subclasses_take_the_flat_test_fallback(obj):
+    # their types are not the plain ones, so flatness is decided by isinstance
+    assert dumps(obj) == reference(obj)
 
 
 def predictions_reference(accuracy, n, ids, predictions) -> str:
