@@ -39,13 +39,16 @@ def quantize_hundredths(values: Sequence[float], what: str) -> list[int]:
     """Convert values to integer hundredths, rejecting finer precision.
 
     Cost-like quantities are contracted to at most two decimal places; anything
-    finer is an input mistake we refuse to round silently.
+    finer is an input mistake we refuse to round silently. So is a value
+    whose hundredths overflow a float.
     """
     out = []
     for v in values:
         if not math.isfinite(v):
             raise ValueError(f"non-finite {what} {v!r}")
         scaled = v * 100.0
+        if not math.isfinite(scaled):
+            raise ValueError(f"{what} {v!r} is too large to count in hundredths")
         nearest = round(scaled)
         if abs(scaled - nearest) > 1e-6:
             raise ValueError(f"{what} {v!r} has more than two decimal places")

@@ -13,8 +13,14 @@ the updated graph once, at the end. The fractional allocation depends only
 on the nodes and the budget, which no round changes, so it is computed once
 per cycle and every snapshot shares it.
 
-Each snapshot is encoded once (CycleSnapshot.text): history.jsonl holds the
-compact form of that text and the reports embed it as it is.
+The loop also keeps one text layout per cycle: the '"src->dst": w' item of
+each weight and the item of each node's centrality, in json's key order, and
+the allocation's text, encoded once since every snapshot shares the plan.
+After a round it re-formats only the weights that round observed (and the
+centrality, which every round changes). A snapshot's indented text, which
+the reports embed (CycleSnapshot.text), and its history.jsonl line
+(CycleSnapshot.line) are two joins over the same item strings. A snapshot
+built by hand is encoded from snapshot_to_dict() on first use.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .errors import (
     open_text,
 )
 from .graph import DependencyEdge, SkillsGraph, finite_number, weighted_centrality
-from .jsonio import compact, dumps
+from .jsonio import FloatItems, compact_dumps, dumps, object_texts, texts_of
 
 EdgeKey = tuple  # (src, dst)
 
@@ -94,9 +100,13 @@ class CycleSnapshot:
 
     @cached_property
     def text(self) -> str:
-        """dumps(snapshot_to_dict(self)), encoded on first use and then shared
-        by history.jsonl and the reports."""
+        """dumps(snapshot_to_dict(self)), as the reports embed it."""
         return dumps(snapshot_to_dict(self))
+
+    @cached_property
+    def line(self) -> str:
+        """compact_dumps(snapshot_to_dict(self)), its history.jsonl line."""
+        return compact_dumps(snapshot_to_dict(self))
 
 
 @dataclass(frozen=True)
@@ -184,6 +194,35 @@ def update_weights(
     return SkillsGraph(graph.nodes, edges)
 
 
+class _SnapshotLayout:
+    """The texts of one cycle's snapshots, kept item by item: the cycle
+    assigns the values a round changed, and encode() joins the current items
+    into a snapshot's text and line."""
+
+    def __init__(self, first: CycleSnapshot):
+        self.weights = FloatItems(
+            [f"{src}->{dst}" for src, dst in first.weights], list(first.weights.values())
+        )
+        self.centrality = FloatItems(first.centrality, list(first.centrality.values()))
+        self._allocation = texts_of(dict(first.allocation.allocation), 1)
+        self._objective = texts_of(first.allocation.objective, 1)
+
+    def encode(self, snapshot: CycleSnapshot) -> CycleSnapshot:
+        """Set the snapshot's text and line, the texts of snapshot_to_dict(),
+        from the current items, and return it."""
+        text, line = object_texts(
+            {
+                "iteration": texts_of(snapshot.iteration, 1),
+                "weights": self.weights.texts(1),
+                "centrality": self.centrality.texts(1),
+                "allocation": self._allocation,
+                "objective": self._objective,
+            }
+        )
+        vars(snapshot).update(text=text, line=line)  # where cached_property keeps them
+        return snapshot
+
+
 def run_feedback_cycle(
     graph: SkillsGraph,
     metrics_stream: Iterable[MetricsReport],
@@ -197,15 +236,15 @@ def run_feedback_cycle(
     """
     index = _edge_index(graph)
     keys = list(index)
-    snapshots = [
-        CycleSnapshot(
-            iteration=0,
-            weights={key: e.weight for key, e in zip(keys, graph.edges)},
-            centrality=weighted_centrality(graph),
-            allocation=allocate_fractional(graph, budget),
-        )
-    ]
-    plan = snapshots[0].allocation  # nodes and budget fix it for every round
+    first = CycleSnapshot(
+        iteration=0,
+        weights={key: e.weight for key, e in zip(keys, graph.edges)},
+        centrality=weighted_centrality(graph),
+        allocation=allocate_fractional(graph, budget),
+    )
+    plan = first.allocation  # nodes and budget fix it for every round
+    layout = _SnapshotLayout(first)
+    snapshots = [layout.encode(first)]
 
     weights = np.array([e.weight for e in graph.edges], np.float64)
     # the edges by source node, so each node's out-edges are one slice; fsum
@@ -215,7 +254,7 @@ def run_feedback_cycle(
         [index[(e.src, e.dst)] for nid in ids for e in graph.out_edges(nid)], np.intp
     )
     ends = list(accumulate(len(graph.out_edges(nid)) for nid in ids))
-    spans = list(zip(ids, [0, *ends[:-1]], ends))
+    spans = list(zip([0, *ends[:-1]], ends))
 
     stream: Iterator[MetricsReport] = iter(metrics_stream)
     for k in range(1, config.iterations + 1):
@@ -226,17 +265,20 @@ def run_feedback_cycle(
                 f"iteration {k} of {config.iterations} has no metrics report"
             ) from None
         idx, values = _checked_round(index, metrics, config)
-        weights[idx] = _step(weights[idx], values, config)
+        moved = _step(weights[idx], values, config)
+        weights[idx] = moved
+        layout.weights.assign(idx.tolist(), moved.tolist())
         grouped = weights[by_source].tolist()
         total = math.fsum(grouped)
-        snapshots.append(
-            CycleSnapshot(
-                iteration=k,
-                weights=dict(zip(keys, weights.tolist())),
-                centrality={nid: math.fsum(grouped[a:b]) / total for nid, a, b in spans},
-                allocation=plan,
-            )
+        scores = [math.fsum(grouped[a:b]) / total for a, b in spans]
+        layout.centrality.assign_all(scores)
+        snapshot = CycleSnapshot(
+            iteration=k,
+            weights=dict(zip(keys, weights.tolist())),
+            centrality=dict(zip(ids, scores)),
+            allocation=plan,
         )
+        snapshots.append(layout.encode(snapshot))
 
     final = graph
     if config.iterations:
@@ -282,6 +324,34 @@ def _check_nonnegative(value, what: str) -> float:
     return float(value)
 
 
+def _edge_metrics(raw: Mapping, where: str) -> dict:
+    """One round's edge metrics: {(src, dst): float}, in file order.
+
+    A round of str keys and plain int and float values is checked in bulk:
+    the values as one float64 array, finite and >= 0, and every key split
+    into two non-empty ends. Any other round, and every round that fails,
+    goes through the checks one metric at a time, which find the error to
+    raise.
+    """
+    if set(map(type, raw)) <= {str} and set(map(type, raw.values())) <= {int, float}:
+        try:
+            values = np.fromiter(raw.values(), np.float64, len(raw))
+        except OverflowError:  # an int too large for a float
+            pass
+        else:
+            parts = [key.split("->") for key in raw]
+            if (
+                np.isfinite(values).all()
+                and (values >= 0.0).all()
+                and set(map(len, parts)) <= {2}
+                and all(map(all, parts))
+            ):
+                return dict(zip(map(tuple, parts), values.tolist()))
+    return {
+        _parse_edge_key(k): _check_nonnegative(v, f"{where}[{k!r}]") for k, v in raw.items()
+    }
+
+
 def metrics_from_dict(data: Mapping) -> list[MetricsReport]:
     if not isinstance(data, Mapping) or "iterations" not in data:
         raise MetricsFormatError("metrics file must be an object with an 'iterations' array")
@@ -298,10 +368,7 @@ def metrics_from_dict(data: Mapping) -> list[MetricsReport]:
         for key in ("edge_metrics", "action_outcomes"):
             if not isinstance(raw.get(key, {}), Mapping):
                 raise MetricsFormatError(f"iterations[{i}].{key} must be an object")
-        edge_metrics = {
-            _parse_edge_key(k): _check_nonnegative(v, f"iterations[{i}].edge_metrics[{k!r}]")
-            for k, v in raw.get("edge_metrics", {}).items()
-        }
+        edge_metrics = _edge_metrics(raw.get("edge_metrics", {}), f"iterations[{i}].edge_metrics")
         outcomes = {
             k: _check_unit_interval(v, f"iterations[{i}].action_outcomes[{k!r}]")
             for k, v in raw.get("action_outcomes", {}).items()
@@ -333,8 +400,8 @@ def snapshot_to_dict(snap: CycleSnapshot) -> dict:
 
 def save_history(history: CycleHistory, path) -> None:
     """One line per snapshot: json.dumps(snapshot_to_dict(snap), sort_keys=True),
-    made from the snapshot's cached text."""
+    the snapshot's line."""
     with open(path, "w", encoding="utf-8") as fh:
         for snap in history.snapshots:
-            fh.write(compact(snap.text))
+            fh.write(snap.line)
             fh.write("\n")

@@ -154,16 +154,20 @@ def build_graph(
 ) -> SkillsGraph:
     """Validate and assemble a graph.
 
-    Node ids must be unique (case sensitive), edge endpoints must exist, edges
-    must be unique per (src, dst), self-loops are rejected, weights must be
-    positive and finite, objective costs finite and >= 0. Acyclicity is
-    enforced unless allow_cycles is set (state-transition style graphs).
+    Node ids must be unique (case sensitive) and must not contain "->", which
+    joins the ends of an edge in its "src->dst" key, so that every edge has
+    its own key. Edge endpoints must exist, edges must be unique per
+    (src, dst), self-loops are rejected, weights must be positive and finite,
+    objective costs finite and >= 0. Acyclicity is enforced unless
+    allow_cycles is set (state-transition style graphs).
     """
     node_list = list(nodes)
     seen_ids = set()
     for n in node_list:
         if n.id in seen_ids:
             raise DuplicateNodeId(f"duplicate node id {n.id!r}")
+        if "->" in n.id:
+            raise InvalidNodeValue(f"node {n.id!r}: id must not contain '->' (it joins edge keys)")
         seen_ids.add(n.id)
         _check_node_fields(n)
 

@@ -15,17 +15,24 @@ class, is the one json.dumps gives.
 
 A value whose text is already known goes in as Encoded(dumps(value)): the
 writer copies that text, indented to the depth it lands at, instead of
-encoding the value again. compact() turns dumps text into the one-line text
-of json.dumps(obj, sort_keys=True). Both edit only the newlines and the
-indentation after them, which is exact: an encoded JSON string never holds a
-raw newline, so every newline in the text is the writer's own.
+encoding the value again. That is exact: an encoded JSON string never holds
+a raw newline, so every newline in the text is the writer's own.
+
+A series of dicts that share their keys, such as the snapshots of a feedback
+cycle, is encoded from one layout. FloatItems keeps a flat dict's item texts
+('"key": value') in sorted key order and re-formats only the values that
+change, and object_texts joins a dict's members, each given as its two texts,
+into the dict's dumps() text and its one-line json.dumps(obj,
+sort_keys=True) text. Both forms are joins over the same item strings.
 """
 
 from __future__ import annotations
 
 import json
-import re
+import math
 from json.encoder import encode_basestring_ascii
+from operator import add
+from typing import Mapping
 
 _INDENT = "  "
 
@@ -43,7 +50,6 @@ _NESTED = (dict, list, tuple, Encoded)
 # the value types the C encoder takes as they are; a container whose values
 # all have one of these exact types is flat without an isinstance scan
 _PLAIN = frozenset({str, int, float, bool, type(None)})
-_LINE_BREAK = re.compile("\n *")
 
 # _flat[d] encodes a flat container at depth d, its items one line each
 _flat: list = []
@@ -127,7 +133,85 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def compact(text: str) -> str:
-    """json.dumps(obj, sort_keys=True) from the text of dumps(obj): an item's
-    comma and line break become ", ", any other line break goes."""
-    return _LINE_BREAK.sub("", text.replace(",\n", ", \n"))
+def compact_dumps(obj) -> str:
+    """Exactly json.dumps(obj, sort_keys=True), the one-line text."""
+    return json.dumps(obj, sort_keys=True)
+
+
+def texts_of(obj, depth: int) -> tuple[str, str]:
+    """obj's two texts: dumps(obj) as it is written at depth, and
+    compact_dumps(obj)."""
+    text = dumps(obj)
+    return text.replace("\n", "\n" + _INDENT * depth) if depth else text, compact_dumps(obj)
+
+
+# json's text for the floats whose repr it does not use
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_texts(values: list) -> list:
+    """json's text for each float in values: its repr, or NaN, Infinity or
+    -Infinity."""
+    out = list(map(float.__repr__, values))
+    # a NaN or an infinity makes the sum non-finite (so may an overflow)
+    if not math.isfinite(sum(values)):
+        out = list(map(_NON_FINITE.get, out, out))
+    return out
+
+
+class FloatItems:
+    """The item texts of a flat dict whose keys stay fixed while its float
+    values change: '"key": value' per key, in json's sorted key order.
+
+    Values are addressed by position in the keys as given. assign()
+    re-formats only the items it is handed, and texts() joins the kept
+    strings into the dict's two texts. The keys must be distinct, as in a
+    dict.
+    """
+
+    __slots__ = ("_order", "_slot", "_prefixes", "_items")
+
+    def __init__(self, keys, values):
+        keys = list(keys)
+        self._order = sorted(range(len(keys)), key=keys.__getitem__)
+        self._slot = [0] * len(keys)
+        for slot, position in enumerate(self._order):
+            self._slot[position] = slot
+        self._prefixes = [_key(keys[i]) + ": " for i in self._order]
+        self.assign_all(values)
+
+    def assign_all(self, values) -> None:
+        """Set every value, in the keys' order."""
+        ordered = list(map(values.__getitem__, self._order))
+        self._items = list(map(add, self._prefixes, _float_texts(ordered)))
+
+    def assign(self, positions, values) -> None:
+        """Set the value at each position, in the keys' order."""
+        items, prefixes, slots = self._items, self._prefixes, self._slot
+        for position, text in zip(positions, _float_texts(values)):
+            slot = slots[position]
+            items[slot] = prefixes[slot] + text
+
+    def texts(self, depth: int) -> tuple[str, str]:
+        """The dict's dumps() text as written at depth, and its one-line text."""
+        if not self._items:
+            return "{}", "{}"
+        indent = "\n" + _INDENT * (depth + 1)
+        return (
+            "{" + indent + ("," + indent).join(self._items) + "\n" + _INDENT * depth + "}",
+            "{" + ", ".join(self._items) + "}",
+        )
+
+
+def object_texts(members: Mapping) -> tuple[str, str]:
+    """dumps(obj) and compact_dumps(obj) for a dict obj whose every value is
+    given as its two texts, the first as written at depth 1 (see texts_of())."""
+    if not members:
+        return "{}", "{}"
+    keys = sorted(members)
+    prefixes = [_key(key) + ": " for key in keys]
+    indented, compact = zip(*map(members.__getitem__, keys))
+    return (
+        "{\n  " + ",\n  ".join(map(add, prefixes, indented)) + "\n}",
+        "{" + ", ".join(map(add, prefixes, compact)) + "}",
+    )

@@ -29,13 +29,28 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
-def assert_input_error(capsys, kind, *argv):
-    """The command ends in exit 2 with one JSON error line and no traceback."""
+def assert_error(capsys, exit_code, kind, *argv):
+    """The command ends in exit_code with one JSON error line and no traceback."""
     code, out, err = run_cli(capsys, *argv)
-    assert code == 2
+    assert code == exit_code
     assert out.count("\n") == 1
     assert json.loads(out)["error"]["kind"] == kind
     assert "Traceback" not in err
+    return json.loads(out)["error"]["message"]
+
+
+def assert_input_error(capsys, kind, *argv):
+    """The command ends in exit 2 with one JSON error line and no traceback."""
+    assert_error(capsys, 2, kind, *argv)
+
+
+def case_study_graph(tmp_path, **node_changes) -> Path:
+    """The case-study graph with node_changes applied to its first node."""
+    graph = json.loads((CASE_STUDY / "graph.json").read_text())
+    graph["nodes"][0].update(node_changes)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    return path
 
 
 class TestExitCodes:
@@ -152,6 +167,30 @@ class TestGraphCommands:
         assert code == 0
         assert payload["mode"] == "select"
         assert payload["budget"] == 9.0
+
+    def test_select_budget_beyond_hundredths_range(self, capsys):
+        # 1e308 is finite, but its hundredths overflow a float
+        message = assert_error(
+            capsys, 1, "CostPrecisionError",
+            "allocate", "--graph", str(CASE_STUDY / "graph.json"), "--budget", "1e308", "--mode", "select",
+        )
+        assert "too large" in message
+
+    def test_select_cost_beyond_hundredths_range(self, capsys, tmp_path):
+        graph = case_study_graph(tmp_path, cost=1e307)
+        assert_error(
+            capsys, 1, "CostPrecisionError",
+            "allocate", "--graph", str(graph), "--budget", "5", "--mode", "select",
+        )
+
+    def test_validate_refuses_arrow_in_node_id(self, capsys, tmp_path):
+        # edges "a->b" -> "c" and "a" -> "b->c" would share the key "a->b->c"
+        nodes = [{"id": nid, "label": "", "effectiveness": 1.0, "cost": 1.0} for nid in ("a->b", "c", "a", "b->c")]
+        edges = [{"from": "a->b", "to": "c", "weight": 1.0}, {"from": "a", "to": "b->c", "weight": 2.0}]
+        graph = tmp_path / "graph.json"
+        graph.write_text(json.dumps({"nodes": nodes, "edges": edges}))
+        message = assert_error(capsys, 1, "InvalidNodeValue", "validate", "--graph", str(graph))
+        assert "'a->b'" in message
 
     def test_path_with_tau(self, capsys):
         code, payload = run_json(
@@ -614,6 +653,12 @@ class TestRunScenario:
         for snapshots in (feedback["snapshots"], history):
             assert all(type(w) is float for snap in snapshots for w in snap["weights"].values())
         assert all(type(e["weight"]) is float for e in final["edges"])
+
+    @pytest.mark.parametrize("huge", ["budget", "cost"])
+    def test_select_beyond_hundredths_range(self, capsys, tmp_path, huge):
+        changes = {"budget": 1e308} if huge == "budget" else {"graph": str(case_study_graph(tmp_path, cost=1e307))}
+        scenario = self.case_study_scenario(tmp_path, allocation_mode="select", **changes)
+        assert_error(capsys, 1, "CostPrecisionError", "run", str(scenario), "--out", str(tmp_path / "out"))
 
     def test_negative_budget_stays_domain_error(self, capsys, tmp_path):
         scenario = self.case_study_scenario(tmp_path, budget=-1.0)

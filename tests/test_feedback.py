@@ -18,7 +18,7 @@ from skillsgraph import (
     run_feedback_cycle,
     update_weights,
 )
-from skillsgraph.allocate import allocate_fractional
+from skillsgraph.allocate import AllocationPlan, allocate_fractional
 from skillsgraph.errors import (
     EmptyPlan,
     MetricOutOfRange,
@@ -37,6 +37,7 @@ from skillsgraph.feedback import (
     snapshot_to_dict,
 )
 from skillsgraph.graph import SkillsGraph, weighted_centrality
+from skillsgraph.jsonio import dumps
 
 
 def chain_graph(weights=(1.0, 1.0)):
@@ -428,3 +429,199 @@ def test_update_weights_matches_reference(seed):
             break
         assert [e.weight for e in got.edges] == [e.weight for e in want.edges]
         current = want
+
+
+# -- snapshot texts: the cycle's layout against each snapshot's own dict ------
+
+# ids whose sorted order is not their node order ("v10" < "v2"), that json
+# escapes, or that hold one half of "->"
+ODD_IDS = [
+    "v10", "v2", "v1", 'say "hi"', "back\\slash", "tab\tnul\x00\x1f", "Zoë", "学生", "😀",
+    "end-", ">start", "",
+]
+
+
+def relabel(graph, reports, names):
+    """The graph and metrics with node ids renamed; unknown ids stay."""
+    def rename(nid):
+        return names.get(nid, nid)
+
+    nodes = [SkillNode(rename(n.id), n.label, n.effectiveness, n.cost, n.capacity) for n in graph.nodes]
+    edges = [DependencyEdge(rename(e.src), rename(e.dst), e.weight, e.objective_cost) for e in graph.edges]
+    reports = [
+        MetricsReport(edge_metrics={(rename(a), rename(b)): v for (a, b), v in r.edge_metrics.items()})
+        for r in reports
+    ]
+    return build_graph(nodes, edges), reports
+
+
+def assert_texts_match_dicts(history, path):
+    for snap in history.snapshots:
+        as_dict = snapshot_to_dict(snap)
+        assert snap.text == dumps(as_dict) == json.dumps(as_dict, indent=2, sort_keys=True)
+        assert snap.line == json.dumps(as_dict, sort_keys=True)
+    save_history(history, path)
+    assert path.read_bytes() == reference_history_bytes(history)
+
+
+@pytest.mark.parametrize("odd_ids", [False, True], ids=["plain_ids", "odd_ids"])
+@pytest.mark.parametrize("seed", range(200))
+def test_snapshot_texts_match_their_dicts(seed, odd_ids, tmp_path):
+    graph, reports, config, budget = random_feedback_case(seed)
+    if odd_ids:
+        names = dict(zip(graph.node_ids(), random.Random(seed).sample(ODD_IDS, len(graph.nodes))))
+        graph, reports = relabel(graph, reports, names)
+    history = outcome(run_feedback_cycle, graph, reports, config, budget)
+    if not isinstance(history, tuple):
+        assert_texts_match_dicts(history, tmp_path / "history.jsonl")
+
+
+def test_snapshot_texts_of_a_long_cycle(tmp_path):
+    """v1..v12 in node order, so sorted keys interleave (v1, v10, v11, v12,
+    v2, ...); each round observes a different third of the edges."""
+    nodes = [SkillNode(f"v{i}", "", 1.0 + i % 3, 1.0, None if i % 2 else 1.5) for i in range(1, 13)]
+    edges = [DependencyEdge(f"v{i}", f"v{j}", 0.5 + (i * j) % 7) for i in range(1, 13) for j in range(i + 1, 13)]
+    graph = build_graph(nodes, edges)
+    rng = random.Random(7)
+    keys = [(e.src, e.dst) for e in edges]
+    stream = [
+        MetricsReport(edge_metrics={k: rng.choice([0.0, 10.0, rng.uniform(0, 10)]) for k in keys[r % 3 :: 3]})
+        for r in range(30)
+    ]
+    config = FeedbackConfig(0.4, iterations=30)
+    history = run_feedback_cycle(graph, stream, config, budget=4.0)
+    assert history.snapshots == reference_run_feedback_cycle(graph, stream, config, 4.0).snapshots
+    assert_texts_match_dicts(history, tmp_path / "history.jsonl")
+
+
+def test_hand_built_snapshots_encode_their_dicts(tmp_path):
+    plan = AllocationPlan(allocation={"v2": 1, "v10": 0.5, "é": math.inf}, objective=2, budget=1.5)
+    snapshots = (
+        CycleSnapshot(0, {("v2", "v10"): 1, ("a", 'q"'): 0.5}, {"v2": math.nan, "v10": 0.25}, plan),
+        CycleSnapshot(4, {}, {}, plan),
+    )
+    history = CycleHistory(snapshots=snapshots, final_graph=chain_graph())
+    assert_texts_match_dicts(history, tmp_path / "history.jsonl")
+    assert '"v2": NaN' in snapshots[0].line
+    assert snapshots[1].text.endswith('"weights": {}\n}')
+
+
+# -- metrics files: the bulk round check against the per-metric loop ----------
+
+
+def reference_metrics_from_dict(data):
+    """The one-metric-at-a-time loader, kept as the oracle of the bulk check."""
+    def parse_key(text):
+        parts = text.split("->")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise MetricsFormatError(f"bad edge key {text!r}, expected 'src->dst'")
+        return (parts[0], parts[1])
+
+    def number(value, what):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise MetricsFormatError(f"{what} must be a number, got {value!r}")
+
+    def unit(value, what):
+        number(value, what)
+        if not (0.0 <= value <= 1.0) or not math.isfinite(value):
+            raise MetricsFormatError(f"{what} must be in [0, 1], got {value!r}")
+        return float(value)
+
+    def nonnegative(value, what):
+        number(value, what)
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite or value < 0.0:
+            raise MetricsFormatError(f"{what} must be finite and >= 0, got {value!r}")
+        return float(value)
+
+    if not isinstance(data, dict) or "iterations" not in data:
+        raise MetricsFormatError("metrics file must be an object with an 'iterations' array")
+    rounds = data["iterations"]
+    if not isinstance(rounds, list):
+        raise MetricsFormatError("'iterations' must be an array")
+    reports = []
+    for i, raw in enumerate(rounds):
+        if not isinstance(raw, dict):
+            raise MetricsFormatError(f"iterations[{i}] must be an object")
+        unknown = set(raw) - {"edge_metrics", "action_outcomes"}
+        if unknown:
+            raise MetricsFormatError(f"iterations[{i}]: unknown keys {sorted(unknown)}")
+        for key in ("edge_metrics", "action_outcomes"):
+            if not isinstance(raw.get(key, {}), dict):
+                raise MetricsFormatError(f"iterations[{i}].{key} must be an object")
+        edge_metrics = {
+            parse_key(k): nonnegative(v, f"iterations[{i}].edge_metrics[{k!r}]")
+            for k, v in raw.get("edge_metrics", {}).items()
+        }
+        outcomes = {
+            k: unit(v, f"iterations[{i}].action_outcomes[{k!r}]")
+            for k, v in raw.get("action_outcomes", {}).items()
+        }
+        reports.append(MetricsReport(edge_metrics=edge_metrics, action_outcomes=outcomes))
+    return reports
+
+
+BAD_KEYS = ["ab", "a->b->c", "->b", "a->", "->", "", "a-> ->b"]
+BAD_VALUES = [True, False, "0.5", None, [1.0], -0.5, -1, math.nan, math.inf, -math.inf, 10**400, -(10**400)]
+
+
+def random_metrics_text(seed) -> str:
+    """A metrics file of plain rounds (ints, floats, -0.0, ids with one half
+    of "->"), with 0-3 bad keys or values planted anywhere in it."""
+    rng = random.Random(seed)
+    ids = ["v1", "v2", "v10", "a-", ">b", "Zoë"]
+    rounds = []
+    for _ in range(rng.randint(0, 4)):
+        pairs = rng.sample([(a, b) for a in ids for b in ids if a != b], rng.randint(0, 12))
+        metrics = {
+            f"{a}->{b}": rng.choice([0, 3, 2**60 + 1, 0.0, -0.0, 0.25, rng.uniform(0, 20), 1e300])
+            for a, b in pairs
+        }
+        rounds.append({"edge_metrics": metrics, "action_outcomes": {"v1": rng.choice([0, 0.5, 1])}})
+    for _ in range(rng.randint(0, 3) if rounds else 0):
+        target = rng.choice(rounds)
+        items = list(target["edge_metrics"].items())
+        if rng.random() < 0.4:
+            bad = (rng.choice(BAD_KEYS), 1.0)
+        else:
+            bad = (f"v1->x{rng.random()}", rng.choice(BAD_VALUES))
+        items.insert(rng.randint(0, len(items)), bad)
+        target["edge_metrics"] = dict(items)
+    return json.dumps({"iterations": rounds})
+
+
+def loaded(fn, arg):
+    try:
+        return repr(fn(arg))  # repr shows key order, value types and -0.0
+    except ToolError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_metrics_bulk_check_matches_per_metric_loop(seed, tmp_path):
+    text = random_metrics_text(seed)
+    path = tmp_path / "metrics.json"
+    path.write_text(text)
+    assert loaded(load_metrics, path) == loaded(reference_metrics_from_dict, json.loads(text))
+
+
+def test_metrics_cases_reach_every_branch():
+    seen = set()
+    for seed in range(300):
+        result = loaded(reference_metrics_from_dict, json.loads(random_metrics_text(seed)))
+        seen.add("ok" if isinstance(result, str) else result[1].split(" must ")[-1].split(",")[0][:20])
+    assert {"ok", "be a number", "be finite and >= 0"} <= seen
+    assert any(s.startswith("bad edge key") for s in seen)
+
+
+def test_metrics_error_names_the_first_bad_item():
+    # a bad value before a bad key, in one round: the value is reported
+    data = {"iterations": [{"edge_metrics": {"a->b": 1.0, "c->d": True, "ab": 1.0}}]}
+    with pytest.raises(MetricsFormatError, match=r"edge_metrics\['c->d'\] must be a number"):
+        metrics_from_dict(data)
+    data = {"iterations": [{"edge_metrics": {"a->b": 1, "x": 2.0, "c->d": -1.0}}]}
+    with pytest.raises(MetricsFormatError, match="bad edge key 'x'"):
+        metrics_from_dict(data)

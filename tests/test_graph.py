@@ -40,6 +40,16 @@ class TestBuildValidation:
         with pytest.raises(DuplicateNodeId):
             build_graph([node("a"), node("a")], [])
 
+    @pytest.mark.parametrize("nid", ["a->b", "->", "x->", "->y"])
+    def test_arrow_in_node_id(self, nid):
+        # "a->b" -> "c" and "a" -> "b->c" would share the edge key "a->b->c"
+        with pytest.raises(InvalidNodeValue, match="must not contain '->'"):
+            build_graph([node("a"), node(nid)], [])
+
+    @pytest.mark.parametrize("nid", ["a-", ">b", "-", ">", "a>-b", "a- >b"])
+    def test_arrow_halves_are_allowed(self, nid):
+        assert build_graph([node(nid)], []).node_ids() == (nid,)
+
     def test_unknown_endpoint(self):
         with pytest.raises(UnknownEndpoint):
             build_graph([node("a")], [DependencyEdge("a", "z", 1.0)])

@@ -1,6 +1,7 @@
 """The JSON writer against json.dumps(obj, indent=2, sort_keys=True), its
-pre-encoded values and compact() against the same and json.dumps(obj,
-sort_keys=True), and the fixed-shape predict writer against the first."""
+pre-encoded values against the same, the layout texts (texts_of, FloatItems,
+object_texts) against it and json.dumps(obj, sort_keys=True), and the
+fixed-shape predict writer against the first."""
 
 import json
 import math
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skillsgraph.cli import _predictions_text
-from skillsgraph.jsonio import Encoded, compact, dumps, write_json
+from skillsgraph.jsonio import Encoded, FloatItems, dumps, object_texts, texts_of, write_json
 
 ODD_TEXT = ['"', "\\", "{", "}", "[", "]", ",", ":", "\n", "\t", "\x00", "\x1f", "é", "ключ", " ", "😀"]
 ODD_FLOATS = [-0.0, 0.0, 1e-300, 1e300, 5e-324, math.nan, math.inf, -math.inf, 0.1]
@@ -123,10 +124,57 @@ layout_documents = st.recursive(
 )
 
 
+def both(obj):
+    """The two texts the layout functions give: indented and one-line."""
+    return reference(obj), json.dumps(obj, sort_keys=True)
+
+
 @settings(max_examples=150, deadline=None)
-@given(layout_documents)
-def test_compact_matches_json_dumps(obj):
-    assert compact(dumps(obj)) == json.dumps(obj, sort_keys=True)
+@given(st.dictionaries(layout_texts, layout_documents, max_size=5))
+def test_object_texts_match_json_dumps(members):
+    assert object_texts({k: texts_of(v, 1) for k, v in members.items()}) == both(members)
+
+
+float_values = st.one_of(st.floats(), st.sampled_from(ODD_FLOATS + [1e308, -1e308]))
+float_keys = st.one_of(
+    st.lists(layout_texts, max_size=8, unique=True),
+    st.lists(st.integers(), max_size=8, unique=True),
+    st.lists(st.floats(allow_nan=False), max_size=8, unique=True),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_keys, st.data())
+def test_float_items_follow_their_assignments(keys, data):
+    """After every assignment, the kept items make the texts of the dict as
+    it now stands, at depth 0 and nested at depth 1."""
+    values = data.draw(st.lists(float_values, min_size=len(keys), max_size=len(keys)))
+    items = FloatItems(keys, values)
+    for _ in range(data.draw(st.integers(0, 4))):
+        current = dict(zip(keys, values))
+        assert items.texts(0) == both(current)
+        assert object_texts({"d": items.texts(1)}) == both({"d": current})
+        if data.draw(st.booleans()):
+            values = data.draw(st.lists(float_values, min_size=len(keys), max_size=len(keys)))
+            items.assign_all(values)
+        else:
+            positions = data.draw(st.lists(st.sampled_from(range(len(keys))), unique=True)) if keys else []
+            new = data.draw(st.lists(float_values, min_size=len(positions), max_size=len(positions)))
+            for position, value in zip(positions, new):
+                values[position] = value
+            items.assign(positions, new)
+    assert items.texts(0) == both(dict(zip(keys, values)))
+
+
+def test_float_items_spell_non_finite_values_as_json_does():
+    keys = ["b", "a", "c", "d", "v10", "v2"]
+    values = [math.nan, math.inf, -math.inf, 1e308, 1e308, -0.0]
+    items = FloatItems(keys, values)
+    assert items.texts(0) == both(dict(zip(keys, values)))
+    assert '"a": Infinity, "b": NaN, "c": -Infinity' in items.texts(0)[1]
+    items.assign([0, 4], [0.1, math.nan])
+    values[0], values[4] = 0.1, math.nan
+    assert object_texts({"d": items.texts(1)}) == both({"d": dict(zip(keys, values))})
 
 
 SLOT = object()  # where a template takes the value
