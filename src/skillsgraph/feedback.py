@@ -20,7 +20,9 @@ After a round it re-formats only the weights that round observed (and the
 centrality, which every round changes). A snapshot's indented text, which
 the reports embed (CycleSnapshot.text), and its history.jsonl line
 (CycleSnapshot.line) are two joins over the same item strings. A snapshot
-built by hand is encoded from snapshot_to_dict() on first use.
+built by hand, snapshot 0 of a graph with an int weight, and every snapshot
+of a graph whose edge keys repeat (possible only without build_graph) are
+encoded from snapshot_to_dict() on first use.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .errors import (
     open_text,
 )
 from .graph import DependencyEdge, SkillsGraph, finite_number, weighted_centrality
-from .jsonio import FloatItems, compact_dumps, dumps, object_texts, texts_of
+from .jsonio import FloatItems, dumps, object_texts, texts_of
 
 EdgeKey = tuple  # (src, dst)
 
@@ -105,8 +107,9 @@ class CycleSnapshot:
 
     @cached_property
     def line(self) -> str:
-        """compact_dumps(snapshot_to_dict(self)), its history.jsonl line."""
-        return compact_dumps(snapshot_to_dict(self))
+        """json.dumps(snapshot_to_dict(self), sort_keys=True), its
+        history.jsonl line."""
+        return json.dumps(snapshot_to_dict(self), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -199,10 +202,8 @@ class _SnapshotLayout:
     assigns the values a round changed, and encode() joins the current items
     into a snapshot's text and line."""
 
-    def __init__(self, first: CycleSnapshot):
-        self.weights = FloatItems(
-            [f"{src}->{dst}" for src, dst in first.weights], list(first.weights.values())
-        )
+    def __init__(self, names: list, weights: list, first: CycleSnapshot):
+        self.weights = FloatItems(names, weights)
         self.centrality = FloatItems(first.centrality, list(first.centrality.values()))
         self._allocation = texts_of(dict(first.allocation.allocation), 1)
         self._objective = texts_of(first.allocation.objective, 1)
@@ -243,10 +244,18 @@ def run_feedback_cycle(
         allocation=allocate_fractional(graph, budget),
     )
     plan = first.allocation  # nodes and budget fix it for every round
-    layout = _SnapshotLayout(first)
-    snapshots = [layout.encode(first)]
-
     weights = np.array([e.weight for e in graph.edges], np.float64)
+    snapshots = [first]
+    # build_graph keeps every "src->dst" distinct; a graph built without it
+    # may repeat one, and its snapshots are encoded from snapshot_to_dict()
+    names = [f"{src}->{dst}" for src, dst in keys]
+    layout = None
+    if len(set(names)) == len(names):
+        layout = _SnapshotLayout(names, weights.tolist(), first)
+        # snapshot 0 holds the graph's own weights, which may be ints
+        if set(map(type, first.weights.values())) <= {float}:
+            layout.encode(first)
+
     # the edges by source node, so each node's out-edges are one slice; fsum
     # is exactly rounded, so these sums are weighted_centrality's own
     ids = graph.node_ids()
@@ -267,18 +276,20 @@ def run_feedback_cycle(
         idx, values = _checked_round(index, metrics, config)
         moved = _step(weights[idx], values, config)
         weights[idx] = moved
-        layout.weights.assign(idx.tolist(), moved.tolist())
         grouped = weights[by_source].tolist()
         total = math.fsum(grouped)
         scores = [math.fsum(grouped[a:b]) / total for a, b in spans]
-        layout.centrality.assign_all(scores)
         snapshot = CycleSnapshot(
             iteration=k,
             weights=dict(zip(keys, weights.tolist())),
             centrality=dict(zip(ids, scores)),
             allocation=plan,
         )
-        snapshots.append(layout.encode(snapshot))
+        if layout is not None:
+            layout.weights.assign(idx.tolist(), moved.tolist())
+            layout.centrality.assign_all(scores)
+            layout.encode(snapshot)
+        snapshots.append(snapshot)
 
     final = graph
     if config.iterations:

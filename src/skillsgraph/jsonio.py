@@ -133,16 +133,12 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def compact_dumps(obj) -> str:
-    """Exactly json.dumps(obj, sort_keys=True), the one-line text."""
-    return json.dumps(obj, sort_keys=True)
-
-
 def texts_of(obj, depth: int) -> tuple[str, str]:
     """obj's two texts: dumps(obj) as it is written at depth, and
-    compact_dumps(obj)."""
+    json.dumps(obj, sort_keys=True)."""
     text = dumps(obj)
-    return text.replace("\n", "\n" + _INDENT * depth) if depth else text, compact_dumps(obj)
+    indented = text.replace("\n", "\n" + _INDENT * depth) if depth else text
+    return indented, json.dumps(obj, sort_keys=True)
 
 
 # json's text for the floats whose repr it does not use
@@ -166,7 +162,7 @@ class FloatItems:
     Values are addressed by position in the keys as given. assign()
     re-formats only the items it is handed, and texts() joins the kept
     strings into the dict's two texts. The keys must be distinct, as in a
-    dict.
+    dict, and the values floats (an int's text is not its float's).
     """
 
     __slots__ = ("_order", "_slot", "_prefixes", "_items")
@@ -204,8 +200,9 @@ class FloatItems:
 
 
 def object_texts(members: Mapping) -> tuple[str, str]:
-    """dumps(obj) and compact_dumps(obj) for a dict obj whose every value is
-    given as its two texts, the first as written at depth 1 (see texts_of())."""
+    """dumps(obj) and json.dumps(obj, sort_keys=True) for a dict obj whose
+    every value is given as its two texts, the first as written at depth 1
+    (see texts_of())."""
     if not members:
         return "{}", "{}"
     keys = sorted(members)

@@ -464,16 +464,54 @@ def assert_texts_match_dicts(history, path):
     assert path.read_bytes() == reference_history_bytes(history)
 
 
-@pytest.mark.parametrize("odd_ids", [False, True], ids=["plain_ids", "odd_ids"])
+def with_int_weights(graph):
+    """The graph with every other edge's weight rounded up to an int, which
+    snapshot 0 writes as an int and a later snapshot as a float."""
+    edges = [
+        DependencyEdge(e.src, e.dst, math.ceil(e.weight) if i % 2 == 0 else e.weight, e.objective_cost)
+        for i, e in enumerate(graph.edges)
+    ]
+    return build_graph(graph.nodes, edges)
+
+
+@pytest.mark.parametrize("variant", ["plain_ids", "odd_ids", "int_weights"])
 @pytest.mark.parametrize("seed", range(200))
-def test_snapshot_texts_match_their_dicts(seed, odd_ids, tmp_path):
+def test_snapshot_texts_match_their_dicts(seed, variant, tmp_path):
     graph, reports, config, budget = random_feedback_case(seed)
-    if odd_ids:
+    if variant == "odd_ids":
         names = dict(zip(graph.node_ids(), random.Random(seed).sample(ODD_IDS, len(graph.nodes))))
         graph, reports = relabel(graph, reports, names)
+    elif variant == "int_weights":
+        graph = with_int_weights(graph)
     history = outcome(run_feedback_cycle, graph, reports, config, budget)
     if not isinstance(history, tuple):
         assert_texts_match_dicts(history, tmp_path / "history.jsonl")
+
+
+def test_int_weights_keep_their_text_until_observed(tmp_path):
+    """Snapshot 0 holds the graph's own int weights; from round 1 on every
+    weight comes from the float array, observed or not."""
+    graph = build_graph(
+        [SkillNode("a", "", 1.0, 1.0), SkillNode("b", "", 1.0, 1.0), SkillNode("c", "", 1.0, 1.0)],
+        [DependencyEdge("a", "b", 2), DependencyEdge("b", "c", 3)],
+    )
+    stream = [MetricsReport(edge_metrics={("b", "c"): 1.0})]
+    history = run_feedback_cycle(graph, stream, FeedbackConfig(0.5, iterations=1), 1.0)
+    assert_texts_match_dicts(history, tmp_path / "history.jsonl")
+    first, second = history.snapshots
+    assert '"weights": {"a->b": 2, "b->c": 3}' in first.line
+    assert '"weights": {"a->b": 2.0, "b->c": 2.0}' in second.line
+
+
+def test_repeated_edge_keys_encode_their_dicts(tmp_path):
+    """A graph built without build_graph can give two edges one "src->dst";
+    its snapshots still read as their dicts, which keep one of the two."""
+    nodes = [SkillNode(nid, "", 1.0, 1.0) for nid in ("a->b", "c", "a", "b->c")]
+    graph = SkillsGraph(nodes, [DependencyEdge("a->b", "c", 1.0), DependencyEdge("a", "b->c", 2.0)])
+    stream = [MetricsReport(edge_metrics={("a->b", "c"): 4.0})]
+    history = run_feedback_cycle(graph, stream, FeedbackConfig(0.5, iterations=1), 1.0)
+    assert_texts_match_dicts(history, tmp_path / "history.jsonl")
+    assert all(snap.line.count('"a->b->c"') == 1 for snap in history.snapshots)
 
 
 def test_snapshot_texts_of_a_long_cycle(tmp_path):
