@@ -15,7 +15,6 @@ import sys
 from pathlib import Path as FsPath
 
 from . import __version__
-from .allocate import allocate_fractional, plan_to_dict, select_knapsack
 from .cohort import (
     default_profile,
     feature_columns,
@@ -28,14 +27,13 @@ from .cohort import (
     summarize,
     write_cohort_csv,
 )
-from .errors import InputError, ModelFormatError, ToolError, open_text
-from .feedback import FeedbackConfig, load_metrics, run_feedback_cycle, save_history
-from .graph import load_graph, validate_dag, weighted_centrality
-from .jsonio import Encoded, dumps
+from .errors import InputError, ModelFormatError, ToolError, load_json
+from .feedback import load_metrics, save_history
+from .graph import load_graph, weighted_centrality
+from .jsonio import dumps
 from .markov import build_transition_matrix, load_counts, stationary_distribution, step_distribution
-from .paths import find_optimal_path, path_to_dict
 from .prepare import apply_stats, preprocess, stats_from_dict, stats_to_dict
-from .scenario import run_scenario
+from .scenario import allocation_stage, feedback_stage, path_stage, run_scenario, validate_stage
 from .search import GridSpec, grid_search_cv, save_cv_table
 from .tree import feature_importance, predict_many, save_tree, tree_from_dict
 
@@ -100,14 +98,7 @@ def _parse_criteria(text: str) -> tuple[str, ...]:
 
 
 def cmd_validate(args) -> dict:
-    graph = load_graph(args.graph)
-    order = validate_dag(graph)
-    return {
-        "acyclic": True,
-        "nodes": len(graph.nodes),
-        "edges": len(graph.edges),
-        "topological_order": order,
-    }
+    return {"acyclic": True, **validate_stage(load_graph(args.graph))}
 
 
 def cmd_centrality(args) -> dict:
@@ -116,34 +107,22 @@ def cmd_centrality(args) -> dict:
 
 
 def cmd_allocate(args) -> dict:
-    graph = load_graph(args.graph)
-    if args.mode == "select":
-        plan = select_knapsack(graph, args.budget)
-    else:
-        plan = allocate_fractional(graph, args.budget)
-    return plan_to_dict(plan)
+    return allocation_stage(load_graph(args.graph), args.budget, args.mode)
 
 
 def cmd_path(args) -> dict:
-    graph = load_graph(args.graph)
-    path = find_optimal_path(graph, args.src, args.dst, args.tau)
-    return {"query": {"from": args.src, "to": args.dst, "tau": args.tau}, "path": path_to_dict(path)}
+    return path_stage(load_graph(args.graph), {"from": args.src, "to": args.dst, "tau": args.tau})
 
 
 def cmd_feedback(args) -> dict:
     graph = load_graph(args.graph)
     metrics = load_metrics(args.metrics)
     iterations = len(metrics) if args.iters is None else args.iters
-    config = FeedbackConfig(learning_rate=args.eta, iterations=iterations)
-    history = run_feedback_cycle(graph, metrics, config, args.budget)
+    block = {"eta": args.eta, "iterations": iterations}
+    history, payload = feedback_stage(graph, metrics, args.budget, block)
     if args.out:
         save_history(history, args.out)
-    return {
-        "iterations": iterations,
-        "learning_rate": args.eta,
-        "snapshots": [Encoded(s.text) for s in history.snapshots],
-        "final_objective": history.snapshots[-1].allocation.objective,
-    }
+    return payload
 
 
 def cmd_markov(args) -> dict:
@@ -222,11 +201,7 @@ def cmd_train(args) -> dict:
 
 
 def cmd_predict(args) -> str:
-    with open_text(args.model, ModelFormatError) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"{args.model}: invalid JSON: {exc.msg}") from None
+    payload = load_json(args.model, ModelFormatError)
     tree = tree_from_dict(payload)
     if "preprocessing" not in payload:
         raise ModelFormatError(f"{args.model}: model lacks the preprocessing section")
@@ -247,9 +222,7 @@ def cmd_predict(args) -> str:
 
 
 def cmd_run(args) -> str:
-    run_scenario(args.scenario, args.out)
-    # the report's one encoding is report.json; print its text
-    return (FsPath(args.out) / "report.json").read_text(encoding="utf-8")
+    return run_scenario(args.scenario, args.out)
 
 
 # -- wiring ----------------------------------------------------------------------

@@ -25,7 +25,6 @@ in floats.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -35,7 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DuplicateStudentId, InputError, InvalidProfile, SchemaViolation, open_text
+from .errors import DuplicateStudentId, InputError, InvalidProfile, SchemaViolation, load_json, open_text
 from .graph import finite_number
 from .prepare import CATEGORICAL, NUMERIC, RawColumn
 
@@ -558,13 +557,24 @@ def profile_to_dict(profile: CohortProfile) -> dict:
 
 
 def profile_from_dict(data: Mapping) -> CohortProfile:
+    """A profile from a JSON object, missing keys taken from the default. A
+    value of the wrong type is an InputError; ranges are validate_profile's."""
     if not isinstance(data, Mapping):
         raise InputError("profile must be a JSON object")
-    allowed = set(profile_to_dict(default_profile()))
-    unknown = set(data) - allowed
+    merged = profile_to_dict(default_profile())
+    unknown = set(data) - set(merged)
     if unknown:
         raise InputError(f"profile: unknown keys {sorted(unknown)}")
-    merged = profile_to_dict(default_profile())
+    for key, value in data.items():
+        if not isinstance(merged[key], Mapping):
+            numbers = {key: value}
+        elif isinstance(value, Mapping):
+            numbers = {f"{key}[{k!r}]": v for k, v in value.items()}
+        else:
+            raise InputError(f"profile: {key} must be a JSON object, got {value!r}")
+        for name, number in numbers.items():
+            if not finite_number(number):
+                raise InputError(f"profile: {name} must be a finite number, got {number!r}")
     merged.update(data)
     profile = CohortProfile(**merged)
     validate_profile(profile)
@@ -572,9 +582,4 @@ def profile_from_dict(data: Mapping) -> CohortProfile:
 
 
 def load_profile(path) -> CohortProfile:
-    with open_text(path, InputError) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON: {exc.msg}") from None
-    return profile_from_dict(data)
+    return profile_from_dict(load_json(path, InputError))

@@ -4,9 +4,12 @@ Two families matter to callers: InputError for malformed files, rows, or
 values handed in from outside (CLI exit code 2), and DomainError for
 well-formed inputs that violate a model-level contract (CLI exit code 1).
 Every file loader opens its input through open_text, so bytes that are not
-UTF-8 become that loader's InputError rather than a UnicodeDecodeError.
+UTF-8 become that loader's InputError rather than a UnicodeDecodeError, and
+every JSON loader parses through load_json, so a parse error reads the same
+from each of them.
 """
 
+import json
 from contextlib import contextmanager
 
 
@@ -40,10 +43,26 @@ def open_text(path, error: type, newline=None):
     it is turned into the loader's own InputError there, not a traceback.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        fh = open(path, "r", encoding="utf-8", newline=newline)
+    except ValueError as exc:  # a NUL byte in the path
+        raise error(f"{path}: {exc}") from None
+    try:
+        with fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def load_json(path, error: type):
+    """Parse a JSON file; text that is not JSON raises error, as does nesting
+    beyond the parser's recursion limit or an integer beyond the digit limit."""
+    try:
+        with open_text(path, error) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except (RecursionError, ValueError) as exc:
+        raise error(f"{path}: invalid JSON: {exc}") from None
 
 
 # graph construction and analysis

@@ -44,7 +44,7 @@ from .errors import (
     MetricsFormatError,
     MissingOutcome,
     UnknownEdge,
-    open_text,
+    load_json,
 )
 from .graph import DependencyEdge, SkillsGraph, finite_number, weighted_centrality
 from .jsonio import FloatItems, dumps, object_texts, texts_of
@@ -389,14 +389,7 @@ def metrics_from_dict(data: Mapping) -> list[MetricsReport]:
 
 
 def load_metrics(path) -> list[MetricsReport]:
-    with open_text(path, MetricsFormatError) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MetricsFormatError(
-                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from exc
-    return metrics_from_dict(data)
+    return metrics_from_dict(load_json(path, MetricsFormatError))
 
 
 def snapshot_to_dict(snap: CycleSnapshot) -> dict:

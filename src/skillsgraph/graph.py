@@ -9,7 +9,6 @@ every traversal order is deterministic (insertion order, never hash order).
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -24,7 +23,7 @@ from .errors import (
     NonPositiveWeight,
     SelfLoop,
     UnknownEndpoint,
-    open_text,
+    load_json,
 )
 from .jsonio import write_json
 
@@ -335,12 +334,7 @@ def graph_to_dict(graph: SkillsGraph) -> dict:
 
 
 def load_graph(path, allow_cycles: bool = False) -> SkillsGraph:
-    with open_text(path, GraphFormatError) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return graph_from_dict(data, allow_cycles=allow_cycles)
+    return graph_from_dict(load_json(path, GraphFormatError), allow_cycles=allow_cycles)
 
 
 def save_graph(graph: SkillsGraph, path) -> None:

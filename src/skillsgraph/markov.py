@@ -29,6 +29,7 @@ from .errors import (
     StateMismatch,
     open_text,
 )
+from .graph import finite_number
 
 DIFF_TOLERANCE = 1e-10
 RESIDUAL_TOLERANCE = 1e-9
@@ -87,9 +88,9 @@ def _as_vector(tm: TransitionMatrix, dist: Mapping[str, float]) -> np.ndarray:
 def step_distribution(
     tm: TransitionMatrix, dist: Mapping[str, float], steps: int = 1
 ) -> dict:
-    """Push a distribution forward: d P^steps."""
-    if steps < 0:
-        raise StateMismatch(f"steps must be >= 0, got {steps}")
+    """Push a distribution forward: d P^steps, for 0 <= steps <= MAX_ITERATIONS."""
+    if not 0 <= steps <= MAX_ITERATIONS:
+        raise StateMismatch(f"steps must be in [0, {MAX_ITERATIONS}], got {steps}")
     vec = _as_vector(tm, dist)
     for _ in range(steps):
         vec = vec @ tm.matrix
@@ -138,7 +139,11 @@ def _residual(d: np.ndarray, P: np.ndarray) -> float:
 
 def load_counts(path) -> tuple[list[str], list[list[int]]]:
     with open_text(path, CountsFormatError, newline="") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:  # a cell beyond the csv field limit, or a NUL before Python 3.11
+            raise CountsFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise CountsFormatError(f"{path}: empty counts file")
     states = [s.strip() for s in rows[0]]
@@ -151,7 +156,13 @@ def load_counts(path) -> tuple[list[str], list[list[int]]]:
                 f"{path}: line {lineno}: expected {len(states)} cells, got {len(row)}"
             )
         try:
-            counts.append([int(cell) for cell in row])
+            cells = [int(cell) for cell in row]
         except ValueError:
             raise CountsFormatError(f"{path}: line {lineno}: counts must be integers") from None
+        wide = [len(str(cell)) for cell in cells if not finite_number(cell)]
+        if wide:
+            raise CountsFormatError(
+                f"{path}: line {lineno}: counts must fit a float, got an integer of {wide[0]} digits"
+            )
+        counts.append(cells)
     return states, counts

@@ -41,24 +41,23 @@ analyses own stay theirs: a negative budget is NegativeBudget, an eta outside
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path as FsPath
 from typing import Mapping
 
 from . import __version__
 from .allocate import allocate_fractional, plan_to_dict, select_knapsack
-from .errors import ScenarioFormatError, open_text
+from .errors import ScenarioFormatError, load_json
 from .feedback import (
+    CycleHistory,
     FeedbackConfig,
     execute_plan,
     load_metrics,
     run_feedback_cycle,
     save_history,
-    snapshot_to_dict,
 )
 from .graph import finite_number, graph_to_dict, load_graph, validate_dag, weighted_centrality
-from .jsonio import Encoded, write_json
+from .jsonio import Encoded, dumps, write_json
 from .paths import find_optimal_path, path_to_dict
 
 _SCENARIO_KEYS = {"graph", "budget", "allocation_mode", "paths", "actions", "feedback", "seed"}
@@ -108,13 +107,7 @@ def _check_types(path, where: str, data: Mapping, types: dict) -> None:
 
 
 def load_scenario(path) -> dict:
-    with open_text(path, ScenarioFormatError) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioFormatError(
-                f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}"
-            ) from None
+    data = load_json(path, ScenarioFormatError)
     if not isinstance(data, Mapping):
         raise ScenarioFormatError(f"{path}: scenario must be a JSON object")
     unknown = set(data) - _SCENARIO_KEYS
@@ -141,12 +134,50 @@ def load_scenario(path) -> dict:
     return dict(data)
 
 
-def run_scenario(scenario_path, out_dir) -> dict:
-    """Execute a scenario and return the report, also written to report.json.
+# -- stages: each returns its payload as report.json holds it; the CLI commands
+# call them too, so a command prints what the matching stage of `run` reports
 
-    report.json holds the report's only encoding: `skillsgraph run` prints
-    that file's text rather than encoding the report a second time. Each
-    feedback snapshot goes into it as the text it was encoded to for
+
+def validate_stage(graph) -> dict:
+    order = validate_dag(graph)
+    return {"nodes": len(graph.nodes), "edges": len(graph.edges), "topological_order": order}
+
+
+def allocation_stage(graph, budget, mode: str) -> dict:
+    """mode "select" is the exact 0/1 knapsack; anything else is fractional."""
+    allocator = select_knapsack if mode == "select" else allocate_fractional
+    return plan_to_dict(allocator(graph, budget))
+
+
+def path_stage(graph, query: Mapping) -> dict:
+    """query is a scenario's path query: from, to and an optional tau."""
+    found = find_optimal_path(graph, query["from"], query["to"], query.get("tau"))
+    return {"query": dict(query), "path": path_to_dict(found)}
+
+
+def feedback_stage(graph, metrics, budget, block: Mapping) -> tuple[CycleHistory, dict]:
+    """Run the feedback rounds a scenario's feedback block asks for: eta,
+    iterations, and w_min/w_max where given (FeedbackConfig's defaults
+    otherwise). Returns the history and the stage payload."""
+    config = FeedbackConfig(
+        learning_rate=block["eta"],
+        iterations=block["iterations"],
+        **{key: block[key] for key in ("w_min", "w_max") if key in block},
+    )
+    history = run_feedback_cycle(graph, metrics, config, budget)
+    return history, {
+        "iterations": config.iterations,
+        "learning_rate": config.learning_rate,
+        "snapshots": [Encoded(s.text) for s in history.snapshots],
+        "final_objective": history.snapshots[-1].allocation.objective,
+    }
+
+
+def run_scenario(scenario_path, out_dir) -> str:
+    """Execute a scenario, write report.json, and return the text written.
+
+    That text is the report's only encoding: `skillsgraph run` prints it.
+    Each feedback snapshot goes into it as the text it was encoded to for
     history.jsonl.
     """
     scenario_path = FsPath(scenario_path)
@@ -172,31 +203,17 @@ def run_scenario(scenario_path, out_dir) -> dict:
     graph = load_graph(base / scenario["graph"])
     budget = scenario["budget"]
 
-    order = timed("validate", lambda: validate_dag(graph))
-    stages["validate"] = {
-        "nodes": len(graph.nodes),
-        "edges": len(graph.edges),
-        "topological_order": order,
-    }
+    stages["validate"] = timed("validate", lambda: validate_stage(graph))
 
-    centrality = timed("centrality", lambda: weighted_centrality(graph))
-    stages["centrality"] = centrality
-    write_artifact("centrality.json", centrality)
+    stages["centrality"] = timed("centrality", lambda: weighted_centrality(graph))
+    write_artifact("centrality.json", stages["centrality"])
 
     mode = scenario.get("allocation_mode", "fractional")
-    allocator = select_knapsack if mode == "select" else allocate_fractional
-    plan = timed("allocation", lambda: allocator(graph, budget))
-    stages["allocation"] = plan_to_dict(plan)
-    write_artifact("allocation.json", plan_to_dict(plan))
+    stages["allocation"] = timed("allocation", lambda: allocation_stage(graph, budget, mode))
+    write_artifact("allocation.json", stages["allocation"])
 
     queries = scenario.get("paths", [])
-    def run_paths():
-        results = []
-        for query in queries:
-            found = find_optimal_path(graph, query["from"], query["to"], query.get("tau"))
-            results.append({"query": dict(query), "path": path_to_dict(found)})
-        return results
-    path_results = timed("paths", run_paths)
+    path_results = timed("paths", lambda: [path_stage(graph, query) for query in queries])
     stages["paths"] = path_results
     if queries:
         write_artifact("paths.json", path_results)
@@ -204,32 +221,15 @@ def run_scenario(scenario_path, out_dir) -> dict:
     fb = scenario.get("feedback")
     if fb is not None:
         metrics = load_metrics(base / fb["metrics"])
-        config = FeedbackConfig(
-            learning_rate=fb["eta"],
-            w_min=fb.get("w_min", 0.01),
-            w_max=fb.get("w_max", 10.0),
-            iterations=fb["iterations"],
-        )
-        history = timed("feedback", lambda: run_feedback_cycle(graph, metrics, config, budget))
+        history, payload = timed("feedback", lambda: feedback_stage(graph, metrics, budget, fb))
 
         actions = scenario.get("actions")
         if actions is None and path_results:
             actions = path_results[0]["path"]["nodes"]
-        success_rates = None
-        if actions:
-            success_rates = [
-                execute_plan(actions, metrics[k]).success_rate
-                for k in range(config.iterations)
-            ]
-
-        final = history.snapshots[-1]
-        stages["feedback"] = {
-            "iterations": config.iterations,
-            "learning_rate": config.learning_rate,
-            "snapshots": [Encoded(s.text) for s in history.snapshots],
-            "final_objective": final.allocation.objective,
-            "success_rates": success_rates,
-        }
+        payload["success_rates"] = [
+            execute_plan(actions, metrics[k]).success_rate for k in range(fb["iterations"])
+        ] if actions else None
+        stages["feedback"] = payload
         save_history(history, out / "history.jsonl")
         artifacts["history"] = "history.jsonl"
         write_artifact("final_graph.json", graph_to_dict(history.final_graph))
@@ -242,8 +242,6 @@ def run_scenario(scenario_path, out_dir) -> dict:
         "artifacts": artifacts,
         "timings": timings,
     }
-    write_json(out / "report.json", report)
-    if fb is not None:
-        # the caller gets the snapshots as the dicts report.json spells out
-        stages["feedback"]["snapshots"] = [snapshot_to_dict(s) for s in history.snapshots]
-    return report
+    text = dumps(report) + "\n"
+    (out / "report.json").write_text(text, encoding="utf-8")
+    return text

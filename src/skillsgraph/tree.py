@@ -13,7 +13,6 @@ smallest threshold. Fitting is deterministic: same data, same tree.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
@@ -27,7 +26,7 @@ from .errors import (
     MissingFeature,
     ModelFormatError,
     PartitionMismatch,
-    open_text,
+    load_json,
 )
 from .graph import finite_number
 from .jsonio import write_json
@@ -442,6 +441,8 @@ def tree_from_dict(data: Mapping) -> DecisionTree:
     if not tree.nodes:
         raise ModelFormatError("malformed model: empty node list")
     for i, node in enumerate(tree.nodes):
+        if not _is_index(node.prediction):
+            raise ModelFormatError(f"malformed model: node {i} predicts {node.prediction!r}")
         if node.kind == "leaf":
             continue
         if node.kind != "split":
@@ -469,9 +470,4 @@ def save_tree(tree: DecisionTree, path, extra: Mapping | None = None) -> None:
 
 
 def load_tree(path) -> DecisionTree:
-    with open_text(path, ModelFormatError) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"{path}: invalid JSON: {exc.msg}") from None
-    return tree_from_dict(data)
+    return tree_from_dict(load_json(path, ModelFormatError))

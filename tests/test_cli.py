@@ -348,6 +348,70 @@ class TestUndecodableInput:
         assert payload["error"]["kind"] == "IOError"
 
 
+class TestLoaderErrors:
+    """Every JSON loader reports a parse failure the same way, exit 2."""
+
+    LOADERS = {
+        "graph": ("GraphFormatError", ["validate", "--graph", "{}"]),
+        "metrics": (
+            "MetricsFormatError",
+            ["feedback", "--graph", str(CASE_STUDY / "graph.json"), "--metrics", "{}",
+             "--eta", "0.5", "--budget", "10"],
+        ),
+        "scenario": ("ScenarioFormatError", ["run", "{}", "--out", "{}.out"]),
+        # the model is read before the data, which is never reached
+        "model": ("ModelFormatError", ["predict", "--model", "{}", "--data", "{}.csv"]),
+        "profile": ("InputError", ["cohort", "gen", "--n", "3", "--profile", "{}"]),
+    }
+
+    def assert_loader_error(self, capsys, tmp_path, loader, text):
+        kind, argv = self.LOADERS[loader]
+        path = tmp_path / f"{loader}.json"
+        path.write_text(text)
+        return path, assert_error(capsys, 2, kind, *(arg.replace("{}", str(path)) for arg in argv))
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    def test_parse_error_names_line_and_column(self, capsys, tmp_path, loader):
+        path, message = self.assert_loader_error(capsys, tmp_path, loader, '{\n  "a": 1,\n}')
+        assert message == f"{path}: invalid JSON at line 3 column 1: Expecting property name enclosed in double quotes"
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    def test_nesting_beyond_the_recursion_limit(self, capsys, tmp_path, loader):
+        path, message = self.assert_loader_error(capsys, tmp_path, loader, "[" * 100_000 + "]" * 100_000)
+        assert message.startswith(f"{path}: invalid JSON: ")
+
+    @pytest.mark.parametrize("loader", sorted(LOADERS))
+    def test_integer_beyond_the_digit_limit(self, capsys, tmp_path, loader):
+        path, message = self.assert_loader_error(capsys, tmp_path, loader, "1" * 5000)
+        assert message.startswith(f"{path}: invalid JSON: ")
+
+    @pytest.mark.parametrize("key", ["graph", "feedback_metrics"])
+    def test_nul_byte_in_a_scenario_path(self, capsys, tmp_path, key):
+        scenario = TestRunScenario.case_study_scenario(tmp_path, **{key: "a\u0000b.json"})
+        kind = "GraphFormatError" if key == "graph" else "MetricsFormatError"
+        message = assert_error(capsys, 2, kind, "run", str(scenario), "--out", str(tmp_path / "out"))
+        assert message.endswith("embedded null byte")
+
+    def test_profile_value_of_the_wrong_type(self, capsys, tmp_path):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"engaged_fraction": True}))
+        message = assert_error(capsys, 2, "InputError", "cohort", "gen", "--n", "3", "--profile", str(profile))
+        assert "engaged_fraction" in message
+
+    def test_count_beyond_a_float(self, capsys, tmp_path):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("a,b\n1" + "0" * 400 + ",1\n0,1\n")
+        message = assert_error(capsys, 2, "CountsFormatError", "markov", "--counts", str(counts))
+        assert "line 2" in message
+
+    def test_markov_steps_beyond_the_cap(self, capsys):
+        message = assert_error(
+            capsys, 1, "StateMismatch",
+            "markov", "--counts", str(CASE_STUDY / "transitions.csv"), "--iters", str(10**20),
+        )
+        assert "100000" in message
+
+
 class TestModelCommands:
     @pytest.fixture()
     def cohort_csv(self, tmp_path):
@@ -432,6 +496,14 @@ class TestModelCommands:
         payload = self.trained_model(capsys, tmp_path, cohort_csv)
         assert payload["nodes"][0]["kind"] == "split"
         payload["nodes"][0][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert_input_error(capsys, "ModelFormatError", "predict", "--model", str(bad), "--data", str(cohort_csv))
+
+    @pytest.mark.parametrize("value", [None, "x", True, 1.5])
+    def test_predict_rejects_malformed_prediction(self, capsys, tmp_path, cohort_csv, value):
+        payload = self.trained_model(capsys, tmp_path, cohort_csv)
+        next(n for n in payload["nodes"] if n["kind"] == "leaf")["prediction"] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         assert_input_error(capsys, "ModelFormatError", "predict", "--model", str(bad), "--data", str(cohort_csv))
@@ -635,6 +707,35 @@ class TestRunScenario:
     def test_scenario_value_types_are_two(self, capsys, tmp_path, changes):
         bad = self.case_study_scenario(tmp_path, **changes)
         assert_input_error(capsys, "ScenarioFormatError", "run", str(bad), "--out", str(tmp_path / "out"))
+
+    @pytest.mark.parametrize("mode", ["fractional", "select"])
+    def test_commands_print_the_stages_of_run(self, capsys, tmp_path, mode):
+        """Given the same inputs, each command prints what the matching stage
+        of run reports, apart from what is the command's or run's own."""
+        queries = [{"from": "v1", "to": "v5", "tau": None}, {"from": "v1", "to": "v5", "tau": 2.0}]
+        scenario = self.case_study_scenario(tmp_path, allocation_mode=mode, paths=queries)
+        code, report = run_json(capsys, "run", str(scenario), "--out", str(tmp_path / "out"))
+        assert code == 0
+        stages = report["stages"]
+        stages["validate"]["acyclic"] = True
+        del stages["feedback"]["success_rates"]
+        graph = ["--graph", str(CASE_STUDY / "graph.json")]
+        commands = {
+            "validate": ["validate", *graph],
+            "allocation": ["allocate", *graph, "--budget", "10.0", "--mode", mode],
+            "feedback": [
+                "feedback", *graph, "--metrics", str(CASE_STUDY / "metrics.json"),
+                "--eta", "0.5", "--iters", "2", "--budget", "10.0",
+            ],
+        }
+        for stage, argv in commands.items():
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert out == json.dumps(stages[stage], indent=2, sort_keys=True) + "\n", stage
+        for query, tau in zip(stages["paths"], ([], ["--tau", "2.0"])):
+            code, out, _ = run_cli(capsys, "path", *graph, "--from", "v1", "--to", "v5", *tau)
+            assert code == 0
+            assert out == json.dumps(query, indent=2, sort_keys=True) + "\n"
 
     def test_integer_feedback_bounds_write_float_weights(self, capsys, tmp_path):
         # eta 1 moves each observed weight onto its metric; the case study's

@@ -9,6 +9,7 @@ first error and give the same records and learner columns.
 import csv
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -240,6 +241,32 @@ class TestProfiles:
         path = tmp_path / "profile.json"
         path.write_text(json.dumps(profile_to_dict(planted_profile())))
         assert load_profile(path) == planted_profile()
+
+    @pytest.mark.parametrize(
+        "patch, key",
+        [
+            ({"mentoring_dose_slope": "x"}, "mentoring_dose_slope"),
+            ({"mentoring_dose_slope": None}, "mentoring_dose_slope"),
+            ({"engaged_fraction": True}, "engaged_fraction"),
+            ({"p_other": 10**400}, "p_other"),
+            ({"p_engaged": float("nan")}, "p_engaged"),
+            ({"education": None}, "education"),
+            ({"education": [0.25] * 4}, "education"),
+            ({"education": {"phd": "x", "masters": 1, "undergraduate": 0, "high_school": 0}}, "education['phd']"),
+            ({"education": {"phd": None, "masters": 1, "undergraduate": 0, "high_school": 0}}, "education['phd']"),
+            ({"male_given_education": {level: "x" for level in EDUCATION_LEVELS}}, "male_given_education['phd']"),
+            ({"education_employment_shift": {"phd": False}}, "education_employment_shift['phd']"),
+        ],
+    )
+    def test_profile_value_types_are_input_errors(self, patch, key):
+        with pytest.raises(InputError, match=re.escape(f"profile: {key} must be")):
+            profile_from_dict(patch)
+
+    def test_profile_ranges_stay_invalid_profile(self):
+        with pytest.raises(InvalidProfile):
+            profile_from_dict({"engaged_fraction": 1.5})
+        with pytest.raises(InvalidProfile):
+            profile_from_dict({"education": {"phd": 1}})
 
     def test_load_profile_bad_json(self, tmp_path):
         path = tmp_path / "profile.json"

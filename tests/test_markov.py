@@ -16,7 +16,7 @@ from skillsgraph.errors import (
     ShapeMismatch,
     StateMismatch,
 )
-from skillsgraph.markov import load_counts
+from skillsgraph.markov import MAX_ITERATIONS, load_counts
 
 SWAP = build_transition_matrix(["a", "b"], [[0, 1], [1, 0]])
 
@@ -109,6 +109,12 @@ class TestStepDistribution:
         with pytest.raises(StateMismatch):
             step_distribution(SWAP, {"a": 1.0, "b": 0.0}, steps=-1)
 
+    @pytest.mark.parametrize("steps", [MAX_ITERATIONS + 1, 10**20])
+    def test_steps_beyond_the_cap_rejected(self, steps):
+        # refused before any step: 10**20 steps would never end
+        with pytest.raises(StateMismatch, match=f"{MAX_ITERATIONS}"):
+            step_distribution(SWAP, {"a": 1.0, "b": 0.0}, steps=steps)
+
 
 class TestStationary:
     def test_hand_case(self):
@@ -170,6 +176,19 @@ class TestCountsFile:
         p = tmp_path / "c.csv"
         p.write_text(text)
         with pytest.raises(CountsFormatError):
+            load_counts(p)
+
+    @pytest.mark.parametrize("digits", ["1" + "0" * 400, "-" + "9" * 400], ids=["huge", "huge_negative"])
+    def test_count_beyond_a_float_names_the_line(self, tmp_path, digits):
+        p = tmp_path / "c.csv"
+        p.write_text(f"a,b\n9,1\n5,{digits}\n")
+        with pytest.raises(CountsFormatError, match=r"line 3: counts must fit a float, got an integer of 40[01] digits"):
+            load_counts(p)
+
+    def test_cell_beyond_the_csv_field_limit_names_the_line(self, tmp_path):
+        p = tmp_path / "c.csv"
+        p.write_text("a,b\n9,1\n5," + "1" * 200_000 + "\n")
+        with pytest.raises(CountsFormatError, match="line 3: field larger than field limit"):
             load_counts(p)
 
     def test_bundled_example(self):
