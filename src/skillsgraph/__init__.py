@@ -7,7 +7,7 @@ from-scratch decision tree with grid search (prepare, tree, search), synthetic
 cohorts (cohort), and a scenario runner plus CLI (scenario, cli).
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .allocate import (
     AllocationPlan,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path as FsPath
 
 from . import __version__
@@ -63,11 +64,15 @@ def _predictions_text(accuracy, n: int, student_ids, predictions) -> str:
     shape {"prediction": int, "student_id": str} formatted directly."""
     head = dumps({"accuracy": accuracy, "n": n})[: -len("\n}")]
     rows = ",".join(
-        f'\n    {{\n      "prediction": {int(p)},\n      "student_id": {json.dumps(sid)}\n    }}'
+        f'\n    {{\n      "prediction": {int(p)},\n      "student_id": {encode_basestring_ascii(sid)}\n    }}'
         for sid, p in zip(student_ids, predictions)
     )
     body = f"[{rows}\n  ]" if rows else "[]"
     return f'{head},\n  "predictions": {body}\n}}\n'
+
+
+# the most values one LO:HI grid flag may name; checked before the range is built
+MAX_RANGE_VALUES = 1000
 
 
 def _parse_range(text: str, flag: str) -> tuple[int, ...]:
@@ -78,10 +83,20 @@ def _parse_range(text: str, flag: str) -> tuple[int, ...]:
             lo, hi = int(lo_text), int(hi_text)
             if lo > hi:
                 raise ValueError
-            return tuple(range(lo, hi + 1))
-        return (int(text),)
+        else:
+            lo = hi = int(text)
     except ValueError:
         raise InputError(f"{flag} expects N or LO:HI, got {text!r}") from None
+    if hi - lo + 1 > MAX_RANGE_VALUES:
+        raise InputError(
+            f"{flag} {text!r} names {hi - lo + 1} values, more than the cap of {MAX_RANGE_VALUES}"
+        )
+    return tuple(range(lo, hi + 1))
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise InputError(f"--seed must be >= 0, got {seed}")
 
 
 def _parse_criteria(text: str) -> tuple[str, ...]:
@@ -143,6 +158,7 @@ def cmd_markov(args) -> dict:
 
 
 def cmd_cohort_gen(args) -> dict:
+    _check_seed(args.seed)
     if args.planted and args.profile:
         raise InputError("--planted and --profile are mutually exclusive")
     if args.planted:
@@ -165,15 +181,16 @@ def cmd_cohort_summarize(args) -> dict:
 
 
 def cmd_train(args) -> dict:
+    _check_seed(args.seed)
     if args.folds < 2:
         raise InputError(f"--folds must be at least 2, got {args.folds}")
-    columns, labels = feature_columns(load_cohort_table(args.data))
-    data = preprocess(columns, labels)
     grid = GridSpec(
         max_depths=_parse_range(args.grid_depth, "--grid-depth"),
         min_samples_leaves=_parse_range(args.grid_leaf, "--grid-leaf"),
         criteria=_parse_criteria(args.criteria),
     )
+    columns, labels = feature_columns(load_cohort_table(args.data))
+    data = preprocess(columns, labels)
     result = grid_search_cv(data, grid, folds=args.folds, seed=args.seed)
 
     artifacts = {}

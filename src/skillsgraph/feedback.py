@@ -17,16 +17,18 @@ The loop also keeps one text layout per cycle: the '"src->dst": w' item of
 each weight and the item of each node's centrality, in json's key order, and
 the allocation's text, encoded once since every snapshot shares the plan.
 After a round it re-formats only the weights that round observed (and the
-centrality, which every round changes). A snapshot's indented text, which
-the reports embed (CycleSnapshot.text), and its history.jsonl line
-(CycleSnapshot.line) are two joins over the same item strings. A snapshot
-built by hand, snapshot 0 of a graph with an int weight, and every snapshot
-of a graph whose edge keys repeat (possible only without build_graph) are
-encoded from snapshot_to_dict() on first use.
+centrality, which every round changes), and a snapshot's history.jsonl line
+(CycleSnapshot.line) is one join over the item strings. A snapshot built by
+hand, snapshot 0 of a graph with an int weight, and every snapshot of a
+graph whose edge keys repeat (possible only without build_graph) are encoded
+from snapshot_to_dict() on first use. The reports name the history by its
+line count and the SHA-256 of its bytes (history_digest), not by embedding
+the snapshots.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -47,7 +49,7 @@ from .errors import (
     load_json,
 )
 from .graph import DependencyEdge, SkillsGraph, finite_number, weighted_centrality
-from .jsonio import FloatItems, dumps, object_texts, texts_of
+from .jsonio import FloatItems, object_line
 
 EdgeKey = tuple  # (src, dst)
 
@@ -99,11 +101,6 @@ class CycleSnapshot:
     weights: dict  # (src, dst) -> weight, edge insertion order
     centrality: dict
     allocation: AllocationPlan
-
-    @cached_property
-    def text(self) -> str:
-        """dumps(snapshot_to_dict(self)), as the reports embed it."""
-        return dumps(snapshot_to_dict(self))
 
     @cached_property
     def line(self) -> str:
@@ -198,29 +195,29 @@ def update_weights(
 
 
 class _SnapshotLayout:
-    """The texts of one cycle's snapshots, kept item by item: the cycle
+    """The lines of one cycle's snapshots, kept item by item: the cycle
     assigns the values a round changed, and encode() joins the current items
-    into a snapshot's text and line."""
+    into a snapshot's line."""
 
     def __init__(self, names: list, weights: list, first: CycleSnapshot):
         self.weights = FloatItems(names, weights)
         self.centrality = FloatItems(first.centrality, list(first.centrality.values()))
-        self._allocation = texts_of(dict(first.allocation.allocation), 1)
-        self._objective = texts_of(first.allocation.objective, 1)
+        self._allocation = json.dumps(dict(first.allocation.allocation), sort_keys=True)
+        self._objective = json.dumps(first.allocation.objective)
 
     def encode(self, snapshot: CycleSnapshot) -> CycleSnapshot:
-        """Set the snapshot's text and line, the texts of snapshot_to_dict(),
-        from the current items, and return it."""
-        text, line = object_texts(
+        """Set the snapshot's line, the text of snapshot_to_dict(), from the
+        current items, and return it."""
+        line = object_line(
             {
-                "iteration": texts_of(snapshot.iteration, 1),
-                "weights": self.weights.texts(1),
-                "centrality": self.centrality.texts(1),
+                "iteration": json.dumps(snapshot.iteration),
+                "weights": self.weights.line(),
+                "centrality": self.centrality.line(),
                 "allocation": self._allocation,
                 "objective": self._objective,
             }
         )
-        vars(snapshot).update(text=text, line=line)  # where cached_property keeps them
+        vars(snapshot)["line"] = line  # where cached_property keeps it
         return snapshot
 
 
@@ -402,10 +399,19 @@ def snapshot_to_dict(snap: CycleSnapshot) -> dict:
     }
 
 
+def history_digest(history: CycleHistory) -> str:
+    """The SHA-256, in hex, of the bytes save_history writes."""
+    digest = hashlib.sha256()
+    for snap in history.snapshots:
+        digest.update(snap.line.encode("utf-8"))
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
 def save_history(history: CycleHistory, path) -> None:
     """One line per snapshot: json.dumps(snapshot_to_dict(snap), sort_keys=True),
-    the snapshot's line."""
-    with open(path, "w", encoding="utf-8") as fh:
+    the snapshot's line, each ended by a newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for snap in history.snapshots:
             fh.write(snap.line)
             fh.write("\n")

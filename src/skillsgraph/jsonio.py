@@ -13,17 +13,12 @@ Keys, numbers (NaN and the infinities too), strings and errors are the C
 encoder's or follow json.encoder's own rules, so the text, or the exception
 class, is the one json.dumps gives.
 
-A value whose text is already known goes in as Encoded(dumps(value)): the
-writer copies that text, indented to the depth it lands at, instead of
-encoding the value again. That is exact: an encoded JSON string never holds
-a raw newline, so every newline in the text is the writer's own.
-
 A series of dicts that share their keys, such as the snapshots of a feedback
-cycle, is encoded from one layout. FloatItems keeps a flat dict's item texts
+cycle, is encoded from one layout, one line each: the text of
+json.dumps(obj, sort_keys=True). FloatItems keeps a flat dict's item texts
 ('"key": value') in sorted key order and re-formats only the values that
-change, and object_texts joins a dict's members, each given as its two texts,
-into the dict's dumps() text and its one-line json.dumps(obj,
-sort_keys=True) text. Both forms are joins over the same item strings.
+change, and object_line joins a dict's members, each given as its one-line
+text, into the dict's.
 """
 
 from __future__ import annotations
@@ -37,16 +32,7 @@ from typing import Mapping
 _INDENT = "  "
 
 
-class Encoded:
-    """A value's dumps() text, written in place of the value."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        self.text = text
-
-
-_NESTED = (dict, list, tuple, Encoded)
+_NESTED = (dict, list, tuple)
 # the value types the C encoder takes as they are; a container whose values
 # all have one of these exact types is flat without an isinstance scan
 _PLAIN = frozenset({str, int, float, bool, type(None)})
@@ -87,9 +73,6 @@ def _write(obj, depth: int, write, path: set) -> None:
         values, opening, closing = obj.values(), "{", "}"
     elif isinstance(obj, (list, tuple)):
         values, opening, closing = obj, "[", "]"
-    elif isinstance(obj, Encoded):
-        write(obj.text.replace("\n", "\n" + _INDENT * depth) if depth else obj.text)
-        return
     else:
         write(_flat_encoder(depth)(obj))
         return
@@ -133,14 +116,6 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def texts_of(obj, depth: int) -> tuple[str, str]:
-    """obj's two texts: dumps(obj) as it is written at depth, and
-    json.dumps(obj, sort_keys=True)."""
-    text = dumps(obj)
-    indented = text.replace("\n", "\n" + _INDENT * depth) if depth else text
-    return indented, json.dumps(obj, sort_keys=True)
-
-
 # json's text for the floats whose repr it does not use
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -160,8 +135,8 @@ class FloatItems:
     values change: '"key": value' per key, in json's sorted key order.
 
     Values are addressed by position in the keys as given. assign()
-    re-formats only the items it is handed, and texts() joins the kept
-    strings into the dict's two texts. The keys must be distinct, as in a
+    re-formats only the items it is handed, and line() joins the kept
+    strings into the dict's one-line text. The keys must be distinct, as in a
     dict, and the values floats (an int's text is not its float's).
     """
 
@@ -188,27 +163,13 @@ class FloatItems:
             slot = slots[position]
             items[slot] = prefixes[slot] + text
 
-    def texts(self, depth: int) -> tuple[str, str]:
-        """The dict's dumps() text as written at depth, and its one-line text."""
-        if not self._items:
-            return "{}", "{}"
-        indent = "\n" + _INDENT * (depth + 1)
-        return (
-            "{" + indent + ("," + indent).join(self._items) + "\n" + _INDENT * depth + "}",
-            "{" + ", ".join(self._items) + "}",
-        )
+    def line(self) -> str:
+        """The dict's one-line text, json.dumps(obj, sort_keys=True)."""
+        return "{" + ", ".join(self._items) + "}"
 
 
-def object_texts(members: Mapping) -> tuple[str, str]:
-    """dumps(obj) and json.dumps(obj, sort_keys=True) for a dict obj whose
-    every value is given as its two texts, the first as written at depth 1
-    (see texts_of())."""
-    if not members:
-        return "{}", "{}"
+def object_line(members: Mapping) -> str:
+    """json.dumps(obj, sort_keys=True) for a dict obj whose every value is
+    given as its own one-line text."""
     keys = sorted(members)
-    prefixes = [_key(key) + ": " for key in keys]
-    indented, compact = zip(*map(members.__getitem__, keys))
-    return (
-        "{\n  " + ",\n  ".join(map(add, prefixes, indented)) + "\n}",
-        "{" + ", ".join(map(add, prefixes, compact)) + "}",
-    )
+    return "{" + ", ".join(_key(key) + ": " + members[key] for key in keys) + "}"

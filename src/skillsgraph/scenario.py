@@ -52,13 +52,17 @@ from .feedback import (
     CycleHistory,
     FeedbackConfig,
     execute_plan,
+    history_digest,
     load_metrics,
     run_feedback_cycle,
     save_history,
 )
 from .graph import finite_number, graph_to_dict, load_graph, validate_dag, weighted_centrality
-from .jsonio import Encoded, dumps, write_json
+from .jsonio import dumps, write_json
 from .paths import find_optimal_path, path_to_dict
+
+# the shape of report.json; readers ignore top-level keys they do not know
+REPORT_VERSION = 2
 
 _SCENARIO_KEYS = {"graph", "budget", "allocation_mode", "paths", "actions", "feedback", "seed"}
 
@@ -158,7 +162,8 @@ def path_stage(graph, query: Mapping) -> dict:
 def feedback_stage(graph, metrics, budget, block: Mapping) -> tuple[CycleHistory, dict]:
     """Run the feedback rounds a scenario's feedback block asks for: eta,
     iterations, and w_min/w_max where given (FeedbackConfig's defaults
-    otherwise). Returns the history and the stage payload."""
+    otherwise). Returns the history and the stage payload, which names the
+    history by its snapshot count and the SHA-256 of its history.jsonl bytes."""
     config = FeedbackConfig(
         learning_rate=block["eta"],
         iterations=block["iterations"],
@@ -168,7 +173,7 @@ def feedback_stage(graph, metrics, budget, block: Mapping) -> tuple[CycleHistory
     return history, {
         "iterations": config.iterations,
         "learning_rate": config.learning_rate,
-        "snapshots": [Encoded(s.text) for s in history.snapshots],
+        "history": {"count": len(history.snapshots), "sha256": history_digest(history)},
         "final_objective": history.snapshots[-1].allocation.objective,
     }
 
@@ -177,8 +182,8 @@ def run_scenario(scenario_path, out_dir) -> str:
     """Execute a scenario, write report.json, and return the text written.
 
     That text is the report's only encoding: `skillsgraph run` prints it.
-    Each feedback snapshot goes into it as the text it was encoded to for
-    history.jsonl.
+    The report is version REPORT_VERSION; its feedback stage names
+    history.jsonl by digest instead of embedding the snapshots.
     """
     scenario_path = FsPath(scenario_path)
     base = scenario_path.parent
@@ -235,6 +240,7 @@ def run_scenario(scenario_path, out_dir) -> str:
         write_artifact("final_graph.json", graph_to_dict(history.final_graph))
 
     report = {
+        "report_version": REPORT_VERSION,
         "tool_version": __version__,
         "scenario": scenario_path.name,
         "seed": scenario.get("seed"),

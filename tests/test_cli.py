@@ -4,18 +4,22 @@ Most invocations go through main() in process for speed; one subprocess case
 proves the module entry point works end to end.
 """
 
+import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import skillsgraph
 from skillsgraph import generate_cohort, planted_profile, summarize, write_cohort_csv
-from skillsgraph.cli import main
+from skillsgraph.cli import MAX_RANGE_VALUES, _parse_range, main
 from skillsgraph.cohort import report_to_dict
 
-CASE_STUDY = Path(__file__).resolve().parents[1] / "scenarios" / "case_study"
+ROOT = Path(__file__).resolve().parents[1]
+CASE_STUDY = ROOT / "scenarios" / "case_study"
 
 
 def run_cli(capsys, *argv):
@@ -218,7 +222,8 @@ class TestGraphCommands:
         )
         assert code == 0
         assert payload["iterations"] == 2
-        assert len(payload["snapshots"]) == 3
+        assert payload["history"]["count"] == 3
+        assert payload["history"]["sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
         assert len(out.read_text().splitlines()) == 3
 
     @pytest.mark.parametrize(
@@ -268,6 +273,12 @@ class TestCohortCommands:
         want = report_to_dict(summarize(generate_cohort(40, seed=2, profile=planted_profile())))
         for key, value in want.items():
             assert payload[key] == value
+
+    def test_gen_negative_seed_is_two(self, capsys, tmp_path):
+        out = tmp_path / "cohort.csv"
+        message = assert_error(capsys, 2, "InputError", "cohort", "gen", "--n", "5", "--seed", "-1", "--out", str(out))
+        assert "--seed" in message
+        assert not out.exists()
 
     def test_gen_profile_and_planted_conflict(self, capsys, tmp_path):
         code, payload = run_json(
@@ -471,6 +482,39 @@ class TestModelCommands:
         assert code == 2
         assert "--grid-depth" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("flag", ["--grid-depth", "--grid-leaf"])
+    @pytest.mark.parametrize("text", ["1:1000000000000", f"0:{MAX_RANGE_VALUES}"])
+    def test_grid_range_beyond_the_cap_is_refused(self, capsys, tmp_path, flag, text):
+        # no data file: the flag is refused before anything is read or fitted
+        message = assert_error(capsys, 2, "InputError", "train", "--data", str(tmp_path / "none.csv"), flag, text)
+        assert flag in message and str(MAX_RANGE_VALUES) in message
+
+    def test_grid_range_at_the_cap_is_admitted(self):
+        assert _parse_range(f"1:{MAX_RANGE_VALUES}", "--grid-leaf") == tuple(range(1, MAX_RANGE_VALUES + 1))
+        assert len(_parse_range("3:15", "--grid-depth")) == 13
+
+    def test_negative_seed_is_two(self, capsys, cohort_csv):
+        message = assert_error(capsys, 2, "InputError", "train", "--data", str(cohort_csv), "--seed", "-1")
+        assert "--seed" in message
+
+    def test_predict_escapes_ids_as_json_does(self, capsys, tmp_path, cohort_csv):
+        out = tmp_path / "model_dir"
+        assert run_json(
+            capsys, "train", "--data", str(cohort_csv), "--grid-depth", "2", "--grid-leaf", "2",
+            "--criteria", "gini", "--folds", "3", "--out", str(out),
+        )[0] == 0
+        lines = cohort_csv.read_text(encoding="utf-8").splitlines(keepends=True)
+        ids = ['Zoë "7"', "back\\slash", "学生"]
+        for i, sid in enumerate(ids, start=1):
+            lines[i] = f'"{sid.replace(chr(34), chr(34) * 2)}"' + lines[i][lines[i].index(","):]
+        data = tmp_path / "odd_ids.csv"
+        data.write_text("".join(lines), encoding="utf-8")
+        code, text, _ = run_cli(capsys, "predict", "--model", str(out / "model.json"), "--data", str(data))
+        assert code == 0
+        payload = json.loads(text)
+        assert [p["student_id"] for p in payload["predictions"][:3]] == ids
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
     @pytest.mark.parametrize("folds", ["0", "1"])
     def test_fewer_than_two_folds_is_two(self, capsys, cohort_csv, folds):
         code, out, err = run_cli(capsys, "train", "--data", str(cohort_csv), "--folds", folds)
@@ -629,6 +673,19 @@ class TestRunScenario:
         on_disk = json.loads((out / "report.json").read_text())
         assert on_disk == report
 
+    def test_report_names_history_by_digest(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        code, report = run_json(capsys, "run", str(CASE_STUDY / "scenario.json"), "--out", str(out))
+        assert code == 0
+        assert report["report_version"] == 2
+        assert report["tool_version"] == skillsgraph.__version__
+        assert report["artifacts"]["history"] == "history.jsonl"
+        written = (out / "history.jsonl").read_bytes()
+        assert report["stages"]["feedback"]["history"] == {
+            "count": written.count(b"\n"),
+            "sha256": hashlib.sha256(written).hexdigest(),
+        }
+
     def test_reruns_identical_modulo_timings(self, capsys, tmp_path):
         reports = []
         for name in ("a", "b"):
@@ -751,8 +808,9 @@ class TestRunScenario:
         history = [json.loads(line) for line in (out / "history.jsonl").read_text().splitlines()]
         final = json.loads((out / "final_graph.json").read_text())
         assert history[-1]["weights"]["v1->v2"] == 1.0
-        for snapshots in (feedback["snapshots"], history):
-            assert all(type(w) is float for snap in snapshots for w in snap["weights"].values())
+        assert all(type(w) is float for snap in history for w in snap["weights"].values())
+        assert "snapshots" not in feedback
+        assert feedback["history"]["sha256"] == hashlib.sha256((out / "history.jsonl").read_bytes()).hexdigest()
         assert all(type(e["weight"]) is float for e in final["edges"])
 
     @pytest.mark.parametrize("huge", ["budget", "cost"])
@@ -787,3 +845,10 @@ def test_module_entry_point_subprocess():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["acyclic"] is True
+
+
+def test_package_version_matches_pyproject():
+    # tomllib is 3.11+, so the [project] table's version is read by pattern
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+    assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == skillsgraph.__version__

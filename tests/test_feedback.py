@@ -1,5 +1,6 @@
 """Plan scoring, weight updates, and the iterative re-optimization loop."""
 
+import hashlib
 import json
 import math
 import random
@@ -31,13 +32,13 @@ from skillsgraph.errors import (
 from skillsgraph.feedback import (
     CycleHistory,
     CycleSnapshot,
+    history_digest,
     load_metrics,
     metrics_from_dict,
     save_history,
     snapshot_to_dict,
 )
 from skillsgraph.graph import SkillsGraph, weighted_centrality
-from skillsgraph.jsonio import dumps
 
 
 def chain_graph(weights=(1.0, 1.0)):
@@ -262,7 +263,7 @@ class TestIntegerBounds:
             assert snap.weights == {("n0", "n1"): 1.0, ("n1", "n2"): 10.0}
             assert all(type(w) is float for w in snap.weights.values())
         assert all(type(e.weight) is float for e in history.final_graph.edges)
-        assert '"n0->n1": 1.0' in history.snapshots[-1].text
+        assert '"n0->n1": 1.0' in history.snapshots[-1].line
 
 
 # -- the per-round graph rebuild, kept as the oracle of the array rounds --------
@@ -458,10 +459,10 @@ def relabel(graph, reports, names):
 def assert_texts_match_dicts(history, path):
     for snap in history.snapshots:
         as_dict = snapshot_to_dict(snap)
-        assert snap.text == dumps(as_dict) == json.dumps(as_dict, indent=2, sort_keys=True)
         assert snap.line == json.dumps(as_dict, sort_keys=True)
     save_history(history, path)
     assert path.read_bytes() == reference_history_bytes(history)
+    assert history_digest(history) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def with_int_weights(graph):
@@ -541,7 +542,7 @@ def test_hand_built_snapshots_encode_their_dicts(tmp_path):
     history = CycleHistory(snapshots=snapshots, final_graph=chain_graph())
     assert_texts_match_dicts(history, tmp_path / "history.jsonl")
     assert '"v2": NaN' in snapshots[0].line
-    assert snapshots[1].text.endswith('"weights": {}\n}')
+    assert snapshots[1].line.endswith('"weights": {}}')
 
 
 # -- metrics files: the bulk round check against the per-metric loop ----------

@@ -1,7 +1,6 @@
-"""The JSON writer against json.dumps(obj, indent=2, sort_keys=True), its
-pre-encoded values against the same, the layout texts (texts_of, FloatItems,
-object_texts) against it and json.dumps(obj, sort_keys=True), and the
-fixed-shape predict writer against the first."""
+"""The JSON writer against json.dumps(obj, indent=2, sort_keys=True), the
+layout texts (FloatItems, object_line) against json.dumps(obj,
+sort_keys=True), and the fixed-shape predict writer against the first."""
 
 import json
 import math
@@ -12,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skillsgraph.cli import _predictions_text
-from skillsgraph.jsonio import Encoded, FloatItems, dumps, object_texts, texts_of, write_json
+from skillsgraph.jsonio import FloatItems, dumps, object_line, write_json
 
 ODD_TEXT = ['"', "\\", "{", "}", "[", "]", ",", ":", "\n", "\t", "\x00", "\x1f", "é", "ключ", " ", "😀"]
 ODD_FLOATS = [-0.0, 0.0, 1e-300, 1e300, 5e-324, math.nan, math.inf, -math.inf, 0.1]
@@ -124,15 +123,15 @@ layout_documents = st.recursive(
 )
 
 
-def both(obj):
-    """The two texts the layout functions give: indented and one-line."""
-    return reference(obj), json.dumps(obj, sort_keys=True)
+def line(obj) -> str:
+    """The one-line text the layout functions give."""
+    return json.dumps(obj, sort_keys=True)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.dictionaries(layout_texts, layout_documents, max_size=5))
 def test_object_texts_match_json_dumps(members):
-    assert object_texts({k: texts_of(v, 1) for k, v in members.items()}) == both(members)
+    assert object_line({k: line(v) for k, v in members.items()}) == line(members)
 
 
 float_values = st.one_of(st.floats(), st.sampled_from(ODD_FLOATS + [1e308, -1e308]))
@@ -146,14 +145,14 @@ float_keys = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(float_keys, st.data())
 def test_float_items_follow_their_assignments(keys, data):
-    """After every assignment, the kept items make the texts of the dict as
-    it now stands, at depth 0 and nested at depth 1."""
+    """After every assignment, the kept items make the text of the dict as
+    it now stands, alone and nested in another."""
     values = data.draw(st.lists(float_values, min_size=len(keys), max_size=len(keys)))
     items = FloatItems(keys, values)
     for _ in range(data.draw(st.integers(0, 4))):
         current = dict(zip(keys, values))
-        assert items.texts(0) == both(current)
-        assert object_texts({"d": items.texts(1)}) == both({"d": current})
+        assert items.line() == line(current)
+        assert object_line({"d": items.line()}) == line({"d": current})
         if data.draw(st.booleans()):
             values = data.draw(st.lists(float_values, min_size=len(keys), max_size=len(keys)))
             items.assign_all(values)
@@ -163,52 +162,18 @@ def test_float_items_follow_their_assignments(keys, data):
             for position, value in zip(positions, new):
                 values[position] = value
             items.assign(positions, new)
-    assert items.texts(0) == both(dict(zip(keys, values)))
+    assert items.line() == line(dict(zip(keys, values)))
 
 
 def test_float_items_spell_non_finite_values_as_json_does():
     keys = ["b", "a", "c", "d", "v10", "v2"]
     values = [math.nan, math.inf, -math.inf, 1e308, 1e308, -0.0]
     items = FloatItems(keys, values)
-    assert items.texts(0) == both(dict(zip(keys, values)))
-    assert '"a": Infinity, "b": NaN, "c": -Infinity' in items.texts(0)[1]
+    assert items.line() == line(dict(zip(keys, values)))
+    assert '"a": Infinity, "b": NaN, "c": -Infinity' in items.line()
     items.assign([0, 4], [0.1, math.nan])
     values[0], values[4] = 0.1, math.nan
-    assert object_texts({"d": items.texts(1)}) == both({"d": dict(zip(keys, values))})
-
-
-SLOT = object()  # where a template takes the value
-
-
-def fill(template, value):
-    if template is SLOT:
-        return value
-    if isinstance(template, dict):
-        return {k: fill(v, value) for k, v in template.items()}
-    if isinstance(template, (list, tuple)):
-        return type(template)(fill(v, value) for v in template)
-    return template
-
-
-templates = st.recursive(st.one_of(st.just(SLOT), scalars), containers, max_leaves=12)
-
-
-@settings(max_examples=150, deadline=None)
-@given(templates, layout_documents)
-def test_encoded_text_writes_as_its_value(template, value):
-    encoded = Encoded(dumps(value))
-    assert dumps(fill(template, encoded)) == dumps(fill(template, value))
-
-
-def test_encoded_at_every_depth(tmp_path):
-    value = {"k": ["a,\n  b", {}, [[]], "é"], "z": {"y": 1.5}}
-    for depth in range(5):
-        template = SLOT
-        for _ in range(depth):
-            template = {"outer": [template, 1]}
-        assert dumps(fill(template, Encoded(dumps(value)))) == reference(fill(template, value))
-        write_json(tmp_path / "x.json", fill(template, Encoded(dumps(value))))
-        assert (tmp_path / "x.json").read_text() == reference(fill(template, value)) + "\n"
+    assert object_line({"d": items.line()}) == line({"d": dict(zip(keys, values))})
 
 
 class Level(IntEnum):
