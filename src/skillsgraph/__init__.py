@@ -18,7 +18,7 @@ from .allocate import (
 )
 from .cohort import (
     CohortProfile,
-    CohortRecord,
+    CohortTable,
     default_profile,
     generate_cohort,
     load_cohort_csv,

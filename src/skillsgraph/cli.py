@@ -21,7 +21,6 @@ from .cohort import (
     feature_columns,
     generate_cohort,
     load_cohort_csv,
-    load_cohort_table,
     load_profile,
     planted_profile,
     report_to_dict,
@@ -167,10 +166,10 @@ def cmd_cohort_gen(args) -> dict:
         profile = load_profile(args.profile)
     else:
         profile = default_profile()
-    records = generate_cohort(args.n, args.seed, profile)
+    table = generate_cohort(args.n, args.seed, profile)
     if args.out:
-        write_cohort_csv(records, args.out)
-    payload = report_to_dict(summarize(records))
+        write_cohort_csv(table, args.out)
+    payload = report_to_dict(summarize(table))
     payload["seed"] = args.seed
     payload["out"] = str(args.out) if args.out else None
     return payload
@@ -189,7 +188,7 @@ def cmd_train(args) -> dict:
         min_samples_leaves=_parse_range(args.grid_leaf, "--grid-leaf"),
         criteria=_parse_criteria(args.criteria),
     )
-    columns, labels = feature_columns(load_cohort_table(args.data))
+    columns, labels = feature_columns(load_cohort_csv(args.data))
     data = preprocess(columns, labels)
     result = grid_search_cv(data, grid, folds=args.folds, seed=args.seed)
 
@@ -224,7 +223,7 @@ def cmd_predict(args) -> str:
         raise ModelFormatError(f"{args.model}: model lacks the preprocessing section")
     stats = stats_from_dict(payload["preprocessing"])
 
-    table = load_cohort_table(args.data)
+    table = load_cohort_csv(args.data)
     columns, labels = feature_columns(table)
     X = apply_stats(columns, stats)
     if X.shape[1] != len(tree.feature_names):

@@ -1,11 +1,13 @@
 """Synthetic participant cohorts and CSV ingestion.
 
-Records describe capacity-building participants: demographics, program
+A cohort describes capacity-building participants: demographics, program
 engagement (mentoring sessions, workshop hours), research output, and the
-binary employment outcome. The generator is calibrated against published
-cohort statistics through a CohortProfile; a profile fully determines the
-sampling scheme and a seed fully determines the draw, so equal
-(n, seed, profile) yield byte-identical CSVs.
+binary employment outcome. It has one shape from generator to CSV to
+learner: a CohortTable, one tuple per CSV column. The generator is
+calibrated against published cohort statistics through a CohortProfile; a
+profile fully determines the sampling scheme and a seed fully determines the
+draw, so equal (n, seed, profile) yield byte-identical CSVs. It draws at most
+MAX_COHORT_ROWS rows.
 
 The base outcome mechanism is a two-group mixture: engaged members find
 employment with probability p_engaged, everyone else with p_other. Profiles
@@ -14,22 +16,23 @@ mentoring dose response; both knobs default to zero so the calibrated default
 profile stays a pure mixture, while planted_profile() uses them to embed a
 recoverable signal for learner evaluation.
 
-A cohort CSV is read straight into columns (a CohortTable), a few thousand
-rows at a time, and checked column by column. A file that fails a check is
-read again row by row, so the error still names the first bad row and its
-column. Count cells (mentoring_sessions, research_projects) must be
-integers >= 0 small enough to convert to a float, since the learner works
-in floats.
+A cohort CSV is read straight into columns, a few thousand rows at a time,
+and checked column by column. A file that fails a check is read again row by
+row, so the error still names the first bad row and its column. Count cells
+(mentoring_sessions, research_projects) must be integers >= 0 small enough
+to convert to a float, since the learner works in floats. The writer quotes
+a cell only where the csv module needs it, so a file the loader accepts
+loads to the same table after it is written back.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import count, islice
-from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -47,19 +50,36 @@ CSV_HEADER = (
     "student_id,gender,ethnicity,education_level,region,"
     "mentoring_sessions,workshop_hours,research_projects,employed"
 )
+_COLUMNS = tuple(CSV_HEADER.split(","))
+_VOCABULARIES = {
+    "gender": GENDERS,
+    "ethnicity": ETHNICITIES,
+    "education_level": EDUCATION_LEVELS,
+    "region": REGIONS,
+}
+MAX_COHORT_ROWS = 1_000_000  # generate_cohort holds the whole table, about 0.2 KB a row
 
 
 @dataclass(frozen=True)
-class CohortRecord:
-    student_id: str
-    gender: str
-    ethnicity: str
-    education_level: str
-    region: str
-    mentoring_sessions: int | None  # None = missing
-    workshop_hours: float | None  # None = missing
-    research_projects: int
-    employed: int
+class CohortTable:
+    """A cohort as columns: one tuple per CSV column, in CSV order.
+
+    Categorical cells are the vocabulary's own strings; None is a missing
+    mentoring or workshop value.
+    """
+
+    student_id: tuple[str, ...]
+    gender: tuple[str, ...]
+    ethnicity: tuple[str, ...]
+    education_level: tuple[str, ...]
+    region: tuple[str, ...]
+    mentoring_sessions: tuple[int | None, ...]
+    workshop_hours: tuple[float | None, ...]
+    research_projects: tuple[int, ...]
+    employed: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.student_id)
 
 
 @dataclass(frozen=True)
@@ -179,10 +199,12 @@ def _draw(rng, items: tuple[str, ...], probs: Sequence[float]) -> str:
     return items[-1]  # u landed in the last bin's rounding slack
 
 
-def generate_cohort(n: int, seed: int, profile: CohortProfile | None = None) -> list[CohortRecord]:
-    """Draw n records; one fixed draw sequence per record, reproducible by seed."""
+def generate_cohort(n: int, seed: int, profile: CohortProfile | None = None) -> CohortTable:
+    """Draw n rows; one fixed draw sequence per row, reproducible by seed."""
     if n < 0:
         raise InvalidProfile(f"n must be >= 0, got {n!r}")
+    if n > MAX_COHORT_ROWS:
+        raise InvalidProfile(f"n must be at most MAX_COHORT_ROWS = {MAX_COHORT_ROWS}, got {n!r}")
     profile = default_profile() if profile is None else profile
     validate_profile(profile)
 
@@ -191,7 +213,8 @@ def generate_cohort(n: int, seed: int, profile: CohortProfile | None = None) -> 
     eth_probs = [profile.ethnicity[group] for group in ETHNICITIES]
     region_probs = [1.0 / len(REGIONS)] * len(REGIONS)
 
-    records = []
+    columns = [[] for _ in _COLUMNS]
+    ids, genders, ethnicities, educations, regions, mentorings, workshops, researches, outcomes = columns
     for i in range(n):
         education = _draw(rng, EDUCATION_LEVELS, edu_probs)
         gender = "M" if rng.random() < profile.male_given_education[education] else "F"
@@ -210,20 +233,16 @@ def generate_cohort(n: int, seed: int, profile: CohortProfile | None = None) -> 
         p += profile.mentoring_dose_slope * (mentoring - 10)
         p = min(max(p, 0.0), 1.0)
         employed = 1 if rng.random() < p else 0
-        records.append(
-            CohortRecord(
-                student_id=f"S{i + 1:05d}",
-                gender=gender,
-                ethnicity=ethnicity,
-                education_level=education,
-                region=region,
-                mentoring_sessions=mentoring,
-                workshop_hours=workshop,
-                research_projects=research,
-                employed=employed,
-            )
-        )
-    return records
+        ids.append(f"S{i + 1:05d}")
+        genders.append(gender)
+        ethnicities.append(ethnicity)
+        educations.append(education)
+        regions.append(region)
+        mentorings.append(mentoring)
+        workshops.append(workshop)
+        researches.append(research)
+        outcomes.append(employed)
+    return CohortTable(*map(tuple, columns))
 
 
 # -- summaries -------------------------------------------------------------------
@@ -239,43 +258,34 @@ class MarginalReport:
     engaged_count: int
 
 
-def summarize(records: Sequence[CohortRecord]) -> MarginalReport:
-    fields = {
-        "gender": GENDERS,
-        "ethnicity": ETHNICITIES,
-        "education_level": EDUCATION_LEVELS,
-        "region": REGIONS,
+def summarize(table: CohortTable) -> MarginalReport:
+    n = len(table)
+    counts = {
+        name: {**dict.fromkeys(vocabulary, 0), **Counter(getattr(table, name))}
+        for name, vocabulary in _VOCABULARIES.items()
     }
-    counts = {}
-    proportions = {}
-    n = len(records)
-    for field_name, vocabulary in fields.items():
-        tally = {value: 0 for value in vocabulary}
-        for r in records:
-            tally[getattr(r, field_name)] = tally.get(getattr(r, field_name), 0) + 1
-        counts[field_name] = tally
-        proportions[field_name] = {
-            value: (c / n if n else 0.0) for value, c in tally.items()
-        }
+    proportions = {
+        name: {value: (c / n if n else 0.0) for value, c in tally.items()}
+        for name, tally in counts.items()
+    }
 
-    employment = sum(r.employed for r in records) / n if n else None
+    employment = sum(table.employed) / n if n else None
 
-    mentoring_values = [r.mentoring_sessions for r in records if r.mentoring_sessions is not None]
+    mentoring_values = [v for v in table.mentoring_sessions if v is not None]
     engaged_rate = None
     engaged_count = 0
     if mentoring_values:
         median = float(np.median(mentoring_values))
         engaged = [
-            r
-            for r in records
-            if r.workshop_hours is not None
-            and r.workshop_hours > 0
-            and r.mentoring_sessions is not None
-            and r.mentoring_sessions >= median
+            employed
+            for mentoring, workshop, employed in zip(
+                table.mentoring_sessions, table.workshop_hours, table.employed
+            )
+            if workshop is not None and workshop > 0 and mentoring is not None and mentoring >= median
         ]
         engaged_count = len(engaged)
         if engaged:
-            engaged_rate = sum(r.employed for r in engaged) / len(engaged)
+            engaged_rate = sum(engaged) / len(engaged)
 
     return MarginalReport(
         n=n,
@@ -301,26 +311,16 @@ def report_to_dict(report: MarginalReport) -> dict:
 # -- CSV -------------------------------------------------------------------------
 
 
-def write_cohort_csv(records: Sequence[CohortRecord], path) -> None:
+def write_cohort_csv(table: CohortTable, path) -> None:
+    """Write a cohort as CSV, quoting only the cells that need it; None is an
+    empty field."""
+    # The csv writer quotes a cell for a lone "\r" only when the line
+    # terminator holds one, and an unquoted "\r" ends the row when read.
+    has_cr = any("\r" in student_id for student_id in table.student_id)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in records:
-            fh.write(
-                ",".join(
-                    [
-                        r.student_id,
-                        r.gender,
-                        r.ethnicity,
-                        r.education_level,
-                        r.region,
-                        "" if r.mentoring_sessions is None else str(r.mentoring_sessions),
-                        "" if r.workshop_hours is None else str(r.workshop_hours),
-                        str(r.research_projects),
-                        str(r.employed),
-                    ]
-                )
-                + "\n"
-            )
+        writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL if has_cr else csv.QUOTE_MINIMAL)
+        writer.writerow(_COLUMNS)
+        writer.writerows(zip(*(getattr(table, name) for name in _COLUMNS)))
 
 
 def _parse_int(raw: str, lineno: int, column: str, minimum: int = 0) -> int:
@@ -343,44 +343,7 @@ def _parse_count(raw: str, lineno: int, column: str) -> int:
     return value
 
 
-_COLUMNS = tuple(CSV_HEADER.split(","))
-_VOCABULARIES = {
-    "gender": GENDERS,
-    "ethnicity": ETHNICITIES,
-    "education_level": EDUCATION_LEVELS,
-    "region": REGIONS,
-}
 _CHUNK_ROWS = 4096  # rows held as strings at once while the columns fill
-
-
-@dataclass(frozen=True)
-class CohortTable:
-    """A cohort read into columns: one tuple per CSV column, in CSV order.
-
-    Categorical cells are the vocabulary's own strings; None is a missing
-    mentoring or workshop value.
-    """
-
-    student_id: tuple[str, ...]
-    gender: tuple[str, ...]
-    ethnicity: tuple[str, ...]
-    education_level: tuple[str, ...]
-    region: tuple[str, ...]
-    mentoring_sessions: tuple[int | None, ...]
-    workshop_hours: tuple[float | None, ...]
-    research_projects: tuple[int, ...]
-    employed: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.student_id)
-
-    @classmethod
-    def from_records(cls, records: Sequence[CohortRecord]) -> "CohortTable":
-        rows = map(attrgetter(*_COLUMNS), records)
-        return cls(*(zip(*rows) if records else [()] * len(_COLUMNS)))
-
-    def records(self) -> list[CohortRecord]:
-        return list(map(CohortRecord, *(getattr(self, name) for name in _COLUMNS)))
 
 
 @contextmanager
@@ -506,7 +469,7 @@ def _read_columns(path) -> CohortTable | None:
     return CohortTable(**{name: tuple(values) for name, values in columns.items()})
 
 
-def load_cohort_table(path) -> CohortTable:
+def load_cohort_csv(path) -> CohortTable:
     """Read and validate a cohort CSV into columns; empty fields are missing values.
 
     Rows are read in chunks and checked in bulk. A file that fails any check
@@ -518,11 +481,6 @@ def load_cohort_table(path) -> CohortTable:
         _first_error(path)
         raise RuntimeError(f"{path}: a bulk check failed but no row did")
     return table
-
-
-def load_cohort_csv(path) -> list[CohortRecord]:
-    """Parse and validate a cohort CSV into records; empty fields are missing values."""
-    return load_cohort_table(path).records()
 
 
 def feature_columns(table: CohortTable) -> tuple[list[RawColumn], list[int]]:

@@ -40,7 +40,7 @@ from skillsgraph import (
     weighted_centrality,
 )
 from skillsgraph.cli import main
-from skillsgraph.cohort import CohortTable, feature_columns
+from skillsgraph.cohort import feature_columns
 from skillsgraph.graph import load_graph
 from skillsgraph.paths import enumerate_paths
 from skillsgraph.prepare import PreparedDataset, PreprocessStats, preprocess, stratified_split
@@ -229,7 +229,7 @@ def _tiny_dataset(X, y):
 
 
 def _planted_prepared(n, seed):
-    columns, labels = feature_columns(CohortTable.from_records(generate_cohort(n, seed, planted_profile())))
+    columns, labels = feature_columns(generate_cohort(n, seed, planted_profile()))
     return preprocess(columns, labels)
 
 

@@ -265,6 +265,36 @@ class TestCohortCommands:
         run_cli(capsys, "cohort", "gen", "--n", "80", "--seed", "6", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "flags, csv_sha256, summary_sha256",
+        [
+            (
+                [],
+                "6512ff2c938128618b9116b613027e6ca59a9cfa71e02e17f7c4bfb42b0fb271",
+                "b00e123fa18b7392d6d8f1ecbbfccbd3cb6856d63078230077d875904ee1714a",
+            ),
+            (
+                ["--planted"],
+                "789369661379eba37f67f6d637e0fc3d3012a510f5d01a08a866070efff82062",
+                "0ba23fda32636a5a65dd06a32279c784edf405b02d5e28e7aae2042f76c865fa",
+            ),
+        ],
+    )
+    def test_gen_and_summarize_golden_bytes(self, capsys, tmp_path, flags, csv_sha256, summary_sha256):
+        path = tmp_path / "cohort.csv"
+        code, _, _ = run_cli(capsys, "cohort", "gen", "--n", "500", "--seed", "7", *flags, "--out", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == csv_sha256
+        code, out, _ = run_cli(capsys, "cohort", "summarize", "--data", str(path))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == summary_sha256
+
+    def test_gen_n_above_the_cap_is_one_and_writes_nothing(self, capsys, tmp_path):
+        out = tmp_path / "cohort.csv"
+        message = assert_error(capsys, 1, "InvalidProfile", "cohort", "gen", "--n", "1000000000000", "--out", str(out))
+        assert "MAX_COHORT_ROWS" in message and "1000000000000" in message
+        assert not out.exists()
+
     def test_gen_matches_library(self, capsys, tmp_path):
         out = tmp_path / "cohort.csv"
         _, payload = run_json(
@@ -290,11 +320,11 @@ class TestCohortCommands:
 
     def test_summarize_round_trip(self, capsys, tmp_path):
         path = tmp_path / "cohort.csv"
-        records = generate_cohort(60, seed=8)
-        write_cohort_csv(records, path)
+        table = generate_cohort(60, seed=8)
+        write_cohort_csv(table, path)
         code, payload = run_json(capsys, "cohort", "summarize", "--data", str(path))
         assert code == 0
-        assert payload == json.loads(json.dumps(report_to_dict(summarize(records))))
+        assert payload == json.loads(json.dumps(report_to_dict(summarize(table))))
 
 
 class TestUndecodableInput:

@@ -1,12 +1,14 @@
 """Cohort generation, CSV schema enforcement, and summary statistics.
 
-reference_load_cohort_csv checks and builds one record per row, as
+reference_load_cohort_csv checks and builds one row at a time, as
 load_cohort_csv did before cohort files were read into columns, with the
 check that a count fits a float; the columnar loader must raise the same
-first error and give the same records and learner columns.
+first error and give the same table and learner columns. Tests build a
+table from row tuples with CohortTable(*zip(*rows)).
 """
 
 import csv
+import dataclasses
 import math
 import random
 import re
@@ -16,7 +18,7 @@ import pytest
 
 from skillsgraph import (
     CohortProfile,
-    CohortRecord,
+    CohortTable,
     default_profile,
     generate_cohort,
     load_cohort_csv,
@@ -30,10 +32,9 @@ from skillsgraph.cohort import (
     EDUCATION_LEVELS,
     ETHNICITIES,
     GENDERS,
+    MAX_COHORT_ROWS,
     REGIONS,
-    CohortTable,
     feature_columns,
-    load_cohort_table,
     load_profile,
     profile_from_dict,
     profile_to_dict,
@@ -70,8 +71,11 @@ def _reference_parse_count(raw, lineno, column):
     return value
 
 
+EMPTY = CohortTable(*[()] * len(dataclasses.fields(CohortTable)))
+
+
 def reference_load_cohort_csv(path):
-    """Row by row: one dict, one check per field and one record per row."""
+    """Row by row: one dict, one check per field and one tuple per row."""
     expected = CSV_HEADER.split(",")
     with open_text(path, InputError, newline="") as fh:
         reader = csv.reader(fh)
@@ -82,7 +86,7 @@ def reference_load_cohort_csv(path):
         if header != expected:
             raise InputError(f"{path}: header must be exactly {CSV_HEADER!r}")
 
-        records = []
+        rows = []
         seen_ids = set()
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(expected):
@@ -129,44 +133,48 @@ def reference_load_cohort_csv(path):
             if employed not in (0, 1):
                 raise SchemaViolation(lineno, "employed", f"must be 0 or 1, got {employed}")
 
-            records.append(
-                CohortRecord(
-                    student_id=student_id,
-                    gender=values["gender"],
-                    ethnicity=values["ethnicity"],
-                    education_level=values["education_level"],
-                    region=values["region"],
-                    mentoring_sessions=mentoring,
-                    workshop_hours=workshop,
-                    research_projects=research,
-                    employed=employed,
+            rows.append(
+                (
+                    student_id,
+                    values["gender"],
+                    values["ethnicity"],
+                    values["education_level"],
+                    values["region"],
+                    mentoring,
+                    workshop,
+                    research,
+                    employed,
                 )
             )
-    return records
+    return CohortTable(*zip(*rows)) if rows else EMPTY
 
 
-def reference_feature_columns(records):
-    """The learner's columns built record by record."""
+def reference_feature_columns(table):
+    """The learner's columns built row by row."""
+    names = [f.name for f in dataclasses.fields(table)]
+    rows = [dict(zip(names, cells)) for cells in zip(*(getattr(table, name) for name in names))]
+
     def col(name, kind, getter):
-        return RawColumn(name=name, kind=kind, values=tuple(getter(r) for r in records))
+        return RawColumn(name=name, kind=kind, values=tuple(getter(r) for r in rows))
 
     columns = [
-        col("gender", CATEGORICAL, lambda r: r.gender),
-        col("ethnicity", CATEGORICAL, lambda r: r.ethnicity),
-        col("education_level", CATEGORICAL, lambda r: r.education_level),
-        col("region", CATEGORICAL, lambda r: r.region),
+        col("gender", CATEGORICAL, lambda r: r["gender"]),
+        col("ethnicity", CATEGORICAL, lambda r: r["ethnicity"]),
+        col("education_level", CATEGORICAL, lambda r: r["education_level"]),
+        col("region", CATEGORICAL, lambda r: r["region"]),
         col(
             "mentoring_sessions",
             NUMERIC,
-            lambda r: None if r.mentoring_sessions is None else float(r.mentoring_sessions),
+            lambda r: None if r["mentoring_sessions"] is None else float(r["mentoring_sessions"]),
         ),
-        col("workshop_hours", NUMERIC, lambda r: r.workshop_hours),
-        col("research_projects", NUMERIC, lambda r: float(r.research_projects)),
+        col("workshop_hours", NUMERIC, lambda r: r["workshop_hours"]),
+        col("research_projects", NUMERIC, lambda r: float(r["research_projects"])),
     ]
-    return columns, [r.employed for r in records]
+    return columns, [r["employed"] for r in rows]
 
 
-def record(i=1, **over):
+def cohort_row(i=1, **over):
+    """One cohort row as a tuple in CSV column order."""
     base = dict(
         student_id=f"S{i:05d}",
         gender="F",
@@ -179,7 +187,7 @@ def record(i=1, **over):
         employed=1,
     )
     base.update(over)
-    return CohortRecord(**base)
+    return tuple(base.values())
 
 
 def write_lines(path, *rows):
@@ -277,29 +285,39 @@ class TestProfiles:
 
 class TestGenerate:
     def test_zero_rows(self):
-        assert generate_cohort(0, seed=3) == []
+        assert generate_cohort(0, seed=3) == EMPTY
 
     def test_negative_n(self):
         with pytest.raises(InvalidProfile):
             generate_cohort(-1, seed=3)
+
+    def test_n_above_the_cap_is_refused_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a row")
+
+        monkeypatch.setattr(cohort_module, "_draw", no_draw)
+        with pytest.raises(InvalidProfile, match=f"MAX_COHORT_ROWS = {MAX_COHORT_ROWS}, got {MAX_COHORT_ROWS + 1}"):
+            generate_cohort(MAX_COHORT_ROWS + 1, seed=3)
 
     def test_reproducible(self):
         assert generate_cohort(50, seed=9) == generate_cohort(50, seed=9)
         assert generate_cohort(50, seed=9) != generate_cohort(50, seed=10)
 
     def test_engagement_shows_in_workshop_and_mentoring(self):
-        for r in generate_cohort(500, seed=21):
-            assert (r.workshop_hours > 0) == (r.mentoring_sessions >= 11)
-            assert 0 <= r.mentoring_sessions <= 20
-            assert 0 <= r.research_projects <= 5
+        table = generate_cohort(500, seed=21)
+        for workshop, mentoring, research in zip(
+            table.workshop_hours, table.mentoring_sessions, table.research_projects
+        ):
+            assert (workshop > 0) == (mentoring >= 11)
+            assert 0 <= mentoring <= 20
+            assert 0 <= research <= 5
 
     def test_unique_ids(self):
-        records = generate_cohort(300, seed=4)
-        assert len({r.student_id for r in records}) == 300
+        table = generate_cohort(300, seed=4)
+        assert len(set(table.student_id)) == 300
 
     def test_default_calibration_against_published_marginals(self):
-        records = generate_cohort(10000, seed=1)
-        report = summarize(records)
+        report = summarize(generate_cohort(10000, seed=1))
         education_target = {
             "phd": 17 / 380,
             "masters": 229 / 380,
@@ -322,13 +340,13 @@ class TestGenerate:
 
 class TestSummarize:
     def test_hand_cohort(self):
-        records = [
-            record(1, mentoring_sessions=2, workshop_hours=0.0, employed=0),
-            record(2, mentoring_sessions=4, workshop_hours=0.0, employed=1, gender="M"),
-            record(3, mentoring_sessions=12, workshop_hours=20.0, employed=1),
-            record(4, mentoring_sessions=18, workshop_hours=5.5, employed=1, ethnicity="other"),
+        rows = [
+            cohort_row(1, mentoring_sessions=2, workshop_hours=0.0, employed=0),
+            cohort_row(2, mentoring_sessions=4, workshop_hours=0.0, employed=1, gender="M"),
+            cohort_row(3, mentoring_sessions=12, workshop_hours=20.0, employed=1),
+            cohort_row(4, mentoring_sessions=18, workshop_hours=5.5, employed=1, ethnicity="other"),
         ]
-        report = summarize(records)
+        report = summarize(CohortTable(*zip(*rows)))
         assert report.n == 4
         assert report.counts["gender"] == {"M": 1, "F": 3}
         assert report.proportions["ethnicity"]["asian"] == 0.75
@@ -340,7 +358,7 @@ class TestSummarize:
             assert math.fsum(field.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_cohort(self):
-        report = summarize([])
+        report = summarize(EMPTY)
         assert report.n == 0
         assert report.employment_rate is None
         assert report.engaged_employment_rate is None
@@ -356,10 +374,19 @@ class TestSummarize:
 
 class TestCsv:
     def test_write_load_round_trip(self, tmp_path):
-        records = generate_cohort(200, seed=7)
+        table = generate_cohort(200, seed=7)
         path = tmp_path / "cohort.csv"
-        write_cohort_csv(records, path)
-        assert load_cohort_csv(path) == records
+        write_cohort_csv(table, path)
+        assert load_cohort_csv(path) == table
+
+    @pytest.mark.parametrize("student_id", ["S,1", 'S"1', "S\n1", "S\r1"])
+    def test_ids_that_need_quoting_survive_load_write_load(self, tmp_path, student_id):
+        quoted = '"' + student_id.replace('"', '""') + '"'
+        source = write_lines(tmp_path / "in.csv", GOOD_ROW.replace("S00001", quoted), GOOD_ROW)
+        table = load_cohort_csv(source)
+        assert table.student_id == (student_id, "S00001")
+        write_cohort_csv(table, tmp_path / "out.csv")
+        assert load_cohort_csv(tmp_path / "out.csv") == table
 
     def test_byte_identical_writes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -368,12 +395,12 @@ class TestCsv:
         assert a.read_bytes() == b.read_bytes()
 
     def test_missing_markers_round_trip(self, tmp_path):
-        records = [record(1, mentoring_sessions=None, workshop_hours=None)]
+        table = CohortTable(*zip(*[cohort_row(1, mentoring_sessions=None, workshop_hours=None)]))
         path = tmp_path / "cohort.csv"
-        write_cohort_csv(records, path)
+        write_cohort_csv(table, path)
         loaded = load_cohort_csv(path)
-        assert loaded[0].mentoring_sessions is None
-        assert loaded[0].workshop_hours is None
+        assert loaded.mentoring_sessions == (None,)
+        assert loaded.workshop_hours == (None,)
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -390,8 +417,8 @@ class TestCsv:
     def test_missing_fields_allowed(self, tmp_path):
         path = write_lines(tmp_path / "ok.csv", "S00001,F,other,phd,india,,,0,0")
         loaded = load_cohort_csv(path)
-        assert loaded[0].mentoring_sessions is None
-        assert loaded[0].workshop_hours is None
+        assert loaded.mentoring_sessions == (None,)
+        assert loaded.workshop_hours == (None,)
 
     @pytest.mark.parametrize(
         "row,column",
@@ -428,11 +455,11 @@ class TestCsv:
 
 class TestFeatureColumns:
     def test_layout_and_labels(self):
-        records = [
-            record(1, mentoring_sessions=None, employed=0),
-            record(2, mentoring_sessions=7, workshop_hours=None, employed=1),
+        rows = [
+            cohort_row(1, mentoring_sessions=None, employed=0),
+            cohort_row(2, mentoring_sessions=7, workshop_hours=None, employed=1),
         ]
-        columns, labels = feature_columns(CohortTable.from_records(records))
+        columns, labels = feature_columns(CohortTable(*zip(*rows)))
         assert [(c.name, c.kind) for c in columns] == [
             ("gender", CATEGORICAL),
             ("ethnicity", CATEGORICAL),
@@ -456,11 +483,9 @@ def _generated_rows(n, seed):
     """n generated rows as lists of CSV cells, some numeric cells left empty."""
     rng = random.Random(seed)
     rows = []
-    for r in generate_cohort(n, seed=seed):
-        row = [
-            r.student_id, r.gender, r.ethnicity, r.education_level, r.region,
-            str(r.mentoring_sessions), str(r.workshop_hours), str(r.research_projects), str(r.employed),
-        ]
+    table = generate_cohort(n, seed=seed)
+    for cells in zip(*(getattr(table, f.name) for f in dataclasses.fields(table))):
+        row = list(map(str, cells))
         for j in (5, 6):
             if rng.random() < 0.05:
                 row[j] = ""
@@ -513,8 +538,8 @@ def assert_same_as_reference(path):
     want = _outcome(reference_load_cohort_csv, path)
     got = _outcome(load_cohort_csv, path)
     assert got == want
-    if isinstance(want, list):
-        assert feature_columns(load_cohort_table(path)) == reference_feature_columns(want)
+    if isinstance(want, CohortTable):
+        assert feature_columns(load_cohort_csv(path)) == reference_feature_columns(want)
 
 
 class TestColumnarLoader:
@@ -530,7 +555,7 @@ class TestColumnarLoader:
                 _corrupt(rng, rows)
             path = _write_rows(tmp_path / f"c{trial}.csv", rows)
             assert_same_as_reference(path)
-            failures += not isinstance(_outcome(load_cohort_csv, path), list)
+            failures += not isinstance(_outcome(load_cohort_csv, path), CohortTable)
         assert 100 <= failures < 300  # both outcomes were exercised
 
     def test_first_chunk_vocabulary_error_beats_a_later_field_count(self, tmp_path):
@@ -540,7 +565,7 @@ class TestColumnarLoader:
         path = _write_rows(tmp_path / "c.csv", rows)
         assert_same_as_reference(path)
         with pytest.raises(SchemaViolation) as err:
-            load_cohort_table(path)
+            load_cohort_csv(path)
         assert (err.value.row, err.value.column) == (102, "education_level")
 
     def test_duplicate_id_across_chunks(self, tmp_path):
@@ -549,23 +574,23 @@ class TestColumnarLoader:
         path = _write_rows(tmp_path / "c.csv", rows)
         assert_same_as_reference(path)
         with pytest.raises(DuplicateStudentId, match=f"line {len(rows) + 1}: duplicate"):
-            load_cohort_table(path)
+            load_cohort_csv(path)
 
     def test_clean_file_longer_than_one_chunk(self, tmp_path):
         rows = _generated_rows(cohort_module._CHUNK_ROWS + 300, seed=7)
         path = _write_rows(tmp_path / "c.csv", rows)
         assert_same_as_reference(path)
-        assert len(load_cohort_table(path)) == len(rows)
+        assert len(load_cohort_csv(path)) == len(rows)
 
     def test_header_only_file_is_an_empty_table(self, tmp_path):
-        table = load_cohort_table(write_lines(tmp_path / "c.csv"))
+        table = load_cohort_csv(write_lines(tmp_path / "c.csv"))
         assert len(table) == 0
-        assert table == CohortTable.from_records([])
+        assert table == EMPTY
         columns, labels = feature_columns(table)
         assert labels == [] and all(c.values == () for c in columns)
 
     def test_categories_are_the_vocabulary_strings(self, tmp_path):
-        table = load_cohort_table(write_lines(tmp_path / "c.csv", GOOD_ROW, GOOD_ROW.replace("S00001", "S00002")))
+        table = load_cohort_csv(write_lines(tmp_path / "c.csv", GOOD_ROW, GOOD_ROW.replace("S00001", "S00002")))
         assert all(v is GENDERS[0] for v in table.gender)
         assert all(v is EDUCATION_LEVELS[1] for v in table.education_level)
 
@@ -582,5 +607,5 @@ class TestColumnarLoader:
                 tracemalloc.stop()
 
         reference = peak(lambda: reference_feature_columns(reference_load_cohort_csv(path)))
-        columnar = peak(lambda: feature_columns(load_cohort_table(path)))
+        columnar = peak(lambda: feature_columns(load_cohort_csv(path)))
         assert columnar <= reference
