@@ -21,8 +21,10 @@ and checked column by column. A file that fails a check is read again row by
 row, so the error still names the first bad row and its column. Count cells
 (mentoring_sessions, research_projects) must be integers >= 0 small enough
 to convert to a float, since the learner works in floats. The writer quotes
-a cell only where the csv module needs it, so a file the loader accepts
-loads to the same table after it is written back.
+a cell only where the csv module needs it, except that if any student_id
+holds a carriage return every cell of the file is quoted (a missing value is
+then ""). Either way a file the loader accepts loads to the same table after
+it is written back.
 """
 
 from __future__ import annotations
@@ -242,7 +244,9 @@ def generate_cohort(n: int, seed: int, profile: CohortProfile | None = None) -> 
         workshops.append(workshop)
         researches.append(research)
         outcomes.append(employed)
-    return CohortTable(*map(tuple, columns))
+    del ids, genders, ethnicities, educations, regions, mentorings, workshops, researches, outcomes
+    # each list is freed as soon as its tuple exists
+    return CohortTable(*(tuple(columns.pop(0)) for _ in _COLUMNS))
 
 
 # -- summaries -------------------------------------------------------------------
@@ -313,7 +317,8 @@ def report_to_dict(report: MarginalReport) -> dict:
 
 def write_cohort_csv(table: CohortTable, path) -> None:
     """Write a cohort as CSV, quoting only the cells that need it; None is an
-    empty field."""
+    empty field. If any student_id holds a carriage return, every cell is
+    quoted and None is written as ""."""
     # The csv writer quotes a cell for a lone "\r" only when the line
     # terminator holds one, and an unquoted "\r" ends the row when read.
     has_cr = any("\r" in student_id for student_id in table.student_id)
@@ -466,7 +471,8 @@ def _read_columns(path) -> CohortTable | None:
         or not set(columns["employed"]) <= {0, 1}
     ):
         return None
-    return CohortTable(**{name: tuple(values) for name, values in columns.items()})
+    del ids, counts
+    return CohortTable(**{name: tuple(columns.pop(name)) for name in _COLUMNS})
 
 
 def load_cohort_csv(path) -> CohortTable:

@@ -74,8 +74,8 @@ def _reference_parse_count(raw, lineno, column):
 EMPTY = CohortTable(*[()] * len(dataclasses.fields(CohortTable)))
 
 
-def reference_load_cohort_csv(path):
-    """Row by row: one dict, one check per field and one tuple per row."""
+def _reference_rows(path):
+    """Row by row: one dict and one check per field, then the row's tuple."""
     expected = CSV_HEADER.split(",")
     with open_text(path, InputError, newline="") as fh:
         reader = csv.reader(fh)
@@ -86,7 +86,6 @@ def reference_load_cohort_csv(path):
         if header != expected:
             raise InputError(f"{path}: header must be exactly {CSV_HEADER!r}")
 
-        rows = []
         seen_ids = set()
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(expected):
@@ -133,44 +132,42 @@ def reference_load_cohort_csv(path):
             if employed not in (0, 1):
                 raise SchemaViolation(lineno, "employed", f"must be 0 or 1, got {employed}")
 
-            rows.append(
-                (
-                    student_id,
-                    values["gender"],
-                    values["ethnicity"],
-                    values["education_level"],
-                    values["region"],
-                    mentoring,
-                    workshop,
-                    research,
-                    employed,
-                )
+            yield (
+                student_id,
+                values["gender"],
+                values["ethnicity"],
+                values["education_level"],
+                values["region"],
+                mentoring,
+                workshop,
+                research,
+                employed,
             )
+
+
+def reference_load_cohort_csv(path):
+    """One tuple per row, checked as it is read, then transposed into a table."""
+    rows = list(_reference_rows(path))
     return CohortTable(*zip(*rows)) if rows else EMPTY
 
 
 def reference_feature_columns(table):
-    """The learner's columns built row by row."""
-    names = [f.name for f in dataclasses.fields(table)]
-    rows = [dict(zip(names, cells)) for cells in zip(*(getattr(table, name) for name in names))]
+    """The learner's columns built row by row, each cell read at its CSV position."""
+    columns = [getattr(table, f.name) for f in dataclasses.fields(table)]
 
     def col(name, kind, getter):
-        return RawColumn(name=name, kind=kind, values=tuple(getter(r) for r in rows))
+        return RawColumn(name=name, kind=kind, values=tuple(getter(row) for row in zip(*columns)))
 
-    columns = [
-        col("gender", CATEGORICAL, lambda r: r["gender"]),
-        col("ethnicity", CATEGORICAL, lambda r: r["ethnicity"]),
-        col("education_level", CATEGORICAL, lambda r: r["education_level"]),
-        col("region", CATEGORICAL, lambda r: r["region"]),
-        col(
-            "mentoring_sessions",
-            NUMERIC,
-            lambda r: None if r["mentoring_sessions"] is None else float(r["mentoring_sessions"]),
-        ),
-        col("workshop_hours", NUMERIC, lambda r: r["workshop_hours"]),
-        col("research_projects", NUMERIC, lambda r: float(r["research_projects"])),
+    features = [
+        col("gender", CATEGORICAL, lambda r: r[1]),
+        col("ethnicity", CATEGORICAL, lambda r: r[2]),
+        col("education_level", CATEGORICAL, lambda r: r[3]),
+        col("region", CATEGORICAL, lambda r: r[4]),
+        col("mentoring_sessions", NUMERIC, lambda r: None if r[5] is None else float(r[5])),
+        col("workshop_hours", NUMERIC, lambda r: r[6]),
+        col("research_projects", NUMERIC, lambda r: float(r[7])),
     ]
-    return columns, [r["employed"] for r in rows]
+    return features, [row[8] for row in zip(*columns)]
 
 
 def cohort_row(i=1, **over):
@@ -382,9 +379,11 @@ class TestCsv:
     @pytest.mark.parametrize("student_id", ["S,1", 'S"1', "S\n1", "S\r1"])
     def test_ids_that_need_quoting_survive_load_write_load(self, tmp_path, student_id):
         quoted = '"' + student_id.replace('"', '""') + '"'
-        source = write_lines(tmp_path / "in.csv", GOOD_ROW.replace("S00001", quoted), GOOD_ROW)
+        missing = "S00001,M,asian,masters,usa,,,1,1"
+        source = write_lines(tmp_path / "in.csv", GOOD_ROW.replace("S00001", quoted), missing)
         table = load_cohort_csv(source)
         assert table.student_id == (student_id, "S00001")
+        assert table.mentoring_sessions[1] is None and table.workshop_hours[1] is None
         write_cohort_csv(table, tmp_path / "out.csv")
         assert load_cohort_csv(tmp_path / "out.csv") == table
 
