@@ -17,6 +17,7 @@ from pathlib import Path as FsPath
 
 from . import __version__
 from .cohort import (
+    check_draw,
     default_profile,
     feature_columns,
     generate_cohort,
@@ -60,13 +61,14 @@ def _emit(payload) -> None:
 
 def _predictions_text(accuracy, n: int, student_ids, predictions) -> str:
     """The predict result as _emit would print it, each row of the fixed
-    shape {"prediction": int, "student_id": str} formatted directly."""
+    shape {"prediction": int, "student_id": str} formatted directly: the
+    text up to the id, one string per distinct prediction, then the id."""
     head = dumps({"accuracy": accuracy, "n": n})[: -len("\n}")]
-    rows = ",".join(
-        f'\n    {{\n      "prediction": {int(p)},\n      "student_id": {encode_basestring_ascii(sid)}\n    }}'
-        for sid, p in zip(student_ids, predictions)
+    prefix = {p: f'\n    {{\n      "prediction": {int(p)},\n      "student_id": ' for p in set(predictions)}
+    rows = "\n    },".join(
+        map(str.__add__, map(prefix.__getitem__, predictions), map(encode_basestring_ascii, student_ids))
     )
-    body = f"[{rows}\n  ]" if rows else "[]"
+    body = f"[{rows}\n    }}\n  ]" if rows else "[]"
     return f'{head},\n  "predictions": {body}\n}}\n'
 
 
@@ -166,6 +168,9 @@ def cmd_cohort_gen(args) -> dict:
         profile = load_profile(args.profile)
     else:
         profile = default_profile()
+    check_draw(args.n, profile)
+    if args.out:
+        open(args.out, "a").close()  # an --out that cannot be written fails here, not after the draw
     table = generate_cohort(args.n, args.seed, profile)
     if args.out:
         write_cohort_csv(table, args.out)

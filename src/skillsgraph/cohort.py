@@ -16,15 +16,19 @@ mentoring dose response; both knobs default to zero so the calibrated default
 profile stays a pure mixture, while planted_profile() uses them to embed a
 recoverable signal for learner evaluation.
 
-A cohort CSV is read straight into columns, a few thousand rows at a time,
-and checked column by column. A file that fails a check is read again row by
-row, so the error still names the first bad row and its column. Count cells
-(mentoring_sessions, research_projects) must be integers >= 0 small enough
-to convert to a float, since the learner works in floats. The writer quotes
-a cell only where the csv module needs it, except that if any student_id
-holds a carriage return every cell of the file is quoted (a missing value is
-then ""). Either way a file the loader accepts loads to the same table after
-it is written back.
+A cohort CSV takes one of two read paths, which give the same table and
+the same errors. A plain file (the exact header line, then lines of exactly
+8 commas with no '"', carriage return or NUL, none longer than the csv
+field limit) is split at commas a few thousand rows at a time, straight
+into columns, and checked column by column. Any other file, and a plain
+file that fails a check, is read by the csv module row by row, so quoted
+cells and CRLF line ends load and an error names the first bad row and its
+column. Count cells (mentoring_sessions, research_projects) must be integers
+>= 0 small enough to convert to a float, since the learner works in floats.
+The writer quotes a cell only where the csv module needs it, except that if
+any student_id holds a carriage return every cell of the file is quoted (a
+missing value is then ""). Either way a file the loader accepts loads to the
+same table after it is written back.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import math
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import count, islice
+from itertools import count, islice, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -53,11 +57,16 @@ CSV_HEADER = (
     "mentoring_sessions,workshop_hours,research_projects,employed"
 )
 _COLUMNS = tuple(CSV_HEADER.split(","))
+# each vocabulary maps its values to themselves, so a lookup both checks a
+# cell and gives the vocabulary's own string
 _VOCABULARIES = {
-    "gender": GENDERS,
-    "ethnicity": ETHNICITIES,
-    "education_level": EDUCATION_LEVELS,
-    "region": REGIONS,
+    name: {value: value for value in vocabulary}
+    for name, vocabulary in (
+        ("gender", GENDERS),
+        ("ethnicity", ETHNICITIES),
+        ("education_level", EDUCATION_LEVELS),
+        ("region", REGIONS),
+    )
 }
 MAX_COHORT_ROWS = 1_000_000  # generate_cohort holds the whole table, about 0.2 KB a row
 
@@ -201,14 +210,19 @@ def _draw(rng, items: tuple[str, ...], probs: Sequence[float]) -> str:
     return items[-1]  # u landed in the last bin's rounding slack
 
 
-def generate_cohort(n: int, seed: int, profile: CohortProfile | None = None) -> CohortTable:
-    """Draw n rows; one fixed draw sequence per row, reproducible by seed."""
+def check_draw(n: int, profile: CohortProfile) -> None:
+    """Refuse a draw of n rows from profile, before any row is drawn."""
     if n < 0:
         raise InvalidProfile(f"n must be >= 0, got {n!r}")
     if n > MAX_COHORT_ROWS:
         raise InvalidProfile(f"n must be at most MAX_COHORT_ROWS = {MAX_COHORT_ROWS}, got {n!r}")
-    profile = default_profile() if profile is None else profile
     validate_profile(profile)
+
+
+def generate_cohort(n: int, seed: int, profile: CohortProfile | None = None) -> CohortTable:
+    """Draw n rows; one fixed draw sequence per row, reproducible by seed."""
+    profile = default_profile() if profile is None else profile
+    check_draw(n, profile)
 
     rng = np.random.default_rng(seed)
     edu_probs = [profile.education[level] for level in EDUCATION_LEVELS]
@@ -380,83 +394,107 @@ def _numbered(reader):
         yield lineno, row
 
 
-def _first_error(path) -> None:
-    """Check a cohort file row by row and raise its first error.
+def _read_rows(path) -> CohortTable:
+    """Read a cohort file through the csv module, checking one row at a time.
 
-    The columnar loader's bulk checks only tell that some cell is bad; this
-    finds the first one, so an error names the same line and column however
-    the file was read.
+    This reads any file the csv module can, quoted cells and CRLF line ends
+    included, and raises the file's first error with its line and column.
+    Files the plain split refuses come here, so a table and an error read
+    the same whichever way the file went.
     """
     width = len(_COLUMNS)
+    columns = [[] for _ in _COLUMNS]
     with _cohort_rows(path) as reader:
         seen_ids = set()
         for lineno, row in _numbered(reader):
             if len(row) != width:
                 raise SchemaViolation(lineno, "", f"expected {width} fields, got {len(row)}")
-            values = dict(zip(_COLUMNS, row))
+            student_id, mentoring, workshop, research, employed = row[0], *row[5:]
 
-            student_id = values["student_id"]
             if not student_id:
                 raise SchemaViolation(lineno, "student_id", "must not be empty")
             if student_id in seen_ids:
                 raise DuplicateStudentId(f"line {lineno}: duplicate student_id {student_id!r}")
             seen_ids.add(student_id)
 
-            for column, vocabulary in _VOCABULARIES.items():
-                if values[column] not in vocabulary:
-                    raise SchemaViolation(
-                        lineno, column, f"{values[column]!r} not in {list(vocabulary)}"
-                    )
+            categories = []
+            for (column, vocabulary), value in zip(_VOCABULARIES.items(), row[1:5]):
+                if value not in vocabulary:
+                    raise SchemaViolation(lineno, column, f"{value!r} not in {list(vocabulary)}")
+                categories.append(vocabulary[value])
 
-            if values["mentoring_sessions"] != "":
-                _parse_count(values["mentoring_sessions"], lineno, "mentoring_sessions")
-            if values["workshop_hours"] != "":
+            if mentoring == "":
+                mentoring = None
+            else:
+                mentoring = _parse_count(mentoring, lineno, "mentoring_sessions")
+            if workshop == "":
+                workshop = None
+            else:
                 try:
-                    workshop = float(values["workshop_hours"])
+                    workshop = float(workshop)
                 except ValueError:
-                    raise SchemaViolation(
-                        lineno, "workshop_hours", f"not a number: {values['workshop_hours']!r}"
-                    ) from None
+                    raise SchemaViolation(lineno, "workshop_hours", f"not a number: {workshop!r}") from None
                 if not math.isfinite(workshop) or workshop < 0:
                     raise SchemaViolation(lineno, "workshop_hours", f"must be >= 0, got {workshop}")
 
-            _parse_count(values["research_projects"], lineno, "research_projects")
-            employed = _parse_int(values["employed"], lineno, "employed")
+            research = _parse_count(research, lineno, "research_projects")
+            employed = _parse_int(employed, lineno, "employed")
             if employed not in (0, 1):
                 raise SchemaViolation(lineno, "employed", f"must be 0 or 1, got {employed}")
 
+            values = (student_id, *categories, mentoring, workshop, research, employed)
+            for cells, value in zip(columns, values):
+                cells.append(value)
+    # each list is freed as soon as its tuple exists
+    return CohortTable(*(tuple(columns.pop(0)) for _ in _COLUMNS))
 
-def _read_columns(path) -> CohortTable | None:
-    """Read a cohort file into columns; None if any cell fails a check.
 
-    The conversions are int() and float() themselves, so a cell passes here
-    exactly when it passes _first_error.
+def _read_plain(path) -> CohortTable | None:
+    """Read a plain cohort file into columns; None if the file is not plain
+    or any cell fails a check.
+
+    A file is plain when its first line is CSV_HEADER and each line after it
+    holds exactly 8 commas, no '"', carriage return or NUL, and no more
+    characters than csv.field_size_limit(). The csv module splits such a
+    line at its commas and nowhere else, so splitting a chunk of lines at
+    commas and newlines gives the cells it would, row after row. The
+    conversions are int() and float() themselves, so a cell passes here
+    exactly when it passes _read_rows.
     """
     width = len(_COLUMNS)
-    lookups = {name: {v: v for v in vocabulary} for name, vocabulary in _VOCABULARIES.items()}
+    limit = csv.field_size_limit()
     columns = {name: [] for name in _COLUMNS}
-    with _cohort_rows(path) as reader:
+    with open_text(path, InputError, newline="") as fh:
         try:
-            while chunk := list(islice(reader, _CHUNK_ROWS)):
-                if any(len(row) != width for row in chunk):
+            if fh.readline() != CSV_HEADER + "\n":
+                return None
+            while lines := list(islice(fh, _CHUNK_ROWS)):
+                rows = len(lines)
+                if set(map(str.count, lines, repeat(","))) != {width - 1} or max(map(len, lines)) > limit:
                     return None
-                cells = dict(zip(_COLUMNS, zip(*chunk)))
-                del chunk
-                columns["student_id"].extend(cells["student_id"])
-                for name, lookup in lookups.items():
-                    columns[name].extend(map(lookup.__getitem__, cells[name]))
+                text = "".join(lines)
+                del lines
+                if '"' in text or "\r" in text or "\0" in text:
+                    return None
+                cells = text.replace("\n", ",").split(",")
+                del text, cells[rows * width :]  # the empty cell after a final newline
+                column = dict(zip(_COLUMNS, (cells[k::width] for k in range(width))))
+                del cells
+                columns["student_id"].extend(column["student_id"])
+                for name, vocabulary in _VOCABULARIES.items():
+                    columns[name].extend(map(vocabulary.__getitem__, column[name]))
                 columns["mentoring_sessions"].extend(
-                    [int(v) if v else None for v in cells["mentoring_sessions"]]
+                    [int(v) if v else None for v in column["mentoring_sessions"]]
                 )
                 columns["workshop_hours"].extend(
-                    [float(v) if v else None for v in cells["workshop_hours"]]
+                    [float(v) if v else None for v in column["workshop_hours"]]
                 )
-                columns["research_projects"].extend(map(int, cells["research_projects"]))
-                columns["employed"].extend(map(int, cells["employed"]))
-                del cells
-        # an unknown category, a cell that int() or float() refuses, bytes
-        # that are not UTF-8, or a row the csv module cannot split
-        except (KeyError, ValueError, csv.Error):
+                columns["research_projects"].extend(map(int, column["research_projects"]))
+                columns["employed"].extend(map(int, column["employed"]))
+                del column
+        # an unknown category, a cell that int() or float() refuses, or bytes
+        # that are not UTF-8
+        except (KeyError, ValueError):
             return None
 
     ids = columns["student_id"]
@@ -478,15 +516,13 @@ def _read_columns(path) -> CohortTable | None:
 def load_cohort_csv(path) -> CohortTable:
     """Read and validate a cohort CSV into columns; empty fields are missing values.
 
-    Rows are read in chunks and checked in bulk. A file that fails any check
-    is read again row by row, so the error raised is the first in the file,
-    with its line and column.
+    A plain file is split at commas in chunks of rows and checked in bulk.
+    Any other file, or one that fails a check, is read by the csv module row
+    by row, so quoted cells load and the error raised is the first in the
+    file, with its line and column.
     """
-    table = _read_columns(path)
-    if table is None:
-        _first_error(path)
-        raise RuntimeError(f"{path}: a bulk check failed but no row did")
-    return table
+    table = _read_plain(path)
+    return _read_rows(path) if table is None else table
 
 
 def feature_columns(table: CohortTable) -> tuple[list[RawColumn], list[int]]:

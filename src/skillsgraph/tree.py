@@ -258,7 +258,11 @@ def fit_tree(data: PreparedDataset, params: TreeParams) -> DecisionTree:
 
 
 def predict(tree: DecisionTree, row) -> int:
-    """Classify one row: a sequence in feature order, or a mapping by name."""
+    """Classify one row: a sequence in feature order, or a mapping by name.
+
+    The walk reads the node arrays that predict_many reads, one node at a
+    time; the first feature the row lacks on its path is a MissingFeature.
+    """
     if isinstance(row, Mapping):
         def value_of(feature: int) -> float:
             name = tree.feature_names[feature]
@@ -271,13 +275,14 @@ def predict(tree: DecisionTree, row) -> int:
                 raise MissingFeature(f"row lacks feature {tree.feature_names[feature]!r}")
             return row[feature]
 
-    node = tree.nodes[0]
-    while node.kind == "split":
-        value = value_of(node.feature)
+    arrays = _node_arrays(tree)
+    node = 0
+    while (feature := int(arrays.feature[node])) >= 0:
+        value = value_of(feature)
         if value is None or (isinstance(value, float) and math.isnan(value)):
-            raise MissingFeature(f"row lacks feature {tree.feature_names[node.feature]!r}")
-        node = tree.nodes[node.left if value <= node.threshold else node.right]
-    return node.prediction
+            raise MissingFeature(f"row lacks feature {tree.feature_names[feature]!r}")
+        node = arrays.left[node] if value <= arrays.threshold[node] else arrays.right[node]
+    return arrays.prediction[node]
 
 
 class _NodeArrays(NamedTuple):

@@ -304,6 +304,16 @@ class TestCohortCommands:
         for key, value in want.items():
             assert payload[key] == value
 
+    @pytest.mark.parametrize("out, kind", [("missing/cohort.csv", "FileNotFound"), (".", "IOError")])
+    def test_gen_unwritable_out_is_two_before_any_draw(self, capsys, tmp_path, monkeypatch, out, kind):
+        def no_draw(*args):
+            raise AssertionError("drew the cohort")
+
+        monkeypatch.setattr("skillsgraph.cli.generate_cohort", no_draw)
+        message = assert_error(capsys, 2, kind, "cohort", "gen", "--n", "5", "--out", str(tmp_path / out))
+        assert str(tmp_path / out) in message
+        assert not (tmp_path / "missing").exists()
+
     def test_gen_negative_seed_is_two(self, capsys, tmp_path):
         out = tmp_path / "cohort.csv"
         message = assert_error(capsys, 2, "InputError", "cohort", "gen", "--n", "5", "--seed", "-1", "--out", str(out))

@@ -9,6 +9,7 @@ table from row tuples with CohortTable(*zip(*rows)).
 
 import csv
 import dataclasses
+import itertools
 import math
 import random
 import re
@@ -83,11 +84,19 @@ def _reference_rows(path):
             header = next(reader)
         except StopIteration:
             raise InputError(f"{path}: empty file, expected header {CSV_HEADER!r}") from None
+        except csv.Error as exc:
+            raise InputError(f"{path}: line 1: {exc}") from None
         if header != expected:
             raise InputError(f"{path}: header must be exactly {CSV_HEADER!r}")
 
         seen_ids = set()
-        for lineno, row in enumerate(reader, start=2):
+        for lineno in itertools.count(2):
+            try:
+                row = next(reader)
+            except StopIteration:
+                return
+            except csv.Error as exc:  # a cell beyond the field limit; a NUL before Python 3.11
+                raise SchemaViolation(lineno, "", str(exc)) from None
             if len(row) != len(expected):
                 raise SchemaViolation(lineno, "", f"expected {len(expected)} fields, got {len(row)}")
             values = dict(zip(expected, row))
@@ -498,10 +507,13 @@ def _write_rows(path, rows):
 
 
 def _corrupt(rng, rows):
-    """Spoil one random cell or row in place, with one of the schema's faults."""
+    """Spoil one random cell or row in place, with one of the schema's faults,
+    or write one in a form only the csv module reads (kinds 11 to 16)."""
     i = rng.randrange(len(rows))
     row = rows[i]
-    kind = rng.randrange(11)
+    if len(row) != 9:  # spoilt already
+        return
+    kind = rng.randrange(17)
     if kind == 0:  # a value outside the vocabulary
         row[rng.randint(1, 4)] = rng.choice(["X", "Asian", "", " M", "martian"])
     elif kind == 1:  # not a number
@@ -517,13 +529,28 @@ def _corrupt(rng, rows):
     elif kind == 6:
         row[0] = ""
     elif kind == 7:
-        row[0] = rows[rng.randrange(len(rows))][0]
+        row[0] = rng.choice([other for other in rows if other])[0]
     elif kind == 8:  # a wrong field count
         rows[i] = row[:-1] if rng.random() < 0.5 else row + ["1"]
     elif kind == 9:
         rows.insert(i, [])  # a blank line
-    else:  # an integer too large for a float
+    elif kind == 10:  # an integer too large for a float
         row[rng.choice([5, 7])] = "1" + "0" * rng.randint(309, 450)
+    elif kind == 11:  # a quoted id, maybe holding a comma
+        row[0] = f'"{row[0]}{rng.choice(["", ",", ",x", ",S00001"])}"'
+    elif kind == 12:  # CRLF line ends, on one row or on every row
+        for spoilt in [row] if rng.random() < 0.5 else rows:
+            if spoilt:
+                spoilt[-1] += "\r"
+    elif kind == 13 and i + 1 < len(rows):  # a lone CR ending a row, within one line
+        rows[i : i + 2] = [row[:-1] + [row[-1] + "\r" + rows[i + 1][0]] + rows[i + 1][1:]]
+    elif kind == 14:  # a NUL byte in a cell
+        j = rng.randrange(9)
+        row[j] = rng.choice(["", row[j]]) + "\0"
+    elif kind == 15:  # a cell beyond the csv field limit
+        row[0] += "x" * csv.field_size_limit()
+    elif kind == 16 and i + 1 < len(rows):  # 8 fields, then 10: a row's last cell starts the next line
+        rows[i], rows[i + 1] = row[:-1], row[-1:] + rows[i + 1]
 
 
 def _outcome(load, path):
@@ -553,9 +580,49 @@ class TestColumnarLoader:
             for _ in range(rng.randint(0, 3)):
                 _corrupt(rng, rows)
             path = _write_rows(tmp_path / f"c{trial}.csv", rows)
+            if rng.random() < 0.2:  # a last line with no newline
+                path.write_bytes(path.read_bytes()[:-1])
             assert_same_as_reference(path)
             failures += not isinstance(_outcome(load_cohort_csv, path), CohortTable)
         assert 100 <= failures < 300  # both outcomes were exercised
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda text: text.replace("T00003,", '"T00003,x",', 1),  # a quoted id with a comma
+            lambda text: text.replace("T00004,", '"T00004",', 1),  # a quoted id, no comma
+            lambda text: text.replace("\n", "\r\n"),  # CRLF line ends
+            lambda text: text.replace("\nT00070,", "\rT00070,", 1),  # a lone CR ends a row
+            lambda text: text.replace("T00090,", "T00090\0,", 1),  # a NUL byte
+            lambda text: text.replace("T00020,", "T" * csv.field_size_limit() + ",", 1),  # beyond the limit
+            lambda text: text[:-1],  # a last line with no newline
+            lambda text: text.replace(",1\nT00011,", "\n1,T00011,", 1),  # 8 fields, then 10
+            lambda text: '"student_id"' + text[len("student_id") :],  # a quoted header cell
+            lambda text: text.replace("\n", " \n", 1),  # a header cell with a trailing space
+        ],
+        ids=[
+            "quoted-comma",
+            "quoted",
+            "crlf",
+            "lone-cr",
+            "nul",
+            "field-limit",
+            "no-final-newline",
+            "8-then-10",
+            "quoted-header",
+            "header-space",
+        ],
+    )
+    def test_csv_module_cases_match_the_reference(self, tmp_path, monkeypatch, spoil):
+        monkeypatch.setattr(cohort_module, "_CHUNK_ROWS", 64)
+        rows = _generated_rows(150, seed=13)
+        for n, row in enumerate(rows, start=1):
+            row[0], row[8] = f"T{n:05d}", "1"
+        text = _write_rows(tmp_path / "plain.csv", rows).read_text()
+        path = tmp_path / "c.csv"
+        path.write_bytes(spoil(text).encode())
+        assert path.read_bytes() != text.encode()
+        assert_same_as_reference(path)
 
     def test_first_chunk_vocabulary_error_beats_a_later_field_count(self, tmp_path):
         rows = _generated_rows(cohort_module._CHUNK_ROWS + 300, seed=5)
