@@ -454,19 +454,20 @@ def _read_plain(path) -> CohortTable | None:
     or any cell fails a check.
 
     A file is plain when its first line is CSV_HEADER and each line after it
-    holds exactly 8 commas, no '"', carriage return or NUL, and no more
-    characters than csv.field_size_limit(). The csv module splits such a
-    line at its commas and nowhere else, so splitting a chunk of lines at
-    commas and newlines gives the cells it would, row after row. The
-    conversions are int() and float() themselves, so a cell passes here
-    exactly when it passes _read_rows.
+    holds exactly 8 commas, no '"' or NUL, a carriage return only as part of
+    a CRLF line end, and no more characters than csv.field_size_limit(). The
+    csv module splits such a line at its commas and at its line end and
+    nowhere else, so splitting a chunk of lines at commas and newlines, CRLF
+    read as LF, gives the cells it would, row after row. The conversions are
+    int() and float() themselves, so a cell passes here exactly when it
+    passes _read_rows.
     """
     width = len(_COLUMNS)
     limit = csv.field_size_limit()
     columns = {name: [] for name in _COLUMNS}
     with open_text(path, InputError, newline="") as fh:
         try:
-            if fh.readline() != CSV_HEADER + "\n":
+            if fh.readline() not in (CSV_HEADER + "\n", CSV_HEADER + "\r\n"):
                 return None
             while lines := list(islice(fh, _CHUNK_ROWS)):
                 rows = len(lines)
@@ -474,8 +475,13 @@ def _read_plain(path) -> CohortTable | None:
                     return None
                 text = "".join(lines)
                 del lines
-                if '"' in text or "\r" in text or "\0" in text:
+                if '"' in text or "\0" in text:
                     return None
+                if "\r" in text:
+                    # a lone CR ends a row for the csv module, or sits in a cell
+                    if text.count("\r") != text.count("\r\n"):
+                        return None
+                    text = text.replace("\r\n", "\n")
                 cells = text.replace("\n", ",").split(",")
                 del text, cells[rows * width :]  # the empty cell after a final newline
                 column = dict(zip(_COLUMNS, (cells[k::width] for k in range(width))))

@@ -4,13 +4,25 @@ Nodes are capacity-building skill areas; a directed edge (u, v) with weight
 w > 0 says u feeds v, and the weight carries the strength of that dependency.
 Graphs are validated once at construction and treated as immutable afterwards;
 every traversal order is deterministic (insertion order, never hash order).
+
+Loading checks in bulk first and one item at a time only where that fails:
+graph_from_dict reads each JSON array a column at a time and build_graph
+checks each field as a column. Where a bulk check finds a fault, or a value
+it does not take in bulk (a bool, a numpy.float64, a str subclass), the
+per-item code runs over the same list and raises the first error in it, with
+the message it always had, or passes what it accepts. A node order in which
+every edge points forward is taken as the topological order after one pass
+over the edges; any other order goes through Kahn's algorithm.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter, eq, itemgetter, lt
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -30,6 +42,8 @@ from .jsonio import write_json
 UNBOUNDED = None  # capacity sentinel: node can absorb any allocation
 
 NodeScores = dict  # node id -> score, insertion-ordered by graph node order
+
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -127,7 +141,22 @@ def _check_node_fields(node: SkillNode) -> None:
             raise InvalidNodeValue(f"node {node.id!r}: capacity must be finite and >= 0 or None, got {cap!r}")
 
 
+def _check_nodes(nodes: Sequence[SkillNode]) -> set[str]:
+    """Check one node at a time; raise the first error in node order, else
+    return the set of node ids."""
+    seen_ids = set()
+    for n in nodes:
+        if n.id in seen_ids:
+            raise DuplicateNodeId(f"duplicate node id {n.id!r}")
+        if "->" in n.id:
+            raise InvalidNodeValue(f"node {n.id!r}: id must not contain '->' (it joins edge keys)")
+        seen_ids.add(n.id)
+        _check_node_fields(n)
+    return seen_ids
+
+
 def _check_edges(edges: Sequence[DependencyEdge], node_ids: set[str]) -> None:
+    """Check one edge at a time; raise the first error in edge order."""
     seen_pairs = set()  # freed on return, before the graph builds its own index
     for e in edges:
         if e.src not in node_ids:
@@ -146,6 +175,60 @@ def _check_edges(edges: Sequence[DependencyEdge], node_ids: set[str]) -> None:
             raise InvalidNodeValue(f"edge ({e.src!r} -> {e.dst!r}): objective_cost must be finite and >= 0, got {oc!r}")
 
 
+def _column(items: Sequence, field: str) -> list:
+    return list(map(attrgetter(field), items))
+
+
+def _in_range(values: Sequence, strict: bool = False) -> bool:
+    """Whether each value is exactly an int or a float with
+    0 <= value <= sys.float_info.max (0 < value when strict).
+
+    A value that passes passes finite_number and the per-item bound too;
+    NaN fails every comparison. A bool, a subclass such as numpy.float64, or
+    an int above the largest float that still rounds to it, fails here and
+    is left to the per-item checks.
+    """
+    if not set(map(type, values)) <= {int, float}:
+        return False
+    if strict:
+        return all(0.0 < v <= _FLOAT_MAX for v in values)
+    return all(0.0 <= v <= _FLOAT_MAX for v in values)
+
+
+def _node_ids_in_bulk(nodes: Sequence[SkillNode]) -> set[str] | None:
+    """The set of node ids if every node passes _check_nodes, checked a
+    column at a time; None if any column check fails."""
+    ids = _column(nodes, "id")
+    if not set(map(type, ids)) <= {str}:
+        return None
+    id_set = set(ids)
+    bounded = [c for c in _column(nodes, "capacity") if c is not UNBOUNDED]
+    # a separator that is neither '-' nor '>' makes no '->' of its own
+    if (
+        len(id_set) == len(ids)
+        and "->" not in " ".join(ids)
+        and _in_range(_column(nodes, "effectiveness"))
+        and _in_range(_column(nodes, "cost"))
+        and _in_range(bounded)
+    ):
+        return id_set
+    return None
+
+
+def _edges_pass_in_bulk(edges: Sequence[DependencyEdge], node_ids: set[str]) -> bool:
+    """Whether every edge passes _check_edges, checked a column at a time."""
+    src, dst = _column(edges, "src"), _column(edges, "dst")
+    return (
+        set(map(type, src)) | set(map(type, dst)) <= {str}
+        and node_ids.issuperset(src)
+        and node_ids.issuperset(dst)
+        and not any(map(eq, src, dst))
+        and len(set(zip(src, dst))) == len(edges)
+        and _in_range(_column(edges, "weight"), strict=True)
+        and _in_range(_column(edges, "objective_cost"))
+    )
+
+
 def build_graph(
     nodes: Iterable[SkillNode],
     edges: Iterable[DependencyEdge],
@@ -159,19 +242,19 @@ def build_graph(
     (src, dst), self-loops are rejected, weights must be positive and finite,
     objective costs finite and >= 0. Acyclicity is enforced unless
     allow_cycles is set (state-transition style graphs).
+
+    Nodes, then edges, are checked a column at a time; where that finds a
+    fault, or a value it does not take in bulk, the per-item checks run and
+    raise the first error in the list, or pass it.
     """
     node_list = list(nodes)
-    seen_ids = set()
-    for n in node_list:
-        if n.id in seen_ids:
-            raise DuplicateNodeId(f"duplicate node id {n.id!r}")
-        if "->" in n.id:
-            raise InvalidNodeValue(f"node {n.id!r}: id must not contain '->' (it joins edge keys)")
-        seen_ids.add(n.id)
-        _check_node_fields(n)
+    node_ids = _node_ids_in_bulk(node_list)
+    if node_ids is None:
+        node_ids = _check_nodes(node_list)
 
     edge_list = list(edges)
-    _check_edges(edge_list, seen_ids)
+    if not _edges_pass_in_bulk(edge_list, node_ids):
+        _check_edges(edge_list, node_ids)
 
     graph = SkillsGraph(node_list, edge_list)
     if not allow_cycles:
@@ -201,9 +284,20 @@ def validate_dag(graph: SkillsGraph) -> list[str]:
 
     Returns the topological order of node ids, or raises CycleDetected whose
     .cycle attribute carries one witness cycle.
+
+    When every edge runs from an earlier node to a later one, the node order
+    is returned after one pass over the edges. Kahn's algorithm returns that
+    very order there: once the nodes before node k are out, node k is ready,
+    and it is the earliest node still waiting.
     """
     ids = graph.node_ids()
     order_index = {nid: i for i, nid in enumerate(ids)}
+    position = order_index.__getitem__
+    sources = map(position, map(attrgetter("src"), graph.edges))
+    targets = map(position, map(attrgetter("dst"), graph.edges))
+    if all(map(lt, sources, targets)):
+        return list(ids)
+
     indegree = {nid: 0 for nid in ids}
     for e in graph.edges:
         indegree[e.dst] += 1
@@ -252,6 +346,9 @@ def weighted_centrality(graph: SkillsGraph) -> NodeScores:
 
 _NODE_KEYS = {"id", "label", "effectiveness", "cost", "capacity"}
 _EDGE_KEYS = {"from", "to", "weight", "objective_cost"}
+# only capacity may be omitted (meaning unbounded)
+_NODE_REQUIRED = {"id", "label", "effectiveness", "cost"}
+_EDGE_REQUIRED = {"from", "to", "weight"}
 
 
 def _require_keys(obj: Mapping, allowed: set[str], required: set[str], where: str):
@@ -277,16 +374,12 @@ def _number(obj: Mapping, key: str, where: str, default=None):
         raise GraphFormatError(f"{where}: {key} is too large for a float") from None
 
 
-def graph_from_dict(data: Mapping, allow_cycles: bool = False) -> SkillsGraph:
-    _require_keys(data, {"nodes", "edges"}, {"nodes", "edges"}, "graph")
-    if not isinstance(data["nodes"], list) or not isinstance(data["edges"], list):
-        raise GraphFormatError("graph: 'nodes' and 'edges' must be arrays")
-
+def _nodes_by_item(raws: list) -> list[SkillNode]:
+    """Read the nodes array one object at a time; raise its first error."""
     nodes = []
-    for i, raw in enumerate(data["nodes"]):
+    for i, raw in enumerate(raws):
         where = f"nodes[{i}]"
-        # only capacity may be omitted (meaning unbounded)
-        _require_keys(raw, _NODE_KEYS, {"id", "label", "effectiveness", "cost"}, where)
+        _require_keys(raw, _NODE_KEYS, _NODE_REQUIRED, where)
         if not isinstance(raw["id"], str):
             raise GraphFormatError(f"{where}: id must be a string")
         if not isinstance(raw["label"], str):
@@ -300,11 +393,15 @@ def graph_from_dict(data: Mapping, allow_cycles: bool = False) -> SkillsGraph:
                 capacity=_number(raw, "capacity", where, UNBOUNDED),
             )
         )
+    return nodes
 
+
+def _edges_by_item(raws: list) -> list[DependencyEdge]:
+    """Read the edges array one object at a time; raise its first error."""
     edges = []
-    for i, raw in enumerate(data["edges"]):
+    for i, raw in enumerate(raws):
         where = f"edges[{i}]"
-        _require_keys(raw, _EDGE_KEYS, {"from", "to", "weight"}, where)
+        _require_keys(raw, _EDGE_KEYS, _EDGE_REQUIRED, where)
         if not isinstance(raw["from"], str) or not isinstance(raw["to"], str):
             raise GraphFormatError(f"{where}: 'from' and 'to' must be strings")
         edges.append(
@@ -315,8 +412,73 @@ def graph_from_dict(data: Mapping, allow_cycles: bool = False) -> SkillsGraph:
                 objective_cost=_number(raw, "objective_cost", where, 0.0),
             )
         )
+    return edges
 
-    return build_graph(nodes, edges, allow_cycles=allow_cycles)
+
+class _Absent:
+    """The value a column holds where an object leaves out an optional key."""
+
+
+_ABSENT = _Absent()
+
+
+def _columns(raws: list, allowed: set[str], required: set[str], strings, numbers) -> list | None:
+    """The columns of one array of objects: the string keys in order, then
+    the number keys in order, each number as a float.
+
+    numbers holds (key, default) pairs; default stands where an object
+    leaves out an optional key. Returns None where the per-item read would
+    raise or read a value another way: an item that is not exactly a dict,
+    a key tuple with an unknown key or without a required one, a string
+    value not exactly a str, a number not exactly an int or a float, or an
+    int too large for a float.
+    """
+    if not set(map(type, raws)) <= {dict}:
+        return None
+    # objects in one array nearly always share one key tuple
+    for keys in set(map(tuple, raws)):
+        if not allowed.issuperset(keys) or not required.issubset(keys):
+            return None
+    columns = [list(map(itemgetter(key), raws)) for key in strings]
+    if not set().union(*(map(type, column) for column in columns)) <= {str}:
+        return None
+    for key, default in numbers:
+        values = list(map(dict.get, raws, repeat(key), repeat(_ABSENT)))
+        if not set(map(type, values)) <= {int, float, _Absent}:
+            return None
+        try:
+            columns.append([default if v is _ABSENT else float(v) for v in values])
+        except OverflowError:
+            return None
+    return columns
+
+
+def _read_nodes(raws: list) -> list[SkillNode]:
+    columns = _columns(
+        raws, _NODE_KEYS, _NODE_REQUIRED, ("id", "label"),
+        (("effectiveness", None), ("cost", None), ("capacity", UNBOUNDED)),
+    )
+    return _nodes_by_item(raws) if columns is None else list(map(SkillNode, *columns))
+
+
+def _read_edges(raws: list) -> list[DependencyEdge]:
+    columns = _columns(raws, _EDGE_KEYS, _EDGE_REQUIRED, ("from", "to"), (("weight", None), ("objective_cost", 0.0)))
+    return _edges_by_item(raws) if columns is None else list(map(DependencyEdge, *columns))
+
+
+def graph_from_dict(data: Mapping, allow_cycles: bool = False) -> SkillsGraph:
+    """Read a graph from its JSON form; see build_graph for the checks.
+
+    Each array is read a column at a time. Where that finds a fault, or a
+    value it does not take in bulk, the array is read one item at a time,
+    which raises its first error. Nodes are read before edges.
+    """
+    _require_keys(data, {"nodes", "edges"}, {"nodes", "edges"}, "graph")
+    if not isinstance(data["nodes"], list) or not isinstance(data["edges"], list):
+        raise GraphFormatError("graph: 'nodes' and 'edges' must be arrays")
+    # each reader drops its columns on return, so the load peaks no higher
+    # than a read one item at a time
+    return build_graph(_read_nodes(data["nodes"]), _read_edges(data["edges"]), allow_cycles=allow_cycles)
 
 
 def graph_to_dict(graph: SkillsGraph) -> dict:

@@ -624,6 +624,59 @@ class TestColumnarLoader:
         assert path.read_bytes() != text.encode()
         assert_same_as_reference(path)
 
+    def test_crlf_file_takes_the_plain_path(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cohort_module, "_CHUNK_ROWS", 64)
+        lf = _write_rows(tmp_path / "lf.csv", _generated_rows(150, seed=13))
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        want = load_cohort_csv(lf)
+
+        def no_rows(path):
+            raise AssertionError(f"{path} was read through the csv module")
+
+        monkeypatch.setattr(cohort_module, "_read_rows", no_rows)
+        assert load_cohort_csv(crlf) == want
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda text: text.replace("\nT00070,", "\rT00070,", 1),  # a lone CR ends a row
+            lambda text: text.replace("\n", "\r\n").replace("\r\nT00070,", "\rT00070,", 1),  # the same, in CRLF
+            lambda text: text.replace("T00030,", "T000\r30,", 1),  # a CR inside a cell
+            lambda text: text.replace("\n", "\r\n").replace("T00030,", "T000\r30,", 1),  # the same, in CRLF
+            lambda text: text.replace("T00030,", "T00030\r\n,", 1),  # a CRLF inside a cell
+            lambda text: "".join(
+                line + ("\r\n" if n % 3 else "\n") for n, line in enumerate(text.split("\n")[:-1])
+            ),  # LF and CRLF line ends mixed
+            lambda text: text.replace("\n", "\r\n", 1),  # a CRLF header, LF rows
+            lambda text: text[:-1] + "\r",  # a final line ending in a bare CR
+            lambda text: text.replace("\n", "\r\n")[:-1],  # CRLF, the last line in a bare CR
+            lambda text: text.replace("\n", "\r\r\n", 1),  # CR CR LF after the header
+        ],
+        ids=[
+            "lone-cr",
+            "lone-cr-in-crlf",
+            "cr-in-cell",
+            "cr-in-cell-in-crlf",
+            "crlf-in-cell",
+            "mixed-lf-crlf",
+            "crlf-header",
+            "final-bare-cr",
+            "crlf-final-bare-cr",
+            "cr-cr-lf",
+        ],
+    )
+    def test_carriage_returns_match_the_reference(self, tmp_path, monkeypatch, spoil):
+        monkeypatch.setattr(cohort_module, "_CHUNK_ROWS", 64)
+        rows = _generated_rows(150, seed=13)
+        for n, row in enumerate(rows, start=1):
+            row[0], row[8] = f"T{n:05d}", "1"
+        text = _write_rows(tmp_path / "plain.csv", rows).read_text()
+        path = tmp_path / "c.csv"
+        path.write_bytes(spoil(text).encode())
+        assert b"\r" in path.read_bytes()
+        assert_same_as_reference(path)
+
     def test_first_chunk_vocabulary_error_beats_a_later_field_count(self, tmp_path):
         rows = _generated_rows(cohort_module._CHUNK_ROWS + 300, seed=5)
         rows[100][3] = "postdoc"

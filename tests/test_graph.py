@@ -1,9 +1,12 @@
 """Graph construction, validation, topological order, and centrality."""
 
+import heapq
 import json
 import math
 import random
+from typing import Mapping
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from skillsgraph import (
     DependencyEdge,
     SkillNode,
+    SkillsGraph,
     build_graph,
     load_graph,
     save_graph,
@@ -28,6 +32,7 @@ from skillsgraph.errors import (
     SelfLoop,
     UnknownEndpoint,
 )
+from skillsgraph.graph import finite_number, graph_from_dict
 from tests.conftest import DEMO_EDGE_PAIRS, demo_graph, random_dag
 
 
@@ -252,3 +257,445 @@ class TestSerialization:
         with pytest.raises(GraphFormatError) as exc:
             load_graph(p)
         assert "line" in str(exc.value)
+
+
+# -- reference loader ----------------------------------------------------------
+#
+# The graph loader checked one item at a time, as it did before the column
+# checks: graph_from_dict, build_graph and validate_dag must agree with it on
+# every input, raising the same error type with the same message, or
+# building an equal graph.
+
+def reference_validate_dag(graph):
+    ids = graph.node_ids()
+    order_index = {nid: i for i, nid in enumerate(ids)}
+    indegree = {nid: 0 for nid in ids}
+    for e in graph.edges:
+        indegree[e.dst] += 1
+    frontier = [i for i, nid in enumerate(ids) if indegree[nid] == 0]
+    result = []
+    while frontier:
+        current = ids[heapq.heappop(frontier)]
+        result.append(current)
+        for e in graph.out_edges(current):
+            indegree[e.dst] -= 1
+            if indegree[e.dst] == 0:
+                heapq.heappush(frontier, order_index[e.dst])
+    if len(result) != len(graph.nodes):
+        stuck = set(ids) - set(result)
+        path, seen_at = [], {}
+        current = next(nid for nid in ids if nid in stuck)
+        while current not in seen_at:
+            seen_at[current] = len(path)
+            path.append(current)
+            current = next(e.src for e in graph.in_edges(current) if e.src in stuck)
+        cycle = path[seen_at[current]:]
+        cycle = cycle[:1] + cycle[:0:-1]
+        raise CycleDetected(f"graph contains a cycle: {' -> '.join(cycle)}", cycle=cycle)
+    return result
+
+
+def reference_build_graph(nodes, edges, allow_cycles=False):
+    node_list = list(nodes)
+    seen_ids = set()
+    for n in node_list:
+        if n.id in seen_ids:
+            raise DuplicateNodeId(f"duplicate node id {n.id!r}")
+        if "->" in n.id:
+            raise InvalidNodeValue(f"node {n.id!r}: id must not contain '->' (it joins edge keys)")
+        seen_ids.add(n.id)
+        for field in ("effectiveness", "cost"):
+            value = getattr(n, field)
+            if not finite_number(value) or value < 0:
+                raise InvalidNodeValue(f"node {n.id!r}: {field} must be finite and >= 0, got {value!r}")
+        cap = n.capacity
+        if cap is not None and (not finite_number(cap) or cap < 0):
+            raise InvalidNodeValue(f"node {n.id!r}: capacity must be finite and >= 0 or None, got {cap!r}")
+
+    edge_list = list(edges)
+    seen_pairs = set()
+    for e in edge_list:
+        if e.src not in seen_ids:
+            raise UnknownEndpoint(f"edge ({e.src!r} -> {e.dst!r}): unknown source {e.src!r}")
+        if e.dst not in seen_ids:
+            raise UnknownEndpoint(f"edge ({e.src!r} -> {e.dst!r}): unknown target {e.dst!r}")
+        if e.src == e.dst:
+            raise SelfLoop(f"self loop on {e.src!r}")
+        if (e.src, e.dst) in seen_pairs:
+            raise DuplicateEdge(f"duplicate edge ({e.src!r} -> {e.dst!r})")
+        seen_pairs.add((e.src, e.dst))
+        if not finite_number(e.weight) or e.weight <= 0:
+            raise NonPositiveWeight(f"edge ({e.src!r} -> {e.dst!r}): weight must be finite and > 0, got {e.weight!r}")
+        oc = e.objective_cost
+        if not finite_number(oc) or oc < 0:
+            raise InvalidNodeValue(f"edge ({e.src!r} -> {e.dst!r}): objective_cost must be finite and >= 0, got {oc!r}")
+
+    graph = SkillsGraph(node_list, edge_list)
+    if not allow_cycles:
+        reference_validate_dag(graph)
+    return graph
+
+
+def _reference_keys(obj, allowed, required, where):
+    if not isinstance(obj, Mapping):
+        raise GraphFormatError(f"{where}: expected an object, got {type(obj).__name__}")
+    unknown = set(obj) - allowed
+    if unknown:
+        raise GraphFormatError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = required - set(obj)
+    if missing:
+        raise GraphFormatError(f"{where}: missing keys {sorted(missing)}")
+
+
+def _reference_number(obj, key, where, default=None):
+    if key not in obj:
+        return default
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise GraphFormatError(f"{where}: {key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise GraphFormatError(f"{where}: {key} is too large for a float") from None
+
+
+def reference_graph_from_dict(data, allow_cycles=False):
+    _reference_keys(data, {"nodes", "edges"}, {"nodes", "edges"}, "graph")
+    if not isinstance(data["nodes"], list) or not isinstance(data["edges"], list):
+        raise GraphFormatError("graph: 'nodes' and 'edges' must be arrays")
+    nodes = []
+    for i, raw in enumerate(data["nodes"]):
+        where = f"nodes[{i}]"
+        _reference_keys(
+            raw, {"id", "label", "effectiveness", "cost", "capacity"}, {"id", "label", "effectiveness", "cost"}, where
+        )
+        if not isinstance(raw["id"], str):
+            raise GraphFormatError(f"{where}: id must be a string")
+        if not isinstance(raw["label"], str):
+            raise GraphFormatError(f"{where}: label must be a string")
+        nodes.append(SkillNode(
+            raw["id"],
+            raw["label"],
+            _reference_number(raw, "effectiveness", where),
+            _reference_number(raw, "cost", where),
+            _reference_number(raw, "capacity", where, None),
+        ))
+    edges = []
+    for i, raw in enumerate(data["edges"]):
+        where = f"edges[{i}]"
+        _reference_keys(raw, {"from", "to", "weight", "objective_cost"}, {"from", "to", "weight"}, where)
+        if not isinstance(raw["from"], str) or not isinstance(raw["to"], str):
+            raise GraphFormatError(f"{where}: 'from' and 'to' must be strings")
+        edges.append(DependencyEdge(
+            raw["from"],
+            raw["to"],
+            _reference_number(raw, "weight", where),
+            _reference_number(raw, "objective_cost", where, 0.0),
+        ))
+    return reference_build_graph(nodes, edges, allow_cycles=allow_cycles)
+
+
+def _typed(graph):
+    """Every field of every node and edge with its type: 1 == 1.0, but a
+    loader that kept an int where the reference made a float differs here."""
+    return [
+        tuple((type(v), v) for v in (item.id, item.label, item.effectiveness, item.cost, item.capacity))
+        for item in graph.nodes
+    ] + [
+        tuple((type(v), v) for v in (item.src, item.dst, item.weight, item.objective_cost))
+        for item in graph.edges
+    ]
+
+
+def _outcome(load, *args, **kwargs):
+    try:
+        graph = load(*args, **kwargs)
+    except Exception as exc:  # the reference and the loader must fail alike
+        return ("raised", type(exc), str(exc), getattr(exc, "cycle", None))
+    return ("built", _typed(graph), graph.node_ids())
+
+
+def assert_same_load(data, allow_cycles=False):
+    want = _outcome(reference_graph_from_dict, data, allow_cycles=allow_cycles)
+    assert _outcome(graph_from_dict, data, allow_cycles=allow_cycles) == want
+    return want
+
+
+def assert_same_build(nodes, edges, allow_cycles=False):
+    want = _outcome(reference_build_graph, nodes, edges, allow_cycles=allow_cycles)
+    assert _outcome(build_graph, nodes, edges, allow_cycles=allow_cycles) == want
+    return want
+
+
+def _shuffled_keys(rng, obj):
+    keys = list(obj)
+    rng.shuffle(keys)
+    return {key: obj[key] for key in keys}
+
+
+def _number(rng):
+    """A valid JSON number: an int or a float, zero included."""
+    return rng.choice([rng.randint(0, 9), rng.randint(0, 64) / 8, 0, 0.0, 1e300])
+
+
+def random_graph_dict(rng, forward=None):
+    """A random acyclic graph in its JSON form, keys in random order.
+
+    Every edge points forward in the node list when forward is true,
+    otherwise the node list is shuffled after the edges are drawn; capacity
+    and objective_cost are each present on all, none or some objects.
+    """
+    n = rng.randint(2, 24)
+    ids = [rng.choice(["v", "skill ", "k-", ">x", "é"]) + str(i) for i in range(n)]
+    capacity = rng.choice(["all", "none", "some"])
+    nodes = []
+    for nid in ids:
+        raw = {"id": nid, "label": f"label {nid}", "effectiveness": _number(rng), "cost": _number(rng)}
+        if capacity == "all" or (capacity == "some" and rng.random() < 0.5):
+            raw["capacity"] = _number(rng)
+        nodes.append(_shuffled_keys(rng, raw))
+    objective = rng.choice(["all", "none", "some"])
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.3 or (i, j) == (0, 1):
+                raw = {"from": ids[i], "to": ids[j], "weight": rng.choice([1, 2, 0.5, 1e-300, 1e300])}
+                if objective == "all" or (objective == "some" and rng.random() < 0.5):
+                    raw["objective_cost"] = _number(rng)
+                edges.append(_shuffled_keys(rng, raw))
+    rng.shuffle(edges)
+    if forward is None:
+        forward = rng.random() < 0.5
+    if not forward:
+        rng.shuffle(nodes)
+    return {"nodes": nodes, "edges": edges}
+
+
+# Each fault takes (rng, data) and changes one object of data in place. A
+# second fault picks among the objects the first one left objects.
+
+def _pick(rng, data, arrays=("nodes", "edges")):
+    """(array, index, object) of a random object in the named arrays."""
+    return rng.choice([(a, i, raw) for a in arrays for i, raw in enumerate(data[a]) if isinstance(raw, dict)])
+
+
+def _non_object(rng, data):
+    array, i, _ = _pick(rng, data)
+    data[array][i] = rng.choice([[], "node", 3, None, True, [["id", "a"]]])
+
+
+def _unknown_key(rng, data):
+    array, _, raw = _pick(rng, data)
+    raw[rng.choice(["extra", "ID", "weight ", "capacity" if array == "edges" else "from"])] = 1.0
+
+
+def _missing_key(rng, data):
+    array, _, raw = _pick(rng, data)
+    required = ["id", "label", "effectiveness", "cost"] if array == "nodes" else ["from", "to", "weight"]
+    raw.pop(rng.choice(required), None)
+
+
+def _non_string(rng, data):
+    array, _, raw = _pick(rng, data)
+    raw[rng.choice(["id", "label"] if array == "nodes" else ["from", "to"])] = rng.choice(
+        [1, 1.5, None, True, ["a"], {"a": 1}]
+    )
+
+
+def _number_key(rng, data):
+    array, _, raw = _pick(rng, data)
+    return raw, rng.choice(["effectiveness", "cost", "capacity"] if array == "nodes" else ["weight", "objective_cost"])
+
+
+def _not_a_number(rng, data):
+    raw, key = _number_key(rng, data)
+    raw[key] = rng.choice([True, False, "1.0", None, [1.0], 10**400, -(10**400)])
+
+
+def _bad_value(rng, data):
+    raw, key = _number_key(rng, data)
+    raw[key] = rng.choice([math.nan, math.inf, -math.inf, -1.0, -1, -1e-300])
+
+
+def _zero_weight(rng, data):
+    _, _, raw = _pick(rng, data, ["edges"])
+    raw["weight"] = rng.choice([0, 0.0, -0.0])
+
+
+def _duplicate_id(rng, data):
+    (_, _, first), (_, _, second) = rng.sample([_pick(rng, data, ["nodes"]) for _ in range(8)], 2)
+    second["id"] = first.get("id")
+
+
+def _arrow_id(rng, data):
+    _, _, raw = _pick(rng, data, ["nodes"])
+    raw["id"] = rng.choice(["a->b", "->", "x->", "->y"])
+
+
+def _unknown_endpoint(rng, data):
+    _, _, raw = _pick(rng, data, ["edges"])
+    raw[rng.choice(["from", "to"])] = rng.choice(["nope", "", "V1"])
+
+
+def _self_loop(rng, data):
+    _, _, raw = _pick(rng, data, ["edges"])
+    raw["to"] = raw.get("from")
+
+
+def _duplicate_edge(rng, data):
+    _, _, raw = _pick(rng, data, ["edges"])
+    data["edges"].insert(rng.randrange(len(data["edges"]) + 1), dict(raw, weight=rng.choice([1, 7.5])))
+
+
+def _cycle(rng, data):
+    _, _, raw = _pick(rng, data, ["edges"])
+    back = {"from": raw.get("to"), "to": raw.get("from"), "weight": 1}
+    data["edges"].insert(rng.randrange(len(data["edges"]) + 1), back)
+
+
+FAULTS = {
+    "non_object": _non_object,
+    "unknown_key": _unknown_key,
+    "missing_key": _missing_key,
+    "non_string": _non_string,
+    "not_a_number": _not_a_number,
+    "bad_value": _bad_value,
+    "zero_weight": _zero_weight,
+    "duplicate_id": _duplicate_id,
+    "arrow_id": _arrow_id,
+    "unknown_endpoint": _unknown_endpoint,
+    "self_loop": _self_loop,
+    "duplicate_edge": _duplicate_edge,
+    "cycle": _cycle,
+}
+
+
+class TestLoaderAgainstReference:
+    def test_valid_graphs(self):
+        rng = random.Random(20261019)
+        for _ in range(300):
+            data = random_graph_dict(rng)
+            assert assert_same_load(data)[0] == "built"
+
+    @pytest.mark.parametrize("kind", sorted(FAULTS))
+    def test_one_fault(self, kind):
+        rng = random.Random(kind)
+        raised = 0
+        for _ in range(60):
+            data = random_graph_dict(rng)
+            FAULTS[kind](rng, data)
+            raised += assert_same_load(data)[0] == "raised"
+            raised += assert_same_load(data, allow_cycles=True)[0] == "raised"
+        assert raised > 0
+
+    def test_two_faults(self):
+        rng = random.Random(2)
+        kinds = sorted(FAULTS)
+        for _ in range(600):
+            data = random_graph_dict(rng)
+            for kind in rng.sample(kinds, 2):
+                FAULTS[kind](rng, data)
+            assert_same_load(data)
+
+    def test_later_fault_does_not_hide_the_first(self):
+        # a node fault, then an edge fault: the node's error is raised
+        data = {
+            "nodes": [
+                {"id": "a", "label": "A", "effectiveness": 1, "cost": -1},
+                {"id": "b", "label": "B", "effectiveness": 1, "cost": 1},
+            ],
+            "edges": [{"from": "a", "to": "b", "weight": 0}],
+        }
+        assert assert_same_load(data)[1] is InvalidNodeValue
+        data["nodes"][0]["cost"] = 1
+        assert assert_same_load(data)[1] is NonPositiveWeight
+
+    def test_not_a_mapping_or_arrays(self):
+        for data in ([], {"nodes": []}, {"nodes": {}, "edges": []}, {"nodes": [], "edges": [], "x": 1}):
+            assert assert_same_load(data)[0] == "raised"
+        assert assert_same_load({"nodes": [], "edges": []})[0] == "built"
+
+
+class TestBuildGraphSemantics:
+    def test_numpy_float_and_str_subclass_accepted(self):
+        class Name(str):
+            pass
+
+        nodes = [
+            SkillNode(Name("a"), "A", np.float64(1.5), np.float64(0.0), np.float64(2.0)),
+            SkillNode("b", "B", 1, 2, 3),
+        ]
+        edges = [DependencyEdge(Name("a"), "b", np.float64(0.5), np.float64(1.0))]
+        assert assert_same_build(nodes, edges)[0] == "built"
+        graph = build_graph(nodes, edges)
+        assert graph.nodes == tuple(nodes) and graph.edges == tuple(edges)
+        assert type(graph.nodes[0].id) is Name and type(graph.nodes[0].effectiveness) is np.float64
+
+    @pytest.mark.parametrize(
+        "nodes, edges, error, message",
+        [
+            ([SkillNode("a", "A", True, 1.0)], [], InvalidNodeValue,
+             "node 'a': effectiveness must be finite and >= 0, got True"),
+            ([node("a"), node("b")], [DependencyEdge("a", "b", True)], NonPositiveWeight,
+             "edge ('a' -> 'b'): weight must be finite and > 0, got True"),
+            ([node("a"), node("b")], [DependencyEdge("a", "b", "1.0")], NonPositiveWeight,
+             "edge ('a' -> 'b'): weight must be finite and > 0, got '1.0'"),
+        ],
+    )
+    def test_bool_and_string_values_refused(self, nodes, edges, error, message):
+        with pytest.raises(error) as exc:
+            build_graph(nodes, edges)
+        assert str(exc.value) == message
+        assert assert_same_build(nodes, edges)[:3] == ("raised", error, message)
+
+    def test_odd_values_against_reference(self):
+        class Name(str):
+            pass
+
+        big = int(1.7976931348623157e308) + 1  # above the largest float, rounds to it
+        values = [0, 1, 0.0, 2.5, True, False, "1", None, np.float64(1.0), np.float64(-1.0),
+                  np.float64("nan"), big, 10**400, -1, math.inf, math.nan, 1e-320]
+        rng = random.Random(5)
+        for _ in range(400):
+            ids = [rng.choice(["a", "b", "c", Name("a"), Name("d"), "e->f"]) for _ in range(rng.randint(1, 4))]
+            nodes = [
+                SkillNode(nid, "", rng.choice(values), rng.choice(values), rng.choice(values + [None] * 4))
+                for nid in ids
+            ]
+            edges = [
+                DependencyEdge(rng.choice(ids + ["z"]), rng.choice(ids), rng.choice(values), rng.choice(values))
+                for _ in range(rng.randint(0, 3))
+            ]
+            assert_same_build(nodes, edges, allow_cycles=rng.random() < 0.5)
+
+
+class TestForwardOrder:
+    def test_forward_listed_dags_match_kahn(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            graph = reference_graph_from_dict(random_graph_dict(rng, forward=True))
+            assert validate_dag(graph) == reference_validate_dag(graph) == list(graph.node_ids())
+
+    def test_backward_edges_keep_the_kahn_order(self):
+        rng = random.Random(12)
+        backward = 0
+        for _ in range(200):
+            data = random_graph_dict(rng, forward=False)
+            graph, want = graph_from_dict(data), reference_graph_from_dict(data)
+            position = {nid: i for i, nid in enumerate(graph.node_ids())}
+            backward += any(position[e.src] > position[e.dst] for e in graph.edges)
+            assert validate_dag(graph) == reference_validate_dag(want)
+        assert backward > 100
+
+    def test_cycle_among_backward_edges(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            data = random_graph_dict(rng, forward=rng.random() < 0.5)
+            _cycle(rng, data)
+            graph = graph_from_dict(data, allow_cycles=True)
+            assert graph == reference_graph_from_dict(data, allow_cycles=True)
+            with pytest.raises(CycleDetected) as want:
+                reference_validate_dag(graph)
+            with pytest.raises(CycleDetected) as got:
+                validate_dag(graph)
+            assert (str(got.value), got.value.cycle) == (str(want.value), want.value.cycle)
