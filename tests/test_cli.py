@@ -876,6 +876,77 @@ class TestRunScenario:
         assert "feedback" not in report["stages"]
 
 
+# SHA-256 of what each command prints ("stdout") and of each file it writes,
+# on the case study. "{out}" stands for a fresh directory. These outputs are
+# Python floats, exact integers and IEEE elementwise steps, so they are the
+# same bytes on every platform. markov and the learner go through numpy's
+# log2, quantiles and matrix products, which are byte-stable per platform
+# only; test_criterion_10_cli_byte_identical_reruns covers them.
+GOLDEN = {
+    "validate": (
+        ["validate", "--graph", "{cs}/graph.json"],
+        {"stdout": "0c384dc789ceef32d6cd96171ebb1cf6e203b18c76e689dda11ba32c25ead223"},
+    ),
+    "centrality": (
+        ["centrality", "--graph", "{cs}/graph.json"],
+        {"stdout": "c439627db314e954c6c490fa7768cc84bd3b5a3061d37636328ada0813abc333"},
+    ),
+    "allocate fractional": (
+        ["allocate", "--graph", "{cs}/graph.json", "--budget", "10.0", "--mode", "fractional"],
+        {"stdout": "483f3c1f929469e68009bf53c4060f1b2ef1edb6fb8e2bf52bf0a81b9e2ad4f9"},
+    ),
+    "allocate select": (
+        ["allocate", "--graph", "{cs}/graph.json", "--budget", "9.0", "--mode", "select"],
+        {"stdout": "b04eeb17f6918710dc56018f9f706469fcb26860693fbea781f292bded504fff"},
+    ),
+    "path": (
+        ["path", "--graph", "{cs}/graph.json", "--from", "v1", "--to", "v5"],
+        {"stdout": "66d66ca740deaad58dbada10cfa71ac68400d1700bf68af781fdb44b063d45c9"},
+    ),
+    "path tau": (
+        ["path", "--graph", "{cs}/graph.json", "--from", "v1", "--to", "v5", "--tau", "2.0"],
+        {"stdout": "8b3c7e196c37f10a31ac4805f818762a36aea0426d2274aa5dd40f049b520fd5"},
+    ),
+    "feedback": (
+        ["feedback", "--graph", "{cs}/graph.json", "--metrics", "{cs}/metrics.json",
+         "--eta", "0.5", "--budget", "10.0", "--out", "{out}/history.jsonl"],
+        {
+            "stdout": "192b28d67e9b124b188d5d21a6948c303bb3917f9bbc0b67f08ed6cc4dae1662",
+            "history.jsonl": "e5ce3db5019f208390a3c8285bf3d5e79cf6743948f1ad7229e729892aa2764e",
+        },
+    ),
+    # stdout is report.json's bytes, here less the "timings" member
+    "run": (
+        ["run", "{cs}/scenario.json", "--out", "{out}"],
+        {
+            "stdout": "af038a4369ec110ad6f6b5b92daab20ee053417887bf3242f42fad495f819d95",
+            "allocation.json": "483f3c1f929469e68009bf53c4060f1b2ef1edb6fb8e2bf52bf0a81b9e2ad4f9",
+            "centrality.json": "982499e48cae6d8f5453c43ac16e7c7227806e1d1f72b2df5d73b47d559c38d0",
+            "final_graph.json": "14f59328b2b185c4759e1ce3f8b7cbbaae2bf017ac507ac51d1d046165d6f5be",
+            "history.jsonl": "e5ce3db5019f208390a3c8285bf3d5e79cf6743948f1ad7229e729892aa2764e",
+            "paths.json": "af8d1d7f4a360925b600044cdd603d99f0ec638a1f71e29b5f9fdde61e9a4159",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_outputs(capsys, tmp_path, name):
+    argv, digests = GOLDEN[name]
+    out = tmp_path / "out"
+    out.mkdir()
+    code, stdout, _ = run_cli(capsys, *(a.format(cs=CASE_STUDY, out=out) for a in argv))
+    assert code == 0
+    written = {path.name: path.read_bytes() for path in out.iterdir()}
+    if name == "run":
+        assert written.pop("report.json") == stdout.encode()
+        stdout, removed = re.subn(r'\n  "timings": \{[^{}]*\},', "", stdout)
+        assert removed == 1
+    got = {"stdout": hashlib.sha256(stdout.encode()).hexdigest()}
+    got.update((file, hashlib.sha256(data).hexdigest()) for file, data in written.items())
+    assert got == digests
+
+
 def test_module_entry_point_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "skillsgraph", "validate", "--graph", str(CASE_STUDY / "graph.json")],
