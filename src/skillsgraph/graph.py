@@ -146,10 +146,14 @@ def _check_nodes(nodes: Sequence[SkillNode]) -> set[str]:
     return the set of node ids."""
     seen_ids = set()
     for n in nodes:
+        if not isinstance(n.id, str):
+            raise InvalidNodeValue(f"node {n.id!r}: id must be a string")
         if n.id in seen_ids:
             raise DuplicateNodeId(f"duplicate node id {n.id!r}")
         if "->" in n.id:
             raise InvalidNodeValue(f"node {n.id!r}: id must not contain '->' (it joins edge keys)")
+        if not isinstance(n.label, str):
+            raise InvalidNodeValue(f"node {n.id!r}: label must be a string, got {n.label!r}")
         seen_ids.add(n.id)
         _check_node_fields(n)
     return seen_ids
@@ -199,7 +203,7 @@ def _node_ids_in_bulk(nodes: Sequence[SkillNode]) -> set[str] | None:
     """The set of node ids if every node passes _check_nodes, checked a
     column at a time; None if any column check fails."""
     ids = _column(nodes, "id")
-    if not set(map(type, ids)) <= {str}:
+    if not set(map(type, ids)) | set(map(type, _column(nodes, "label"))) <= {str}:
         return None
     id_set = set(ids)
     bounded = [c for c in _column(nodes, "capacity") if c is not UNBOUNDED]
@@ -236,9 +240,9 @@ def build_graph(
 ) -> SkillsGraph:
     """Validate and assemble a graph.
 
-    Node ids must be unique (case sensitive) and must not contain "->", which
-    joins the ends of an edge in its "src->dst" key, so that every edge has
-    its own key. Edge endpoints must exist, edges must be unique per
+    Node ids and labels must be strings. Ids must be unique (case sensitive)
+    and must not contain "->", which joins the ends of an edge in its
+    "src->dst" key, so that every edge has its own key. Edge endpoints must exist, edges must be unique per
     (src, dst), self-loops are rejected, weights must be positive and finite,
     objective costs finite and >= 0. Acyclicity is enforced unless
     allow_cycles is set (state-transition style graphs).

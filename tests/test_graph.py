@@ -32,7 +32,7 @@ from skillsgraph.errors import (
     SelfLoop,
     UnknownEndpoint,
 )
-from skillsgraph.graph import finite_number, graph_from_dict
+from skillsgraph.graph import _node_ids_in_bulk, finite_number, graph_from_dict
 from tests.conftest import DEMO_EDGE_PAIRS, demo_graph, random_dag
 
 
@@ -299,10 +299,14 @@ def reference_build_graph(nodes, edges, allow_cycles=False):
     node_list = list(nodes)
     seen_ids = set()
     for n in node_list:
+        if not isinstance(n.id, str):
+            raise InvalidNodeValue(f"node {n.id!r}: id must be a string")
         if n.id in seen_ids:
             raise DuplicateNodeId(f"duplicate node id {n.id!r}")
         if "->" in n.id:
             raise InvalidNodeValue(f"node {n.id!r}: id must not contain '->' (it joins edge keys)")
+        if not isinstance(n.label, str):
+            raise InvalidNodeValue(f"node {n.id!r}: label must be a string, got {n.label!r}")
         seen_ids.add(n.id)
         for field in ("effectiveness", "cost"):
             value = getattr(n, field)
@@ -647,6 +651,31 @@ class TestBuildGraphSemantics:
             build_graph(nodes, edges)
         assert str(exc.value) == message
         assert assert_same_build(nodes, edges)[:3] == ("raised", error, message)
+
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [
+            ([SkillNode(5)], "node 5: id must be a string"),
+            ([node("a"), SkillNode(["b"])], "node ['b']: id must be a string"),
+            ([SkillNode("a", 5)], "node 'a': label must be a string, got 5"),
+            ([node("a"), SkillNode("b", None)], "node 'b': label must be a string, got None"),
+        ],
+    )
+    def test_id_or_label_not_a_string_refused(self, nodes, message):
+        # the bulk check passes them on to the per-item checks, which name them
+        assert _node_ids_in_bulk(nodes) is None
+        with pytest.raises(InvalidNodeValue) as exc:
+            build_graph(nodes, [])
+        assert str(exc.value) == message
+        assert assert_same_build(nodes, [])[:3] == ("raised", InvalidNodeValue, message)
+
+    def test_str_subclass_label_accepted(self):
+        class Name(str):
+            pass
+
+        nodes = [SkillNode("a", Name("A"))]
+        assert _node_ids_in_bulk(nodes) is None
+        assert build_graph(nodes, []).nodes == tuple(nodes)
 
     def test_odd_values_against_reference(self):
         class Name(str):
