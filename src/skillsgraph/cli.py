@@ -74,6 +74,9 @@ def _predictions_text(accuracy, n: int, student_ids, predictions) -> str:
 
 # the most values one LO:HI grid flag may name; checked before the range is built
 MAX_RANGE_VALUES = 1000
+# the most configurations a train grid may name (the default grid names 260);
+# checked before any configuration is built or any data is read
+MAX_GRID_CONFIGS = 10_000
 
 
 def _parse_range(text: str, flag: str) -> tuple[int, ...]:
@@ -193,6 +196,12 @@ def cmd_train(args) -> dict:
         min_samples_leaves=_parse_range(args.grid_leaf, "--grid-leaf"),
         criteria=_parse_criteria(args.criteria),
     )
+    count = len(grid.max_depths) * len(grid.min_samples_leaves) * len(grid.criteria)
+    if count > MAX_GRID_CONFIGS:
+        raise InputError(
+            f"--grid-depth x --grid-leaf x --criteria names {count} configs, "
+            f"more than the cap of {MAX_GRID_CONFIGS}"
+        )
     columns, labels = feature_columns(load_cohort_csv(args.data))
     data = preprocess(columns, labels)
     result = grid_search_cv(data, grid, folds=args.folds, seed=args.seed)

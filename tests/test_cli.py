@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 import skillsgraph
-from skillsgraph import generate_cohort, planted_profile, summarize, write_cohort_csv
-from skillsgraph.cli import MAX_RANGE_VALUES, _parse_range, main
+from skillsgraph import GridSpec, cli, generate_cohort, planted_profile, summarize, write_cohort_csv
+from skillsgraph.cli import MAX_GRID_CONFIGS, MAX_RANGE_VALUES, _parse_range, main
 from skillsgraph.cohort import report_to_dict
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -528,6 +528,32 @@ class TestModelCommands:
         # no data file: the flag is refused before anything is read or fitted
         message = assert_error(capsys, 2, "InputError", "train", "--data", str(tmp_path / "none.csv"), flag, text)
         assert flag in message and str(MAX_RANGE_VALUES) in message
+
+    @pytest.mark.parametrize(
+        "depth, leaf, criteria, count",
+        [("0:999", "1:1000", "gini", 1_000_000), ("1:100", "1:51", "gini,entropy", 10_200)],
+    )
+    def test_grid_beyond_the_config_cap_is_refused_before_any_work(
+        self, capsys, tmp_path, monkeypatch, depth, leaf, criteria, count
+    ):
+        def must_not_run(*args, **kwargs):
+            pytest.fail("the grid was built or the data read before the cap was checked")
+
+        monkeypatch.setattr(cli, "load_cohort_csv", must_not_run)
+        monkeypatch.setattr(GridSpec, "configs", must_not_run)
+        message = assert_error(
+            capsys, 2, "InputError", "train", "--data", str(tmp_path / "none.csv"),
+            "--grid-depth", depth, "--grid-leaf", leaf, "--criteria", criteria,
+        )
+        assert str(count) in message and str(MAX_GRID_CONFIGS) in message
+
+    def test_grid_at_the_config_cap_goes_on_to_the_data(self, capsys, tmp_path):
+        # 100 x 50 x 2 configs, exactly the cap: the missing data file is the error
+        message = assert_error(
+            capsys, 2, "FileNotFound", "train", "--data", str(tmp_path / "none.csv"),
+            "--grid-depth", "1:100", "--grid-leaf", "1:50", "--criteria", "gini,entropy",
+        )
+        assert "none.csv" in message
 
     def test_grid_range_at_the_cap_is_admitted(self):
         assert _parse_range(f"1:{MAX_RANGE_VALUES}", "--grid-leaf") == tuple(range(1, MAX_RANGE_VALUES + 1))
