@@ -13,7 +13,6 @@ from .allocate import (
     AllocationPlan,
     NodeSelection,
     allocate_fractional,
-    objective_value,
     select_knapsack,
 )
 from .cohort import (

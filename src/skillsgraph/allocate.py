@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .errors import (
     CostPrecisionError,
     CostResolutionExceeded,
     NegativeBudget,
-    UnknownNode,
 )
 from .exact import integer_sum_to_float, quantize_hundredths, scale_to_integers
 from .graph import UNBOUNDED, SkillsGraph, finite_number
@@ -144,14 +142,6 @@ def allocate_fractional(graph: SkillsGraph, budget: float) -> AllocationPlan:
         graph.node(nid).effectiveness * amount for nid, amount in allocation.items()
     )
     return AllocationPlan(allocation=allocation, objective=objective, budget=budget)
-
-
-def objective_value(graph: SkillsGraph, allocation: Mapping[str, float]) -> float:
-    """Sum of effectiveness * amount over an allocation mapping."""
-    for nid in allocation:
-        if not graph.has_node(nid):
-            raise UnknownNode(f"allocation references unknown node {nid!r}")
-    return math.fsum(graph.node(nid).effectiveness * amount for nid, amount in allocation.items())
 
 
 def plan_to_dict(plan) -> dict:

@@ -41,9 +41,6 @@ class TransitionMatrix:
     states: tuple[str, ...]
     matrix: np.ndarray  # row-stochastic, shape (n, n)
 
-    def to_dict(self) -> dict:
-        return {"states": list(self.states), "matrix": self.matrix.tolist()}
-
 
 def build_transition_matrix(states: Sequence[str], counts) -> TransitionMatrix:
     """Row-normalize a square nonnegative integer count matrix.

@@ -19,7 +19,6 @@ from skillsgraph import (
     SkillNode,
     allocate_fractional,
     build_graph,
-    objective_value,
     select_knapsack,
 )
 from skillsgraph.allocate import DEFAULT_MAX_CELLS, plan_to_dict
@@ -27,7 +26,6 @@ from skillsgraph.errors import (
     CostPrecisionError,
     CostResolutionExceeded,
     NegativeBudget,
-    UnknownNode,
 )
 from skillsgraph.exact import scale_to_integers
 
@@ -320,22 +318,3 @@ class TestFractional:
         g = item_graph([(3.0, 0.0)], capacities={0: 1.0})
         d = plan_to_dict(allocate_fractional(g, 2.0))
         assert d == {"mode": "fractional", "budget": 2.0, "allocation": {"a": 1.0}, "objective": 3.0}
-
-
-class TestObjectiveValue:
-    def test_dot_product(self):
-        g = item_graph([(3.0, 0.0), (2.0, 0.0), (1.0, 0.0)])
-        assert objective_value(g, {"a": 1.0, "b": 1.0, "c": 0.0}) == 5.0
-
-    def test_zero_plan(self):
-        g = item_graph([(3.0, 0.0)])
-        assert objective_value(g, {"a": 0.0}) == 0.0
-
-    def test_half_unit(self):
-        g = item_graph([(4.0, 0.0)])
-        assert objective_value(g, {"a": 0.5}) == 2.0
-
-    def test_unknown_node(self):
-        g = item_graph([(1.0, 0.0)])
-        with pytest.raises(UnknownNode):
-            objective_value(g, {"zz": 1.0})
