@@ -242,10 +242,11 @@ def build_graph(
 
     Node ids and labels must be strings. Ids must be unique (case sensitive)
     and must not contain "->", which joins the ends of an edge in its
-    "src->dst" key, so that every edge has its own key. Edge endpoints must exist, edges must be unique per
-    (src, dst), self-loops are rejected, weights must be positive and finite,
-    objective costs finite and >= 0. Acyclicity is enforced unless
-    allow_cycles is set (state-transition style graphs).
+    "src->dst" key, so that every edge has its own key. Edge endpoints must
+    exist, edges must be unique per (src, dst), self-loops are rejected,
+    weights must be positive and finite, objective costs finite and >= 0.
+    Acyclicity is enforced unless allow_cycles is set (state-transition style
+    graphs).
 
     Nodes, then edges, are checked a column at a time; where that finds a
     fault, or a value it does not take in bulk, the per-item checks run and

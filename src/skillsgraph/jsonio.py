@@ -18,7 +18,8 @@ from typing import Mapping
 
 
 def _key(key) -> str:
-    """A dict key as json.encoder writes it: quoted, with the same conversions."""
+    """A dict key as json.encoder writes it: quoted, with the same conversions
+    (a key that is not a str is cut from json's text of {key: 0})."""
     return encode_basestring_ascii(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4]
 
 
