@@ -104,7 +104,7 @@ def _check_seed(seed: int) -> None:
 
 
 def _parse_criteria(text: str) -> tuple[str, ...]:
-    names = tuple(part.strip() for part in text.split(",") if part.strip())
+    names = tuple(dict.fromkeys(part.strip() for part in text.split(",") if part.strip()))  # repeats dropped
     for name in names:
         if name not in ("gini", "entropy"):
             raise InputError(f"--criteria entries must be gini or entropy, got {name!r}")

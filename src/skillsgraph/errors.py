@@ -177,8 +177,8 @@ class StateMismatch(DomainError):
     pass
 
 
-class NotConverged(DomainError):
-    pass
+class FloatRangeExceeded(DomainError):
+    """A stationary distribution whose computation leaves the float range."""
 
 
 class CountsFormatError(InputError):

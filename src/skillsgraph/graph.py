@@ -163,9 +163,9 @@ def _check_edges(edges: Sequence[DependencyEdge], node_ids: set[str]) -> None:
     """Check one edge at a time; raise the first error in edge order."""
     seen_pairs = set()  # freed on return, before the graph builds its own index
     for e in edges:
-        if e.src not in node_ids:
+        if not isinstance(e.src, str) or e.src not in node_ids:
             raise UnknownEndpoint(f"edge ({e.src!r} -> {e.dst!r}): unknown source {e.src!r}")
-        if e.dst not in node_ids:
+        if not isinstance(e.dst, str) or e.dst not in node_ids:
             raise UnknownEndpoint(f"edge ({e.src!r} -> {e.dst!r}): unknown target {e.dst!r}")
         if e.src == e.dst:
             raise SelfLoop(f"self loop on {e.src!r}")

@@ -2,14 +2,8 @@
 
 Transition probabilities come from observed movement counts between states.
 A state with no observed departures is treated as absorbing (self-loop), which
-keeps every row stochastic.
-
-stationary_distribution computes the Cesaro limit lim (1/K) sum d0 P^k from
-the uniform start. Evaluating the running average literally converges like
-1/K, far too slowly for the tolerances promised here; power iteration on the
-half-lazy chain Q = (P + I)/2 has the same limit (identical eigenvalue-1
-projector, and Q damps every other unit-circle mode, periodic chains
-included) and converges geometrically, so that is what runs.
+keeps every row stochastic. The stationary distribution is exact up to
+rounding: one pass of GTH state reduction, with no iteration or tolerance.
 """
 
 from __future__ import annotations
@@ -23,16 +17,14 @@ import numpy as np
 from .errors import (
     CountsFormatError,
     EmptyCounts,
+    FloatRangeExceeded,
     NegativeCount,
-    NotConverged,
     ShapeMismatch,
     StateMismatch,
     open_text,
 )
 from .graph import finite_number
 
-DIFF_TOLERANCE = 1e-10
-RESIDUAL_TOLERANCE = 1e-9
 MAX_ITERATIONS = 100_000
 
 
@@ -61,12 +53,10 @@ def build_transition_matrix(states: Sequence[str], counts) -> TransitionMatrix:
     if np.any(arr < 0):
         raise NegativeCount("counts must be >= 0")
 
-    matrix = np.zeros_like(arr)
-    for i, row_sum in enumerate(arr.sum(axis=1)):
-        if row_sum == 0:
-            matrix[i, i] = 1.0
-        else:
-            matrix[i] = arr[i] / row_sum
+    # exact power-of-two scaling, to a row maximum in [0.5, 1): no sum overflows
+    arr = np.ldexp(arr, -np.frexp(arr.max(axis=1, keepdims=True))[1])
+    sums = arr.sum(axis=1, keepdims=True)
+    matrix = np.divide(arr, sums, out=np.eye(len(states)), where=sums > 0)  # a zero row: self-loop
     matrix.setflags(write=False)
     return TransitionMatrix(states=states, matrix=matrix)
 
@@ -95,37 +85,45 @@ def step_distribution(
 
 
 def stationary_distribution(tm: TransitionMatrix) -> dict:
-    """Stationary distribution reached from the uniform start.
+    """Long-run share of time in each state from the uniform start d0.
 
-    Iterates until successive iterates agree within 1e-10 (max norm), capped
-    at 100000 rounds; the result must satisfy max|pi P - pi| <= 1e-9 or
-    NotConverged is raised. Reducible chains yield one valid stationary
-    distribution, with no uniqueness detection.
+    That is the Cesaro limit lim (1/K) sum_{k<K} d0 P^k: for a reducible
+    chain, each closed class's own distribution weighted by the chance of
+    ending in that class, and 0 on transient states. GTH state reduction
+    (Grassmann, Taksar & Heyman, 1985; Stewart, 1994) eliminates the states
+    last to first, adding P[i,k] P[k,j] / s_k to P[i,j] and moving k's start
+    mass on alike, where s_k sums k's entries into the live states. A state
+    with none on the exact support (a float product can underflow) is the
+    root of its closed class and stays live; back-substitution from the
+    roots gives each class. No subtraction, tolerance or cap: O(n^3) time,
+    O(n^2) memory. FloatRangeExceeded if products of probabilities leave
+    the float range.
     """
-    P = tm.matrix
     n = len(tm.states)
-    lazy = 0.5 * (P + np.eye(n))
-    d = np.full(n, 1.0 / n)
-    iterations = 0
-    while iterations < MAX_ITERATIONS:
-        nxt = d @ lazy
-        diff = float(np.max(np.abs(nxt - d)))
-        d = nxt
-        iterations += 1
-        if diff < DIFF_TOLERANCE and _residual(d, P) <= RESIDUAL_TOLERANCE:
-            break
-    residual = _residual(d, P)
-    if residual > RESIDUAL_TOLERANCE:
-        raise NotConverged(
-            f"no stationary distribution after {iterations} iterations "
-            f"(residual {residual:.3e})"
-        )
-    d = d / d.sum()
-    return {s: float(v) for s, v in zip(tm.states, d)}
-
-
-def _residual(d: np.ndarray, P: np.ndarray) -> float:
-    return float(np.max(np.abs(d @ P - d)))
+    p = np.array(tm.matrix)  # censored to the live states as the pass goes
+    support = p > 0
+    live = np.ones(n, dtype=bool)
+    mass = np.full(n, 1.0 / n)
+    outflow = np.zeros(n)
+    with np.errstate(all="ignore"):  # a range fault ends as NaN or inf, checked below
+        for k in range(n - 1, -1, -1):
+            live[k] = False
+            if not support[k, live].any():
+                live[k] = True
+                continue
+            out = np.where(live, p[k], 0.0)
+            outflow[k] = out.sum()
+            share = out / outflow[k]
+            mass += mass[k] * share
+            p[:k] += np.outer(p[:k, k], share)
+            support[:k] |= np.outer(support[:k, k], support[k] & live)
+        x = np.eye(n)[:, live]  # a column per root: its class's distribution, unnormalized
+        for k in np.flatnonzero(~live):
+            x[k] = p[:k, k] @ x[:k] / outflow[k]
+        pi = x @ (mass[live] / x.sum(axis=0))
+    if not np.isfinite(pi).all():
+        raise FloatRangeExceeded("the chain's transition probabilities multiply beyond the float range")
+    return {s: float(v) for s, v in zip(tm.states, pi)}
 
 
 # -- counts CSV -----------------------------------------------------------------

@@ -9,6 +9,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -462,6 +463,24 @@ class TestLoaderErrors:
         )
         assert "100000" in message
 
+    def test_counts_whose_row_sum_overflows(self, capsys, tmp_path):
+        counts = tmp_path / "counts.csv"
+        counts.write_text(f"a,b\n{10**308},{10**308}\n1,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, payload = run_json(capsys, "markov", "--counts", str(counts))
+        assert code == 0
+        assert payload["matrix"] == [[0.5, 0.5], [0.5, 0.5]]
+        assert payload["stationary"] == {"a": 0.5, "b": 0.5}
+
+    def test_probabilities_beyond_the_float_range(self, capsys, tmp_path):
+        # a leaves for b, and b for c, with chance 1e-300: the exit from the
+        # pair {a, b} underflows, so its outflow reads 0 and the result NaN
+        counts = tmp_path / "counts.csv"
+        counts.write_text(f"a,b,c\n{10**300},1,0\n{10**300},0,1\n0,0,1\n")
+        message = assert_error(capsys, 1, "FloatRangeExceeded", "markov", "--counts", str(counts))
+        assert "float range" in message
+
 
 class TestModelCommands:
     @pytest.fixture()
@@ -515,6 +534,19 @@ class TestModelCommands:
         assert [p["student_id"] for p in predicted["predictions"]][:2] == ["S00001", "S00002"]
         assert all(p["prediction"] in (0, 1) for p in predicted["predictions"])
 
+    def test_repeated_criterion_is_fitted_once(self, capsys, tmp_path, cohort_csv):
+        runs = []
+        for criteria in ("gini", "gini,gini", " gini , gini,"):
+            out = tmp_path / f"model_{len(runs)}"
+            code, text, _ = run_cli(
+                capsys, "train", "--data", str(cohort_csv), "--grid-depth", "2:3", "--grid-leaf", "2",
+                "--criteria", criteria, "--folds", "3", "--out", str(out),
+            )
+            assert code == 0
+            runs.append((text, (out / "cv_results.csv").read_bytes()))
+        assert runs[0] == runs[1] == runs[2]
+        assert json.loads(runs[0][0])["configs_evaluated"] == 2
+
     def test_bad_grid_flag(self, capsys, cohort_csv):
         code, payload = run_json(
             capsys, "train", "--data", str(cohort_csv), "--grid-depth", "5:3"
@@ -552,6 +584,13 @@ class TestModelCommands:
         message = assert_error(
             capsys, 2, "FileNotFound", "train", "--data", str(tmp_path / "none.csv"),
             "--grid-depth", "1:100", "--grid-leaf", "1:50", "--criteria", "gini,entropy",
+        )
+        assert "none.csv" in message
+
+    def test_repeated_criterion_does_not_count_toward_the_config_cap(self, capsys, tmp_path):
+        message = assert_error(
+            capsys, 2, "FileNotFound", "train", "--data", str(tmp_path / "none.csv"),
+            "--grid-depth", "1:100", "--grid-leaf", "1:50", "--criteria", "gini,entropy,gini",
         )
         assert "none.csv" in message
 

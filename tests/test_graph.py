@@ -319,9 +319,9 @@ def reference_build_graph(nodes, edges, allow_cycles=False):
     edge_list = list(edges)
     seen_pairs = set()
     for e in edge_list:
-        if e.src not in seen_ids:
+        if not isinstance(e.src, str) or e.src not in seen_ids:
             raise UnknownEndpoint(f"edge ({e.src!r} -> {e.dst!r}): unknown source {e.src!r}")
-        if e.dst not in seen_ids:
+        if not isinstance(e.dst, str) or e.dst not in seen_ids:
             raise UnknownEndpoint(f"edge ({e.src!r} -> {e.dst!r}): unknown target {e.dst!r}")
         if e.src == e.dst:
             raise SelfLoop(f"self loop on {e.src!r}")
@@ -668,6 +668,23 @@ class TestBuildGraphSemantics:
             build_graph(nodes, [])
         assert str(exc.value) == message
         assert assert_same_build(nodes, [])[:3] == ("raised", InvalidNodeValue, message)
+
+    @pytest.mark.parametrize(
+        "edge, message",
+        [
+            (DependencyEdge(["a"], "b", 1.0), "edge (['a'] -> 'b'): unknown source ['a']"),
+            (DependencyEdge("a", {"b": 1}, 1.0), "edge ('a' -> {'b': 1}): unknown target {'b': 1}"),
+            (DependencyEdge(("a",), "b", 1.0), "edge (('a',) -> 'b'): unknown source ('a',)"),
+        ],
+        ids=["list_source", "dict_target", "tuple_source"],
+    )
+    def test_endpoint_not_a_string_is_unknown(self, edge, message):
+        # checked before the set lookup, which an unhashable endpoint would fail
+        nodes = [SkillNode("a"), SkillNode("b")]
+        with pytest.raises(UnknownEndpoint) as exc:
+            build_graph(nodes, [edge])
+        assert str(exc.value) == message
+        assert assert_same_build(nodes, [edge])[:3] == ("raised", UnknownEndpoint, message)
 
     def test_str_subclass_label_accepted(self):
         class Name(str):
