@@ -533,15 +533,14 @@ def load_cohort_csv(path) -> CohortTable:
 
 def feature_columns(table: CohortTable) -> tuple[list[RawColumn], list[int]]:
     """Learner view of a cohort: feature columns plus the employment labels."""
-    mentoring = tuple(None if v is None else float(v) for v in table.mentoring_sessions)
     columns = [
         RawColumn("gender", CATEGORICAL, table.gender),
         RawColumn("ethnicity", CATEGORICAL, table.ethnicity),
         RawColumn("education_level", CATEGORICAL, table.education_level),
         RawColumn("region", CATEGORICAL, table.region),
-        RawColumn("mentoring_sessions", NUMERIC, mentoring),
+        RawColumn("mentoring_sessions", NUMERIC, table.mentoring_sessions),
         RawColumn("workshop_hours", NUMERIC, table.workshop_hours),
-        RawColumn("research_projects", NUMERIC, tuple(map(float, table.research_projects))),
+        RawColumn("research_projects", NUMERIC, table.research_projects),
     ]
     return columns, list(table.employed)
 

@@ -154,10 +154,12 @@ def load_counts(path) -> tuple[list[str], list[list[int]]]:
             cells = [int(cell) for cell in row]
         except ValueError:
             raise CountsFormatError(f"{path}: line {lineno}: counts must be integers") from None
-        wide = [len(str(cell)) for cell in cells if not finite_number(cell)]
-        if wide:
+        try:
+            sum(map(float, cells))  # float() raises exactly where finite_number says no
+        except OverflowError:
+            wide = next(len(str(cell)) for cell in cells if not finite_number(cell))
             raise CountsFormatError(
-                f"{path}: line {lineno}: counts must fit a float, got an integer of {wide[0]} digits"
-            )
+                f"{path}: line {lineno}: counts must fit a float, got an integer of {wide} digits"
+            ) from None
         counts.append(cells)
     return states, counts

@@ -1,11 +1,14 @@
 """Tabular preprocessing and stratified splitting for the tree learner.
 
-Numeric columns: median imputation, winsorizing to the Tukey fences
-[Q1 - 1.5 IQR, Q3 + 1.5 IQR], then min-max scaling to [0, 1]. Categorical
-columns: mode imputation (ties to the lexicographically smallest value) and
-one-hot encoding. Every statistic is fitted on the designated fit rows only;
-other rows are transformed with those statistics, clipped into [0, 1], and a
-category never seen at fit time encodes to all zeros with a warning.
+A numeric column holds ints or floats, None or NaN for missing, and is
+converted once to a float array. It gets median imputation, winsorizing to
+the Tukey fences [Q1 - 1.5 IQR, Q3 + 1.5 IQR], then min-max scaling to
+[0, 1]. A categorical column gets mode imputation (ties to the
+lexicographically smallest value) and one-hot encoding. Every statistic is
+fitted on the designated fit rows only. preprocess and apply_stats then
+transform every row alike: scaled values are clipped into [0, 1], a no-op on
+fit rows since IEEE subtraction and division are monotone, and a category
+never seen at fit time encodes to all zeros with a warning.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ CATEGORICAL = "categorical"
 class RawColumn:
     name: str
     kind: str  # NUMERIC or CATEGORICAL
-    values: tuple  # float | str | None per row, None = missing
+    values: tuple  # int | float | str | None per row; None, or NaN in a numeric column, = missing
 
 
 @dataclass(frozen=True)
@@ -75,17 +78,15 @@ class PreparedDataset:
         return PreparedDataset(self.X[idx], self.y[idx], self.feature_names, self.stats)
 
 
-def _fit_numeric(values, fit_rows) -> NumericStats:
-    fit_values = [values[i] for i in fit_rows if values[i] is not None]
-    if not fit_values:
-        raise AllMissingColumn("numeric column has no non-missing fit values")
-    arr = np.array(fit_values, dtype=float)
-    median = float(np.median(arr))
+def _fit_numeric(name: str, values: np.ndarray, fit_rows) -> NumericStats:
+    fit = values[fit_rows]
+    missing = np.isnan(fit)
+    if missing.all():
+        raise AllMissingColumn(f"column {name!r} is all-missing in the fit rows")
+    median = float(np.median(fit[~missing]))
     # fences fitted after imputation: imputing the median cannot move quartiles
     # outward, but recompute on the imputed vector to keep the pipeline literal
-    imputed = np.array(
-        [values[i] if values[i] is not None else median for i in fit_rows], dtype=float
-    )
+    imputed = np.where(missing, median, fit)
     q1, q3 = np.quantile(imputed, 0.25), np.quantile(imputed, 0.75)
     iqr = q3 - q1
     lower, upper = float(q1 - 1.5 * iqr), float(q3 + 1.5 * iqr)
@@ -99,25 +100,22 @@ def _fit_numeric(values, fit_rows) -> NumericStats:
     )
 
 
-def _transform_numeric(values, stats: NumericStats, fit_mask) -> np.ndarray:
-    arr = np.array(
-        [v if v is not None else stats.median for v in values], dtype=float
-    )
+def _transform_numeric(values: np.ndarray, stats: NumericStats) -> np.ndarray:
+    arr = np.where(np.isnan(values), stats.median, values)
     arr = np.clip(arr, stats.lower_fence, stats.upper_fence)
     span = stats.maximum - stats.minimum
-    if span == 0:
-        scaled = np.zeros_like(arr)
-    else:
-        scaled = (arr - stats.minimum) / span
-    # rows outside the fit set may still fall outside [0, 1]; clip them
-    scaled[~fit_mask] = np.clip(scaled[~fit_mask], 0.0, 1.0)
-    return scaled
+    scaled = np.zeros_like(arr) if span == 0 else (arr - stats.minimum) / span
+    # A fit row's value, imputed and fenced as at fit time, lies between the
+    # fitted minimum and maximum. IEEE subtraction and division round
+    # monotonically, so it scales into [0, 1] already and this clip changes
+    # only rows outside the fit set.
+    return np.clip(scaled, 0.0, 1.0)
 
 
-def _fit_categorical(values, fit_rows) -> CategoricalStats:
+def _fit_categorical(name: str, values, fit_rows) -> CategoricalStats:
     fit_values = [values[i] for i in fit_rows if values[i] is not None]
     if not fit_values:
-        raise AllMissingColumn("categorical column has no non-missing fit values")
+        raise AllMissingColumn(f"column {name!r} is all-missing in the fit rows")
     freq: dict[str, int] = {}
     for v in fit_values:
         freq[v] = freq.get(v, 0) + 1
@@ -145,6 +143,37 @@ def _transform_categorical(
     return [f"{name}={c}" for c in stats.categories], out
 
 
+def _by_name(columns: Sequence[RawColumn]) -> dict:
+    """Each column's values under its name. A name may appear once, and every
+    column has as many rows as the first."""
+    values = {}
+    for col in columns:
+        if col.name in values:
+            raise PartitionMismatch(f"column {col.name!r} appears more than once")
+        n = len(columns[0].values)
+        if len(col.values) != n:
+            raise PartitionMismatch(f"column {col.name!r} has {len(col.values)} rows, expected {n}")
+        values[col.name] = col.values
+    return values
+
+
+def _encode(values: dict, fitted) -> tuple[tuple[str, ...], np.ndarray]:
+    """Feature names and matrix of columns (name -> values) under fitted (name, kind, stats)."""
+    names: list[str] = []
+    blocks: list[np.ndarray] = []
+    for name, kind, stats in fitted:
+        if name not in values:
+            raise PartitionMismatch(f"missing column {name!r}")
+        if kind == NUMERIC:
+            names.append(name)
+            blocks.append(_transform_numeric(np.asarray(values[name], dtype=float), stats)[:, None])
+        else:
+            block_names, block = _transform_categorical(name, values[name], stats)
+            names.extend(block_names)
+            blocks.append(block)
+    return tuple(names), np.hstack(blocks)
+
+
 def preprocess(
     columns: Sequence[RawColumn],
     labels: Sequence[int],
@@ -153,69 +182,36 @@ def preprocess(
     """Fit on fit_rows (default: all rows) and transform every row."""
     if not columns:
         raise PartitionMismatch("no columns to preprocess")
+    values = _by_name(columns)
     n = len(columns[0].values)
-    for col in columns:
-        if len(col.values) != n:
-            raise PartitionMismatch(f"column {col.name!r} has {len(col.values)} rows, expected {n}")
     if len(labels) != n:
         raise PartitionMismatch(f"got {len(labels)} labels for {n} rows")
 
     fit_rows = list(range(n)) if fit_rows is None else sorted(set(fit_rows))
     if not fit_rows:
         raise EmptyFitSet("fit set is empty")
-    if fit_rows and (fit_rows[0] < 0 or fit_rows[-1] >= n):
+    if fit_rows[0] < 0 or fit_rows[-1] >= n:
         raise PartitionMismatch("fit row index out of range")
-    fit_mask = np.zeros(n, dtype=bool)
-    fit_mask[fit_rows] = True
 
     fitted = []
-    names: list[str] = []
-    blocks: list[np.ndarray] = []
     for col in columns:
         if col.kind == NUMERIC:
-            try:
-                stats = _fit_numeric(col.values, fit_rows)
-            except AllMissingColumn:
-                raise AllMissingColumn(f"column {col.name!r} is all-missing in the fit rows") from None
-            names.append(col.name)
-            blocks.append(_transform_numeric(col.values, stats, fit_mask)[:, None])
+            values[col.name] = np.asarray(col.values, dtype=float)
+            fit = _fit_numeric
         elif col.kind == CATEGORICAL:
-            try:
-                stats = _fit_categorical(col.values, fit_rows)
-            except AllMissingColumn:
-                raise AllMissingColumn(f"column {col.name!r} is all-missing in the fit rows") from None
-            block_names, block = _transform_categorical(col.name, col.values, stats)
-            names.extend(block_names)
-            blocks.append(block)
+            fit = _fit_categorical
         else:
             raise PartitionMismatch(f"column {col.name!r}: unknown kind {col.kind!r}")
-        fitted.append((col.name, col.kind, stats))
+        fitted.append((col.name, col.kind, fit(col.name, values[col.name], fit_rows)))
 
-    stats = PreprocessStats(columns=tuple(fitted), feature_names=tuple(names))
-    return PreparedDataset(
-        X=np.hstack(blocks),
-        y=np.asarray(labels, dtype=int),
-        feature_names=tuple(names),
-        stats=stats,
-    )
+    names, X = _encode(values, fitted)
+    stats = PreprocessStats(columns=tuple(fitted), feature_names=names)
+    return PreparedDataset(X, np.asarray(labels, dtype=int), names, stats)
 
 
 def apply_stats(columns: Sequence[RawColumn], stats: PreprocessStats) -> np.ndarray:
     """Transform new raw rows with previously fitted statistics."""
-    by_name = {col.name: col for col in columns}
-    n = len(columns[0].values) if columns else 0
-    fit_mask = np.zeros(n, dtype=bool)  # nothing here was a fit row
-    blocks = []
-    for name, kind, fitted in stats.columns:
-        col = by_name.get(name)
-        if col is None:
-            raise PartitionMismatch(f"missing column {name!r}")
-        if kind == NUMERIC:
-            blocks.append(_transform_numeric(col.values, fitted, fit_mask)[:, None])
-        else:
-            _, block = _transform_categorical(name, col.values, fitted)
-            blocks.append(block)
-    return np.hstack(blocks)
+    return _encode(_by_name(columns), stats.columns)[1]
 
 
 def stats_to_dict(stats: PreprocessStats) -> dict:
@@ -295,6 +291,15 @@ def _largest_remainder(ideals: list[Fraction], total: int) -> list[int]:
     return floors
 
 
+def _class_rows(y, seed: int) -> list[list[int]]:
+    """Row indices of each class in label order, each in the order of one
+    seeded permutation of all rows."""
+    class_rows: dict[int, list[int]] = {c: [] for c in sorted(set(int(v) for v in y))}
+    for i in np.random.default_rng(seed).permutation(len(y)):
+        class_rows[int(y[i])].append(int(i))
+    return list(class_rows.values())
+
+
 def stratified_split(
     data: PreparedDataset, train_fraction: float = 0.7, seed: int = 0
 ) -> tuple[PreparedDataset, PreparedDataset]:
@@ -312,24 +317,19 @@ def stratified_split(
     if n == 0:
         raise DegenerateSplit("cannot split an empty dataset")
 
-    labels = sorted(set(int(v) for v in data.y))
-    class_rows = {c: [] for c in labels}
-    perm = np.random.default_rng(seed).permutation(n)
-    for i in perm:
-        class_rows[int(data.y[i])].append(int(i))
+    class_rows = _class_rows(data.y, seed)
 
     # repr() recovers the decimal the caller wrote (0.7 -> 7/10), not the
     # slightly-off binary float, so quota arithmetic is exact
     frac = Fraction(repr(float(train_fraction)))
-    sizes = [len(class_rows[c]) for c in labels]
-    quotas = _largest_remainder([frac * s for s in sizes], int(frac * n))
+    quotas = _largest_remainder([frac * len(rows) for rows in class_rows], int(frac * n))
     train_idx: list[int] = []
     test_idx: list[int] = []
-    for c, quota, size in zip(labels, quotas, sizes):
-        if size == 1:
+    for rows, quota in zip(class_rows, quotas):
+        if len(rows) == 1:
             quota = 1
-        train_idx.extend(class_rows[c][:quota])
-        test_idx.extend(class_rows[c][quota:])
+        train_idx.extend(rows[:quota])
+        test_idx.extend(rows[quota:])
 
     if not train_idx or not test_idx:
         raise DegenerateSplit(
@@ -344,16 +344,8 @@ def stratified_folds(y: np.ndarray, folds: int, seed: int = 0) -> list[np.ndarra
     Each class's shuffled rows are dealt n_c // folds per fold, with the
     n_c % folds leftovers going to the earliest folds.
     """
-    n = len(y)
-    labels = sorted(set(int(v) for v in y))
-    class_rows = {c: [] for c in labels}
-    perm = np.random.default_rng(seed).permutation(n)
-    for i in perm:
-        class_rows[int(y[i])].append(int(i))
-
     assigned: list[list[int]] = [[] for _ in range(folds)]
-    for c in labels:
-        rows = class_rows[c]
+    for rows in _class_rows(y, seed):
         base, extra = divmod(len(rows), folds)
         start = 0
         for k in range(folds):

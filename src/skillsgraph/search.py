@@ -28,6 +28,8 @@ from .errors import InsufficientSamples
 from .prepare import PreparedDataset, stratified_folds, stratified_split
 from .tree import DecisionTree, TreeParams, _node_arrays, _score, accuracy, fit_tree
 
+TRAIN_FRACTION = 0.7  # the share of rows in the train side of the 70/30 split
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -67,9 +69,8 @@ def grid_search_cv(
     grid: GridSpec,
     folds: int = 5,
     seed: int = 0,
-    train_fraction: float = 0.7,
 ) -> GridSearchResult:
-    train, test = stratified_split(data, train_fraction=train_fraction, seed=seed)
+    train, test = stratified_split(data, train_fraction=TRAIN_FRACTION, seed=seed)
 
     class_sizes = np.bincount(train.y.astype(int))
     present = class_sizes[class_sizes > 0]

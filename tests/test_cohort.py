@@ -161,7 +161,7 @@ def reference_load_cohort_csv(path):
 
 
 def reference_feature_columns(table):
-    """The learner's columns built row by row, each cell read at its CSV position."""
+    """The learner's columns built row by row, each cell the loader's own value read at its CSV position."""
     columns = [getattr(table, f.name) for f in dataclasses.fields(table)]
 
     def col(name, kind, getter):
@@ -172,9 +172,9 @@ def reference_feature_columns(table):
         col("ethnicity", CATEGORICAL, lambda r: r[2]),
         col("education_level", CATEGORICAL, lambda r: r[3]),
         col("region", CATEGORICAL, lambda r: r[4]),
-        col("mentoring_sessions", NUMERIC, lambda r: None if r[5] is None else float(r[5])),
+        col("mentoring_sessions", NUMERIC, lambda r: r[5]),
         col("workshop_hours", NUMERIC, lambda r: r[6]),
-        col("research_projects", NUMERIC, lambda r: float(r[7])),
+        col("research_projects", NUMERIC, lambda r: r[7]),
     ]
     return features, [row[8] for row in zip(*columns)]
 
@@ -467,7 +467,9 @@ class TestFeatureColumns:
             cohort_row(1, mentoring_sessions=None, employed=0),
             cohort_row(2, mentoring_sessions=7, workshop_hours=None, employed=1),
         ]
-        columns, labels = feature_columns(CohortTable(*zip(*rows)))
+        table = CohortTable(*zip(*rows))
+        columns, labels = feature_columns(table)
+        assert columns[4].values is table.mentoring_sessions and columns[6].values is table.research_projects
         assert [(c.name, c.kind) for c in columns] == [
             ("gender", CATEGORICAL),
             ("ethnicity", CATEGORICAL),

@@ -3,10 +3,18 @@
 reference_transform_categorical one-hot encodes row by row, as
 _transform_categorical did before it encoded by lookup; the two must give
 the same matrix and the same warnings in the same order.
+
+reference_preprocess and reference_apply_stats are the list-based pipeline
+that preprocess and apply_stats replaced: each numeric cell converted on its
+own, only rows outside the fit set clipped into [0, 1], and a transform loop
+of its own in each function. On columns without NaN or a repeated name, the
+two must give the same bytes, stats, names, warnings and errors.
 """
 
+import math
 import random
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +25,9 @@ from skillsgraph.prepare import (
     CATEGORICAL,
     NUMERIC,
     CategoricalStats,
+    NumericStats,
+    PreparedDataset,
+    PreprocessStats,
     _transform_categorical,
     stats_from_dict,
     stats_to_dict,
@@ -60,6 +71,34 @@ class TestNumericPipeline:
         # 100.0 is outside the fit range; it is fence-clipped then clipped to 1
         assert data.X[3, 0] == 1.0
         assert data.X[2, 0] == 1.0
+
+    def test_nan_is_imputed_like_none(self):
+        with_none = preprocess([num("x", [1, 2.0, 3.0, None])], [0, 0, 1, 1])
+        with_nan = preprocess([num("x", [1, 2.0, 3.0, math.nan])], [0, 0, 1, 1])
+        assert with_nan.X.tobytes() == with_none.X.tobytes()
+        assert with_nan.stats == with_none.stats
+        assert stats_from_dict(stats_to_dict(with_nan.stats)) == with_nan.stats
+        new_rows = apply_stats([num("x", [math.nan, 9.0])], with_nan.stats)
+        assert new_rows.tolist() == apply_stats([num("x", [None, 9.0])], with_nan.stats).tolist() == [[0.5], [1.0]]
+
+    def test_fit_rows_scale_into_the_unit_interval_before_any_clip(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            n = rng.randint(2, 40)
+            values = [
+                rng.choice([None, rng.uniform(-1e300, 1e300), rng.uniform(-1, 1), 1.0 + rng.randint(0, 5) * 2.0**-52])
+                for _ in range(n)
+            ]
+            values[0] = rng.uniform(-1, 1)
+            fit_rows = sorted({0} | {rng.randrange(n) for _ in range(n // 2)})
+            data = preprocess([num("x", values)], [0] * n, fit_rows=fit_rows)
+            stats = data.stats.columns[0][2]
+            fit = np.array([stats.median if values[i] is None else values[i] for i in fit_rows])
+            fenced = np.clip(fit, stats.lower_fence, stats.upper_fence)
+            span = stats.maximum - stats.minimum
+            scaled = np.zeros(len(fit)) if span == 0 else (fenced - stats.minimum) / span
+            assert ((scaled >= 0.0) & (scaled <= 1.0)).all()
+            assert data.X[fit_rows, 0].tobytes() == scaled.tobytes()
 
     def test_all_missing_column(self):
         with pytest.raises(AllMissingColumn) as exc:
@@ -134,12 +173,225 @@ def test_lookup_one_hot_matches_the_row_loop():
         assert messages == want_messages
 
 
+def reference_fit_numeric(values, fit_rows):
+    fit_values = [values[i] for i in fit_rows if values[i] is not None]
+    if not fit_values:
+        raise AllMissingColumn("numeric column has no non-missing fit values")
+    median = float(np.median(np.array(fit_values, dtype=float)))
+    imputed = np.array([values[i] if values[i] is not None else median for i in fit_rows], dtype=float)
+    q1, q3 = np.quantile(imputed, 0.25), np.quantile(imputed, 0.75)
+    iqr = q3 - q1
+    lower, upper = float(q1 - 1.5 * iqr), float(q3 + 1.5 * iqr)
+    clipped = np.clip(imputed, lower, upper)
+    return NumericStats(median, lower, upper, float(clipped.min()), float(clipped.max()))
+
+
+def reference_transform_numeric(values, stats, fit_mask):
+    arr = np.array([v if v is not None else stats.median for v in values], dtype=float)
+    arr = np.clip(arr, stats.lower_fence, stats.upper_fence)
+    span = stats.maximum - stats.minimum
+    scaled = np.zeros_like(arr) if span == 0 else (arr - stats.minimum) / span
+    scaled[~fit_mask] = np.clip(scaled[~fit_mask], 0.0, 1.0)
+    return scaled
+
+
+def reference_fit_categorical(values, fit_rows):
+    fit_values = [values[i] for i in fit_rows if values[i] is not None]
+    if not fit_values:
+        raise AllMissingColumn("categorical column has no non-missing fit values")
+    freq = {}
+    for v in fit_values:
+        freq[v] = freq.get(v, 0) + 1
+    top = max(freq.values())
+    return CategoricalStats(mode=min(v for v, c in freq.items() if c == top), categories=tuple(sorted(freq)))
+
+
+def reference_preprocess(columns, labels, fit_rows=None):
+    """Fit and transform column by column, by position."""
+    if not columns:
+        raise PartitionMismatch("no columns to preprocess")
+    n = len(columns[0].values)
+    for col in columns:
+        if len(col.values) != n:
+            raise PartitionMismatch(f"column {col.name!r} has {len(col.values)} rows, expected {n}")
+    if len(labels) != n:
+        raise PartitionMismatch(f"got {len(labels)} labels for {n} rows")
+    fit_rows = list(range(n)) if fit_rows is None else sorted(set(fit_rows))
+    if not fit_rows:
+        raise EmptyFitSet("fit set is empty")
+    if fit_rows[0] < 0 or fit_rows[-1] >= n:
+        raise PartitionMismatch("fit row index out of range")
+    fit_mask = np.zeros(n, dtype=bool)
+    fit_mask[fit_rows] = True
+    fitted, names, blocks = [], [], []
+    for col in columns:
+        if col.kind not in (NUMERIC, CATEGORICAL):
+            raise PartitionMismatch(f"column {col.name!r}: unknown kind {col.kind!r}")
+        fit = reference_fit_numeric if col.kind == NUMERIC else reference_fit_categorical
+        try:
+            stats = fit(col.values, fit_rows)
+        except AllMissingColumn:
+            raise AllMissingColumn(f"column {col.name!r} is all-missing in the fit rows") from None
+        if col.kind == NUMERIC:
+            names.append(col.name)
+            blocks.append(reference_transform_numeric(col.values, stats, fit_mask)[:, None])
+        else:
+            block_names, block = reference_transform_categorical(col.name, col.values, stats)
+            names.extend(block_names)
+            blocks.append(block)
+        fitted.append((col.name, col.kind, stats))
+    stats = PreprocessStats(columns=tuple(fitted), feature_names=tuple(names))
+    return PreparedDataset(np.hstack(blocks), np.asarray(labels, dtype=int), tuple(names), stats)
+
+
+def reference_apply_stats(columns, stats):
+    """Look each fitted column up by name; nothing is a fit row."""
+    by_name = {col.name: col for col in columns}
+    n = len(columns[0].values) if columns else 0
+    fit_mask = np.zeros(n, dtype=bool)
+    blocks = []
+    for name, kind, fitted in stats.columns:
+        col = by_name.get(name)
+        if col is None:
+            raise PartitionMismatch(f"missing column {name!r}")
+        if kind == NUMERIC:
+            blocks.append(reference_transform_numeric(col.values, fitted, fit_mask)[:, None])
+        else:
+            blocks.append(reference_transform_categorical(name, col.values, fitted)[1])
+    return np.hstack(blocks)
+
+
+def random_numeric(rng, n):
+    style = rng.choice(["ints", "floats", "mixed", "constant", "outliers", "close", "huge"] * 4 + ["missing"])
+    if style == "missing":
+        return [None] * n
+    if style == "constant":
+        v = rng.choice([0, 3, 2.5, -7.25])
+        return [None if rng.random() < 0.2 else v for _ in range(n)]
+    draw = {
+        "ints": lambda: rng.randint(-5, 40),
+        "floats": lambda: rng.uniform(-10.0, 10.0),
+        "mixed": lambda: rng.choice([rng.randint(0, 9), round(rng.uniform(0, 9), 1)]),
+        "outliers": lambda: rng.choice([rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(-1e6, 1e6)]),
+        # neighbouring floats, where a rounding that is not monotone would show
+        "close": lambda: 1.0 + rng.randint(0, 6) * 2.0 ** -52,
+        "huge": lambda: rng.choice([rng.randint(0, 2**70), rng.uniform(-1e300, 1e300), 2**53 + 1]),
+    }[style]
+    missing = rng.choice([0.0, 0.1, 0.3, 0.9])
+    return [None if rng.random() < missing else draw() for _ in range(n)]
+
+
+def random_categorical(rng, n):
+    pool = rng.sample(["a", "b", "c", "d", "e"], rng.randint(1, 4))
+    missing = rng.choice([0.0, 0.2, 0.7] * 4 + [1.0])
+    return [None if rng.random() < missing else rng.choice(pool) for _ in range(n)]
+
+
+def random_case(rng):
+    """Columns, labels and fit rows, now and then one of them malformed."""
+    n = rng.choice([0, 1, 2, 3, 5, 8, 13, 30, 30, 30])
+    columns = []
+    for j in range(rng.randint(0, 4) if rng.random() < 0.02 else rng.randint(1, 4)):
+        kind = rng.choice([NUMERIC, NUMERIC, CATEGORICAL, CATEGORICAL] + (["ordinal"] if rng.random() < 0.03 else []))
+        values = random_numeric(rng, n) if kind == NUMERIC else random_categorical(rng, n)
+        if rng.random() < 0.01:
+            values.append(values[-1] if values else None)
+        columns.append(RawColumn(f"c{j}", kind, tuple(values)))
+    labels = [rng.randint(0, 1) for _ in range(n + (rng.random() < 0.02))]
+    fit_rows = None
+    if rng.random() < 0.6:
+        fit_rows = [rng.randrange(n) for _ in range(rng.randint(n // 3, n))] if n else []
+        if rng.random() < 0.03:
+            fit_rows.append(rng.choice([-1, n]))
+    return columns, labels, fit_rows
+
+
+def _outcome(call):
+    """(result, warning messages); an exception stands as its (class, message)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call()
+        except Exception as exc:  # the comparison covers every error either side raises
+            result = type(exc), str(exc)
+    return result, [str(w.message) for w in caught]
+
+
+def assert_same_dataset(got, want):
+    assert got.X.shape == want.X.shape and got.X.dtype == want.X.dtype
+    assert got.X.tobytes() == want.X.tobytes()
+    assert got.y.tobytes() == want.y.tobytes()
+    assert got.feature_names == want.feature_names
+    assert got.stats == want.stats
+
+
+def test_pipeline_matches_the_list_based_reference():
+    rng = random.Random(2026)
+    kinds = Counter()
+    for _ in range(2000):
+        columns, labels, fit_rows = random_case(rng)
+        got = _outcome(lambda: preprocess(columns, labels, fit_rows))
+        want = _outcome(lambda: reference_preprocess(columns, labels, fit_rows))
+        if not isinstance(want[0], PreparedDataset):
+            # the reference warned for the columns it encoded before failing;
+            # preprocess fits every column before it encodes any
+            assert got[0] == want[0]
+            kinds[want[0][0].__name__] += 1
+            continue
+        assert isinstance(got[0], PreparedDataset), got
+        assert_same_dataset(got[0], want[0])
+        assert got[1] == want[1]
+        kinds["fitted"] += 1
+        kinds["warned"] += bool(want[1])
+
+        # new rows: other values, columns in another order, some category
+        # unseen at fit time, now and then an extra or a missing column
+        m = rng.choice([0, 1, 4, 20])
+        new = [
+            RawColumn(col.name, col.kind, tuple(
+                random_numeric(rng, m) if col.kind == NUMERIC
+                else [rng.choice([None, "a", "b", "z", "new"]) for _ in range(m)]
+            ))
+            for col in columns
+        ]
+        rng.shuffle(new)
+        if rng.random() < 0.1:
+            new.pop()
+        if rng.random() < 0.1:
+            new.append(RawColumn("extra", NUMERIC, (1.0,) * m))
+        stats = want[0].stats
+        got = _outcome(lambda: apply_stats(new, stats))
+        want = _outcome(lambda: reference_apply_stats(new, stats))
+        if isinstance(want[0], np.ndarray):
+            assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
+            assert got[1] == want[1]
+            kinds["applied"] += 1
+        else:
+            assert got == want
+            kinds["apply " + want[0][0].__name__] += 1
+    assert kinds["fitted"] >= 1000 and kinds["warned"] and kinds["applied"] and kinds["apply PartitionMismatch"]
+    assert kinds["AllMissingColumn"] and kinds["EmptyFitSet"] and kinds["PartitionMismatch"]
+
+
 class TestApplyStats:
     def test_matches_fit_transform(self):
         cols = [num("x", [0.0, 5.0, 10.0]), cat("c", ["a", "b", "a"])]
         fitted = preprocess(cols, [0, 1, 0])
         again = apply_stats(cols, fitted.stats)
         assert np.array_equal(again, fitted.X)
+
+    def test_repeated_column_name_rejected(self):
+        twice = [num("x", [0.0, 1.0, 2.0]), num("x", [5.0, 9.0, 7.0])]
+        with pytest.raises(PartitionMismatch, match="column 'x' appears more than once"):
+            preprocess(twice, [0, 1, 0])
+        fitted = preprocess([num("x", [0.0, 1.0, 2.0])], [0, 1, 0])
+        with pytest.raises(PartitionMismatch, match="column 'x' appears more than once"):
+            apply_stats(twice, fitted.stats)
+
+    def test_columns_of_unequal_length_rejected(self):
+        fitted = preprocess([num("x", [0.0, 1.0]), cat("c", ["a", "b"])], [0, 1])
+        with pytest.raises(PartitionMismatch, match="column 'c' has 1 rows, expected 2"):
+            apply_stats([num("x", [0.0, 1.0]), cat("c", ["a"])], fitted.stats)
 
     def test_missing_column_rejected(self):
         fitted = preprocess([num("x", [0.0, 1.0])], [0, 1])
