@@ -944,9 +944,10 @@ class TestRunScenario:
 # SHA-256 of what each command prints ("stdout") and of each file it writes,
 # on the case study. "{out}" stands for a fresh directory. These outputs are
 # Python floats, exact integers and IEEE elementwise steps, so they are the
-# same bytes on every platform. markov and the learner go through numpy's
-# log2, quantiles and matrix products, which are byte-stable per platform
-# only; test_criterion_10_cli_byte_identical_reruns covers them.
+# same bytes on every platform. markov and the entropy learner go through
+# numpy's log2 and matrix products, which are byte-stable per platform only;
+# test_criterion_10_cli_byte_identical_reruns covers them. The gini learner
+# is pinned in LEARNER_GOLDEN below.
 GOLDEN = {
     "validate": (
         ["validate", "--graph", "{cs}/graph.json"],
@@ -1010,6 +1011,36 @@ def test_golden_outputs(capsys, tmp_path, name):
     got = {"stdout": hashlib.sha256(stdout.encode()).hexdigest()}
     got.update((file, hashlib.sha256(data).hexdigest()) for file, data in written.items())
     assert got == digests
+
+
+# The README learner pipeline with --criteria gini: cohort gen, train, then
+# predict on the same rows. Gini's arithmetic is elementwise IEEE steps,
+# two-term sums, sorts and linear quantiles, with no log2 and no BLAS, so
+# these bytes should be the same on every platform.
+LEARNER_PIPELINE = (
+    ["cohort", "gen", "--n", "386", "--seed", "42", "--planted", "--out", "{out}/cohort.csv"],
+    ["train", "--data", "{out}/cohort.csv", "--seed", "42", "--criteria", "gini", "--out", "{out}/model"],
+    ["predict", "--model", "{out}/model/model.json", "--data", "{out}/cohort.csv"],
+)
+LEARNER_GOLDEN = {
+    "cohort.csv": "c7ba190415e7a2d2810c19c40e702468142034be6e0e88445a38ec673716cdc9",
+    "train": "47ab9a8fe255f8baefc133799c7256f69c5df95ee8bf8ec8a44750f7d16a4d84",
+    "model.json": "99beaf036eb34862e015ca97c97a222521ea897e5cfb3db5f300dada98aaaa33",
+    "cv_results.csv": "031f5b5f8734107750b6759256d17de81b3b045bc46fe2903a0c925d9f155946",
+    "predict": "5c0a53a4ba7d60124a5e917be0737b6ba7f5c1f03e95b514d082878d356b1bdb",
+}
+
+
+def test_golden_learner_pipeline(capsys, tmp_path):
+    got = {}
+    for argv in LEARNER_PIPELINE:
+        code, stdout, _ = run_cli(capsys, *(a.format(out=tmp_path) for a in argv))
+        assert code == 0
+        if argv[0] != "cohort":
+            got[argv[0]] = hashlib.sha256(stdout.encode()).hexdigest()
+    for path in [tmp_path / "cohort.csv", *(tmp_path / "model").iterdir()]:
+        got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == LEARNER_GOLDEN
 
 
 def test_module_entry_point_subprocess():
