@@ -28,15 +28,15 @@ from .cohort import (
     summarize,
     write_cohort_csv,
 )
-from .errors import InputError, ModelFormatError, ToolError, load_json
+from .errors import InputError, ToolError
 from .feedback import load_metrics, save_history
 from .graph import load_graph, weighted_centrality
 from .jsonio import dumps
 from .markov import build_transition_matrix, load_counts, stationary_distribution, step_distribution
-from .prepare import apply_stats, preprocess, stats_from_dict, stats_to_dict
+from .prepare import apply_stats, preprocess
 from .scenario import allocation_stage, feedback_stage, path_stage, run_scenario, validate_stage
 from .search import GridSpec, grid_search_cv, save_cv_table
-from .tree import feature_importance, predict_many, save_tree, tree_from_dict
+from .tree import feature_importance, load_model, predict_many, save_model
 
 
 class _Parser(argparse.ArgumentParser):
@@ -210,7 +210,7 @@ def cmd_train(args) -> dict:
     if args.out:
         out = FsPath(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        save_tree(result.model, out / "model.json", extra={"preprocessing": stats_to_dict(data.stats)})
+        save_model(out / "model.json", result.model, data.stats)
         save_cv_table(result.cv_table, out / "cv_results.csv")
         artifacts = {"model": "model.json", "cv_results": "cv_results.csv"}
 
@@ -231,21 +231,10 @@ def cmd_train(args) -> dict:
 
 
 def cmd_predict(args) -> str:
-    payload = load_json(args.model, ModelFormatError)
-    tree = tree_from_dict(payload)
-    if "preprocessing" not in payload:
-        raise ModelFormatError(f"{args.model}: model lacks the preprocessing section")
-    stats = stats_from_dict(payload["preprocessing"])
-
+    tree, stats = load_model(args.model)
     table = load_cohort_csv(args.data)
     columns, labels = feature_columns(table)
-    X = apply_stats(columns, stats)
-    if X.shape[1] != len(tree.feature_names):
-        raise ModelFormatError(
-            f"{args.model}: the tree names {len(tree.feature_names)} features, "
-            f"its preprocessing makes {X.shape[1]}"
-        )
-    predictions = predict_many(tree, X)
+    predictions = predict_many(tree, apply_stats(columns, stats))
     correct = sum(1 for p, y in zip(predictions, labels) if p == y)
     n = len(table)
     return _predictions_text(correct / n if n else None, n, table.student_id, predictions)

@@ -124,9 +124,7 @@ def _fit_categorical(name: str, values, fit_rows) -> CategoricalStats:
     return CategoricalStats(mode=mode, categories=tuple(sorted(freq)))
 
 
-def _transform_categorical(
-    name: str, values, stats: CategoricalStats
-) -> tuple[list[str], np.ndarray]:
+def _transform_categorical(name: str, values, stats: CategoricalStats) -> np.ndarray:
     col_index = {c: j for j, c in enumerate(stats.categories)}
     # each distinct value is looked up once; missing reads as the mode and
     # a category unseen at fit time as -1
@@ -140,7 +138,12 @@ def _transform_categorical(
         warnings.warn(
             f"column {name!r}: category {v!r} not seen at fit time, encoding as all zeros"
         )
-    return [f"{name}={c}" for c in stats.categories], out
+    return out
+
+
+def _features(name: str, kind: str, stats) -> list[str]:
+    """The feature names one fitted column encodes to, in matrix order."""
+    return [name] if kind == NUMERIC else [f"{name}={c}" for c in stats.categories]
 
 
 def _by_name(columns: Sequence[RawColumn]) -> dict:
@@ -164,13 +167,11 @@ def _encode(values: dict, fitted) -> tuple[tuple[str, ...], np.ndarray]:
     for name, kind, stats in fitted:
         if name not in values:
             raise PartitionMismatch(f"missing column {name!r}")
+        names.extend(_features(name, kind, stats))
         if kind == NUMERIC:
-            names.append(name)
             blocks.append(_transform_numeric(np.asarray(values[name], dtype=float), stats)[:, None])
         else:
-            block_names, block = _transform_categorical(name, values[name], stats)
-            names.extend(block_names)
-            blocks.append(block)
+            blocks.append(_transform_categorical(name, values[name], stats))
     return tuple(names), np.hstack(blocks)
 
 
@@ -210,8 +211,16 @@ def preprocess(
 
 
 def apply_stats(columns: Sequence[RawColumn], stats: PreprocessStats) -> np.ndarray:
-    """Transform new raw rows with previously fitted statistics."""
-    return _encode(_by_name(columns), stats.columns)[1]
+    """Transform new raw rows with previously fitted statistics. A column
+    must be of the kind it was fitted as."""
+    values = _by_name(columns)
+    fitted_kind = {name: kind for name, kind, _ in stats.columns}
+    for col in columns:
+        if fitted_kind.get(col.name, col.kind) != col.kind:
+            raise PartitionMismatch(
+                f"column {col.name!r} is {col.kind}, but was fitted as {fitted_kind[col.name]}"
+            )
+    return _encode(values, stats.columns)[1]
 
 
 def stats_to_dict(stats: PreprocessStats) -> dict:
@@ -270,15 +279,19 @@ def _column_stats(raw) -> tuple:
 
 
 def stats_from_dict(data) -> PreprocessStats:
-    """Rebuild fitted statistics from stats_to_dict's layout, checking every field's type."""
+    """Rebuild fitted statistics from stats_to_dict's layout, checking every
+    field's type, and that feature_names are the features the columns make."""
     if not isinstance(data, dict) or not isinstance(data.get("columns"), list):
         raise _malformed("expected an object with a 'columns' list")
+    if not data["columns"]:
+        raise _malformed("the 'columns' list is empty")
     if not _is_str_list(data.get("feature_names")):
         raise _malformed("feature_names must be a list of strings")
-    return PreprocessStats(
-        columns=tuple(_column_stats(raw) for raw in data["columns"]),
-        feature_names=tuple(data["feature_names"]),
-    )
+    columns = tuple(_column_stats(raw) for raw in data["columns"])
+    made = [feature for column in columns for feature in _features(*column)]
+    if data["feature_names"] != made:
+        raise _malformed(f"feature_names {data['feature_names']} are not the features {made} its columns make")
+    return PreprocessStats(columns=columns, feature_names=tuple(made))
 
 
 def _largest_remainder(ideals: list[Fraction], total: int) -> list[int]:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InsufficientSamples
 from .prepare import PreparedDataset, stratified_folds, stratified_split
-from .tree import DecisionTree, TreeParams, _node_arrays, _score, accuracy, fit_tree
+from .tree import DecisionTree, TreeParams, _score, accuracy, fit_tree
 
 TRAIN_FRACTION = 0.7  # the share of rows in the train side of the 70/30 split
 
@@ -97,9 +97,9 @@ def grid_search_cv(
     for (leaf, criterion), config_ids in shares.items():
         shared = TreeParams(max_depth=deepest, min_samples_leaf=leaf, criterion=criterion)
         for fit_part, held_part in fold_parts:
-            arrays = _node_arrays(fit_tree(fit_part, shared))
+            tree = fit_tree(fit_part, shared)
             for config_id in config_ids:
-                scores[config_id].append(_score(arrays, held_part, configs[config_id].max_depth))
+                scores[config_id].append(_score(tree, held_part, configs[config_id].max_depth))
 
     cv_table: list[CVRow] = []
     for config_id, params in enumerate(configs):

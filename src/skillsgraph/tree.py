@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .graph import finite_number
 from .jsonio import write_json
-from .prepare import PreparedDataset
+from .prepare import PreparedDataset, PreprocessStats, stats_from_dict, stats_to_dict
 
 CRITERIA = ("entropy", "gini")
 
@@ -130,6 +131,16 @@ class TreeNode:
     prediction: int  # majority class label, ties to the lowest label
 
 
+class _NodeArrays(NamedTuple):
+    """tree.nodes as parallel arrays; a leaf has feature -1 and itself as children."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    prediction: np.ndarray  # object dtype: the nodes' own prediction values
+
+
 @dataclass(frozen=True)
 class DecisionTree:
     nodes: tuple[TreeNode, ...]  # preorder, root at 0
@@ -137,6 +148,24 @@ class DecisionTree:
     feature_names: tuple[str, ...]
     classes: tuple[int, ...]
     depth: int
+
+    @cached_property
+    def _arrays(self) -> _NodeArrays:
+        """The nodes as the parallel arrays _descend walks, built on first use."""
+        n = len(self.nodes)
+        arrays = _NodeArrays(
+            feature=np.full(n, -1, dtype=np.intp),
+            threshold=np.full(n, np.nan),
+            left=np.arange(n),
+            right=np.arange(n),
+            prediction=np.empty(n, dtype=object),
+        )
+        for i, node in enumerate(self.nodes):
+            arrays.prediction[i] = node.prediction
+            if node.kind == "split":
+                arrays.feature[i], arrays.threshold[i] = node.feature, node.threshold
+                arrays.left[i], arrays.right[i] = node.left, node.right
+        return arrays
 
 
 def _majority(counts: np.ndarray, classes: tuple[int, ...]) -> int:
@@ -260,110 +289,69 @@ def fit_tree(data: PreparedDataset, params: TreeParams) -> DecisionTree:
 def predict(tree: DecisionTree, row) -> int:
     """Classify one row: a sequence in feature order, or a mapping by name.
 
-    The walk reads the node arrays that predict_many reads, one node at a
-    time; the first feature the row lacks on its path is a MissingFeature.
+    The row becomes one float vector, NaN where it lacks a feature or holds
+    None, and goes through predict_many.
     """
     if isinstance(row, Mapping):
-        def value_of(feature: int) -> float:
-            name = tree.feature_names[feature]
-            if name not in row:
-                raise MissingFeature(f"row lacks feature {name!r}")
-            return row[name]
+        values = [row.get(name) for name in tree.feature_names]
     else:
-        def value_of(feature: int) -> float:
-            if feature >= len(row):
-                raise MissingFeature(f"row lacks feature {tree.feature_names[feature]!r}")
-            return row[feature]
-
-    arrays = _node_arrays(tree)
-    node = 0
-    while (feature := int(arrays.feature[node])) >= 0:
-        value = value_of(feature)
-        if value is None or (isinstance(value, float) and math.isnan(value)):
-            raise MissingFeature(f"row lacks feature {tree.feature_names[feature]!r}")
-        node = arrays.left[node] if value <= arrays.threshold[node] else arrays.right[node]
-    return arrays.prediction[node]
+        values = list(row[: len(tree.feature_names)])
+        values += [None] * (len(tree.feature_names) - len(values))
+    vector = np.array([np.nan if v is None else v for v in values], dtype=float)
+    return predict_many(tree, vector[None, :])[0]
 
 
-class _NodeArrays(NamedTuple):
-    """tree.nodes as parallel arrays; a leaf has feature -1 and itself as children."""
+def _descend(tree: DecisionTree, X: np.ndarray, max_depth: int | None = None) -> np.ndarray:
+    """Prediction for each row of X, moving all rows down one level per step.
 
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    prediction: np.ndarray  # object dtype: the nodes' own prediction values
-
-
-def _node_arrays(tree: DecisionTree) -> _NodeArrays:
-    n = len(tree.nodes)
-    arrays = _NodeArrays(
-        feature=np.full(n, -1, dtype=np.intp),
-        threshold=np.full(n, np.nan),
-        left=np.arange(n),
-        right=np.arange(n),
-        prediction=np.empty(n, dtype=object),
-    )
-    for i, node in enumerate(tree.nodes):
-        arrays.prediction[i] = node.prediction
-        if node.kind == "split":
-            arrays.feature[i], arrays.threshold[i] = node.feature, node.threshold
-            arrays.left[i], arrays.right[i] = node.left, node.right
-    return arrays
-
-
-def _descend(arrays: _NodeArrays, X: np.ndarray, max_depth: int | None = None) -> np.ndarray:
-    """Node each row of X reaches, moving all rows down one level per step.
-
-    With max_depth the walk stops there: a split node at depth max_depth then
-    stands in for the leaf a max_depth fit puts there, as both predict the
-    majority of the same counts. Children lie after their parent in preorder,
-    so the walk ends within len(nodes) steps.
+    A NaN read on a row's path is a MissingFeature. With max_depth the walk
+    stops there: a split node at depth max_depth then stands in for the leaf
+    a max_depth fit puts there, as both predict the majority of the same
+    counts. Children lie after their parent in preorder, so the walk ends
+    within len(nodes) steps.
     """
+    arrays = tree._arrays
     node = np.zeros(len(X), dtype=np.intp)
     live = np.flatnonzero(arrays.feature[node] >= 0)
     depth = 0
     while live.size and (max_depth is None or depth < max_depth):
         at = node[live]
-        goes_left = X[live, arrays.feature[at]] <= arrays.threshold[at]
-        node[live] = np.where(goes_left, arrays.left[at], arrays.right[at])
+        values = X[live, arrays.feature[at]]
+        missing = np.isnan(values)
+        if missing.any():
+            first = int(np.argmax(missing))
+            name = tree.feature_names[arrays.feature[at[first]]]
+            raise MissingFeature(f"row {live[first]} lacks feature {name!r}")
+        node[live] = np.where(values <= arrays.threshold[at], arrays.left[at], arrays.right[at])
         live = live[arrays.feature[node[live]] >= 0]
         depth += 1
-    return node
+    return arrays.prediction[node]
 
 
-def _predict_rows(arrays: _NodeArrays, X, max_depth: int | None = None) -> list:
-    X = np.asarray(X, dtype=float)
-    return arrays.prediction[_descend(arrays, X, max_depth)].tolist()
-
-
-def _score(arrays: _NodeArrays, data: PreparedDataset, max_depth: int | None = None) -> float:
+def _score(tree: DecisionTree, data: PreparedDataset, max_depth: int | None = None) -> float:
     """Accuracy on data of the tree cut off at max_depth (whole when None)."""
-    return float(np.mean(np.asarray(_predict_rows(arrays, data.X, max_depth)) == data.y))
+    return float(np.mean(_descend(tree, data.X, max_depth) == data.y))
 
 
 def predict_many(tree: DecisionTree, X) -> list:
-    return _predict_rows(_node_arrays(tree), X)
+    """Classify each row of X, a matrix in feature order; NaN counts as missing."""
+    return _descend(tree, np.asarray(X, dtype=float)).tolist()
 
 
 def accuracy(tree: DecisionTree, data: PreparedDataset) -> float:
-    return _score(_node_arrays(tree), data)
+    return _score(tree, data)
 
 
-def feature_importance(tree: DecisionTree, train: PreparedDataset | None = None) -> dict:
+def feature_importance(tree: DecisionTree) -> dict:
     """Impurity-decrease importance per feature, normalized to sum to 1.
 
     Each split contributes (node rows / total rows) * its impurity decrease,
-    measured with the tree's own training criterion. An all-leaf tree scores
-    every feature zero. Fitted trees carry their per-node training counts, so
-    train is only cross-checked against the root when given.
+    measured with the tree's own training criterion, from the per-node
+    training counts the tree carries. An all-leaf tree scores every feature
+    zero.
     """
     totals = {name: 0.0 for name in tree.feature_names}
     root_rows = sum(tree.nodes[0].class_counts)
-    if train is not None and len(train) != root_rows:
-        raise PartitionMismatch(
-            f"training split has {len(train)} rows, the tree was fit on {root_rows}"
-        )
     criterion = tree.params.criterion
 
     def imp(counts: tuple[int, ...]) -> float:
@@ -467,12 +455,22 @@ def _is_index(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def save_tree(tree: DecisionTree, path, extra: Mapping | None = None) -> None:
-    payload = tree_to_dict(tree)
-    if extra:
-        payload.update(extra)
-    write_json(path, payload)
+def save_model(path, tree: DecisionTree, stats: PreprocessStats) -> None:
+    """Write model.json: the tree, and the preprocessing that makes its features."""
+    write_json(path, {**tree_to_dict(tree), "preprocessing": stats_to_dict(stats)})
 
 
-def load_tree(path) -> DecisionTree:
-    return tree_from_dict(load_json(path, ModelFormatError))
+def load_model(path) -> tuple[DecisionTree, PreprocessStats]:
+    """Read a model.json that save_model wrote. Its preprocessing section must
+    be there, and make exactly the features the tree names."""
+    payload = load_json(path, ModelFormatError)
+    tree = tree_from_dict(payload)
+    if "preprocessing" not in payload:
+        raise ModelFormatError(f"{path}: model lacks the preprocessing section")
+    stats = stats_from_dict(payload["preprocessing"])
+    if stats.feature_names != tree.feature_names:
+        raise ModelFormatError(
+            f"{path}: the tree names the features {list(tree.feature_names)}, "
+            f"its preprocessing makes {list(stats.feature_names)}"
+        )
+    return tree, stats

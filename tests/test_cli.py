@@ -750,6 +750,36 @@ class TestModelCommands:
         assert code == 2
         assert payload["error"]["kind"] == "ModelFormatError"
 
+    def test_predict_checks_feature_names_before_reading_the_data(self, capsys, tmp_path, cohort_csv):
+        payload = self.trained_model(capsys, tmp_path, cohort_csv)
+        payload["feature_names"][0] += "_renamed"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        message = assert_error(capsys, 2, "ModelFormatError", "predict", "--model", str(bad),
+                               "--data", str(tmp_path / "none.csv"))
+        assert "_renamed" in message
+
+    @pytest.mark.parametrize("rename_features, exit_code, kind", [
+        (False, 2, "ModelFormatError"),  # the features no longer match the columns
+        (True, 1, "PartitionMismatch"),  # they do, but the CSV's gender is categorical
+    ])
+    def test_predict_rejects_a_column_relabelled_numeric(
+        self, capsys, tmp_path, cohort_csv, rename_features, exit_code, kind
+    ):
+        payload = self.trained_model(capsys, tmp_path, cohort_csv)
+        column = next(c for c in payload["preprocessing"]["columns"] if c["name"] == "gender")
+        column.update(kind="numeric", median=0.5, lower_fence=0.0, upper_fence=1.0, minimum=0.0, maximum=1.0)
+        if rename_features:
+            names = ["gender"] + [n for n in payload["feature_names"] if not n.startswith("gender=")]
+            payload["preprocessing"]["feature_names"] = payload["feature_names"] = names
+            for node in payload["nodes"]:
+                node.update(kind="leaf", feature=None, threshold=None, left=None, right=None)
+            del payload["nodes"][1:]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        message = assert_error(capsys, exit_code, kind, "predict", "--model", str(bad), "--data", str(cohort_csv))
+        assert "gender" in message
+
 
 class TestRunScenario:
     def test_bundled_case_study(self, capsys, tmp_path):

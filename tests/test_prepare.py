@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from skillsgraph import RawColumn, apply_stats, preprocess, stratified_folds, stratified_split
-from skillsgraph.errors import AllMissingColumn, DegenerateSplit, EmptyFitSet, PartitionMismatch
+from skillsgraph.errors import AllMissingColumn, DegenerateSplit, EmptyFitSet, ModelFormatError, PartitionMismatch
 from skillsgraph.prepare import (
     CATEGORICAL,
     NUMERIC,
@@ -28,6 +28,7 @@ from skillsgraph.prepare import (
     NumericStats,
     PreparedDataset,
     PreprocessStats,
+    _features,
     _transform_categorical,
     stats_from_dict,
     stats_to_dict,
@@ -153,6 +154,10 @@ def reference_transform_categorical(name, values, stats):
     return [f"{name}={c}" for c in stats.categories], out
 
 
+def module_transform_categorical(name, values, stats):
+    return _features(name, CATEGORICAL, stats), _transform_categorical(name, values, stats)
+
+
 def test_lookup_one_hot_matches_the_row_loop():
     rng = random.Random(77)
     for _ in range(200):
@@ -162,7 +167,7 @@ def test_lookup_one_hot_matches_the_row_loop():
         values = tuple(rng.choice(pool) for _ in range(rng.randint(0, 40)))
         stats = CategoricalStats(mode=mode, categories=categories)
         results = []
-        for transform in (_transform_categorical, reference_transform_categorical):
+        for transform in (module_transform_categorical, reference_transform_categorical):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 names, X = transform("c", values, stats)
@@ -412,6 +417,32 @@ class TestApplyStats:
         rebuilt = stats_from_dict(stats_to_dict(fitted.stats))
         assert rebuilt == fitted.stats
         assert np.array_equal(apply_stats(cols, rebuilt), fitted.X)
+
+    def test_numeric_fit_applied_to_categorical_column_rejected(self):
+        fitted = preprocess([num("g", [0.0, 1.0, 2.0])], [0, 1, 0])
+        with pytest.raises(PartitionMismatch, match="column 'g' is categorical, but was fitted as numeric"):
+            apply_stats([cat("g", ["a", "b", "a"])], fitted.stats)
+
+    def test_categorical_fit_applied_to_numeric_column_rejected(self):
+        fitted = preprocess([cat("g", ["a", "b", "a"])], [0, 1, 0])
+        with pytest.raises(PartitionMismatch, match="column 'g' is numeric, but was fitted as categorical"):
+            apply_stats([num("g", [0.0, 1.0, 2.0])], fitted.stats)
+
+    def test_stats_without_columns_rejected(self):
+        with pytest.raises(ModelFormatError, match="'columns' list is empty"):
+            stats_from_dict({"columns": [], "feature_names": []})
+
+    @pytest.mark.parametrize(
+        "names",
+        [["x", "c=a"], ["x", "c=a", "c=b", "c=c"], ["c=a", "c=b", "x"], ["x", "c=a", "c=B"], []],
+    )
+    def test_feature_names_other_than_the_columns_make_rejected(self, names):
+        fitted = preprocess([num("x", [0.0, 5.0, None]), cat("c", ["a", None, "b"])], [0, 1, 0])
+        payload = stats_to_dict(fitted.stats)
+        assert payload["feature_names"] == ["x", "c=a", "c=b"]
+        payload["feature_names"] = names
+        with pytest.raises(ModelFormatError, match="are not the features"):
+            stats_from_dict(payload)
 
 
 def toy_dataset(class_sizes, n_features=2, seed=0):

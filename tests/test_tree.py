@@ -32,15 +32,14 @@ from skillsgraph.errors import (
     ModelFormatError,
     PartitionMismatch,
 )
-from skillsgraph.prepare import PreprocessStats
+from skillsgraph.prepare import NUMERIC, PreprocessStats, RawColumn, preprocess
 from skillsgraph.tree import (
     _best_split,
+    _descend,
     _impurity_rows,
-    _node_arrays,
-    _predict_rows,
-    load_tree,
+    load_model,
     predict_many,
-    save_tree,
+    save_model,
     tree_from_dict,
     tree_to_dict,
 )
@@ -345,11 +344,11 @@ class TestTruncation:
         X = rng.random((300, 4)).round(2)
         y = ((X[:, 0] + X[:, 1] * X[:, 2] + 0.3 * rng.standard_normal(300)) > 0.8).astype(int)
         data = dataset(X, y)
-        arrays = _node_arrays(fit_tree(data, TreeParams(max_depth=10, min_samples_leaf=min_leaf, criterion=criterion)))
+        deep = fit_tree(data, TreeParams(max_depth=10, min_samples_leaf=min_leaf, criterion=criterion))
         Z = rng.random((500, 4)).round(2)
         for depth in range(11):
             shallow = fit_tree(data, TreeParams(max_depth=depth, min_samples_leaf=min_leaf, criterion=criterion))
-            assert _predict_rows(arrays, Z, depth) == predict_many(shallow, Z)
+            assert _descend(deep, Z, depth).tolist() == predict_many(shallow, Z)
 
 
 class TestPredict:
@@ -384,6 +383,32 @@ class TestPredict:
             model = fit_tree(dataset(X, y), TreeParams(max_depth=int(rng.integers(0, 7)), min_samples_leaf=1))
             Z = rng.random((50, 3)).round(1)
             assert predict_many(model, Z) == [predict(model, row) for row in Z]
+            # with missing cells, the two calls agree row by row: same class, or both raise
+            Z[rng.random(Z.shape) < 0.1] = np.nan
+            for row in Z:
+                outcomes = []
+                for call in (lambda: predict_many(model, [row])[0], lambda: predict(model, row)):
+                    try:
+                        outcomes.append(call())
+                    except MissingFeature:
+                        outcomes.append(MissingFeature)
+                assert outcomes[0] == outcomes[1]
+
+    def test_nan_on_the_path_is_missing_in_every_walk(self):
+        with pytest.raises(MissingFeature, match="row 1 lacks feature 'f1'"):
+            predict_many(self.model, [[0.0, 1.0], [0.0, float("nan")]])
+        data = dataset([[1.0, 0.0], [float("nan"), 1.0]], [1, 1])
+        with pytest.raises(MissingFeature, match="row 1 lacks feature 'f0'"):
+            accuracy(self.model, data)
+
+    def test_feature_off_the_path_may_be_missing(self):
+        data = dataset([[0.0, 0.9], [0.2, 0.4], [0.8, 0.1], [1.0, 0.7]], [0, 0, 1, 1])
+        model = fit_tree(data, TreeParams(max_depth=1, min_samples_leaf=1, criterion="entropy"))
+        assert {node.feature for node in model.nodes if node.kind == "split"} == {0}
+        assert predict(model, {"f0": 0.1}) == 0
+        assert predict(model, {"f0": 0.9, "f1": None}) == 1
+        assert predict(model, [0.9]) == 1
+        assert predict_many(model, [[0.1, float("nan")]]) == [0]
 
     def test_predict_many_no_rows(self):
         assert predict_many(self.model, []) == []
@@ -431,29 +456,29 @@ class TestImportance:
         assert imp["f0"] == pytest.approx(0.6, abs=1e-9)
         assert imp["f1"] == pytest.approx(0.4, abs=1e-9)
 
-    def test_train_cross_check(self):
-        model = fit_tree(XOR, TreeParams(max_depth=2, min_samples_leaf=1, criterion="entropy"))
-        assert feature_importance(model, XOR) == feature_importance(model)
-        short = dataset([[0.0, 0.0]], [0])
-        with pytest.raises(PartitionMismatch):
-            feature_importance(model, short)
+
+# XOR through preprocess, so the model has the stats that make its features
+XOR_PREPARED = preprocess(
+    [RawColumn("f0", NUMERIC, (0, 0, 1, 1)), RawColumn("f1", NUMERIC, (0, 1, 0, 1))], [0, 1, 1, 0]
+)
 
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        model = fit_tree(XOR, TreeParams(max_depth=2, min_samples_leaf=1, criterion="entropy"))
+        model = fit_tree(XOR_PREPARED, TreeParams(max_depth=2, min_samples_leaf=1, criterion="entropy"))
         p = tmp_path / "model.json"
-        save_tree(model, p)
-        loaded = load_tree(p)
+        save_model(p, model, XOR_PREPARED.stats)
+        loaded, stats = load_model(p)
         assert tree_to_dict(loaded) == tree_to_dict(model)
+        assert stats == XOR_PREPARED.stats
         rows = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
         assert predict_many(loaded, rows) == predict_many(model, rows)
 
     def test_byte_stable_save(self, tmp_path):
-        model = fit_tree(XOR, TreeParams(max_depth=2, min_samples_leaf=1, criterion="entropy"))
+        model = fit_tree(XOR_PREPARED, TreeParams(max_depth=2, min_samples_leaf=1, criterion="entropy"))
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        save_tree(model, a)
-        save_tree(model, b)
+        save_model(a, model, XOR_PREPARED.stats)
+        save_model(b, model, XOR_PREPARED.stats)
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize(
