@@ -40,7 +40,20 @@ from .tree import feature_importance, load_model, predict_many, save_model
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage errors as the machine-readable object."""
+    """argparse that reports usage errors as the machine-readable object.
+
+    A token that float() reads, such as -1e5 or -inf, is a value, never an
+    option: argparse alone takes a token that starts with '-' for a value only
+    when it is digits with at most one point, so -1e5 would be a usage error
+    while -100000.0 reached the command's own checks.
+    """
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
     def error(self, message):
         _emit_error("UsageError", message)

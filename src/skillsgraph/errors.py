@@ -65,6 +65,12 @@ def load_json(path, error: type):
         raise error(f"{path}: invalid JSON: {exc}") from None
 
 
+class FloatRangeExceeded(DomainError):
+    """A result that leaves the float range: a stationary distribution whose
+    computation does, the total weight of a graph's edges, or an exact sum
+    such as a path's cost or a plan's objective."""
+
+
 # graph construction and analysis
 
 class DuplicateNodeId(DomainError):
@@ -175,10 +181,6 @@ class EmptyCounts(DomainError):
 
 class StateMismatch(DomainError):
     pass
-
-
-class FloatRangeExceeded(DomainError):
-    """A stationary distribution whose computation leaves the float range."""
 
 
 class CountsFormatError(InputError):

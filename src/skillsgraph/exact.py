@@ -15,6 +15,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import FloatRangeExceeded
+
 
 def scale_to_integers(values: Iterable[float]) -> tuple[list[int], int]:
     """Rewrite floats exactly as (numerators, common power-of-two denominator)."""
@@ -31,8 +33,12 @@ def scale_to_integers(values: Iterable[float]) -> tuple[list[int], int]:
 
 
 def integer_sum_to_float(total: int, denominator: int) -> float:
-    """Correctly rounded float of the exact rational total/denominator."""
-    return float(Fraction(total, denominator))
+    """Correctly rounded float of the exact rational total/denominator;
+    FloatRangeExceeded where that is beyond the largest float."""
+    try:
+        return float(Fraction(total, denominator))
+    except OverflowError:
+        raise FloatRangeExceeded("an exact sum is beyond the float range") from None
 
 
 def quantize_hundredths(values: Sequence[float], what: str) -> list[int]:

@@ -33,7 +33,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -48,7 +47,7 @@ from .errors import (
     UnknownEdge,
     load_json,
 )
-from .graph import DependencyEdge, SkillsGraph, finite_number, weighted_centrality
+from .graph import DependencyEdge, SkillsGraph, finite_number, out_weight_shares, weighted_centrality
 from .jsonio import FloatItems, object_line
 
 EdgeKey = tuple  # (src, dst)
@@ -241,7 +240,7 @@ def run_feedback_cycle(
         allocation=allocate_fractional(graph, budget),
     )
     plan = first.allocation  # nodes and budget fix it for every round
-    weights = np.array([e.weight for e in graph.edges], np.float64)
+    weights = np.array(graph.weights, np.float64)
     snapshots = [first]
     # build_graph keeps every "src->dst" distinct; a graph built without it
     # may repeat one, and its snapshots are encoded from snapshot_to_dict()
@@ -253,14 +252,8 @@ def run_feedback_cycle(
         if set(map(type, first.weights.values())) <= {float}:
             layout.encode(first)
 
-    # the edges by source node, so each node's out-edges are one slice; fsum
-    # is exactly rounded, so these sums are weighted_centrality's own
-    ids = graph.node_ids()
-    by_source = np.array(
-        [index[(e.src, e.dst)] for nid in ids for e in graph.out_edges(nid)], np.intp
-    )
-    ends = list(accumulate(len(graph.out_edges(nid)) for nid in ids))
-    spans = list(zip([0, *ends[:-1]], ends))
+    # the weights grouped by source node, as weighted_centrality reads them
+    by_source = np.array(graph.out_order, np.intp)
 
     stream: Iterator[MetricsReport] = iter(metrics_stream)
     for k in range(1, config.iterations + 1):
@@ -273,13 +266,11 @@ def run_feedback_cycle(
         idx, values = _checked_round(index, metrics, config)
         moved = _step(weights[idx], values, config)
         weights[idx] = moved
-        grouped = weights[by_source].tolist()
-        total = math.fsum(grouped)
-        scores = [math.fsum(grouped[a:b]) / total for a, b in spans]
+        scores = out_weight_shares(weights[by_source].tolist(), graph.out_start)
         snapshot = CycleSnapshot(
             iteration=k,
             weights=dict(zip(keys, weights.tolist())),
-            centrality=dict(zip(ids, scores)),
+            centrality=dict(zip(graph.ids, scores)),
             allocation=plan,
         )
         if layout is not None:

@@ -5,14 +5,21 @@ w > 0 says u feeds v, and the weight carries the strength of that dependency.
 Graphs are validated once at construction and treated as immutable afterwards;
 every traversal order is deterministic (insertion order, never hash order).
 
+A SkillsGraph is one integer index of columns (see its docstring).
+validate_dag, weighted_centrality and the path search read the index alone;
+the SkillNode and DependencyEdge views are built from it on first use and
+kept, so validate, centrality and path never build them.
+
 Loading checks in bulk first and one item at a time only where that fails:
 graph_from_dict reads each JSON array a column at a time and build_graph
-checks each field as a column. Where a bulk check finds a fault, or a value
-it does not take in bulk (a bool, a numpy.float64, a str subclass), the
-per-item code runs over the same list and raises the first error in it, with
-the message it always had, or passes what it accepts. A node order in which
-every edge points forward is taken as the topological order after one pass
-over the edges; any other order goes through Kahn's algorithm.
+pulls each field of its objects into a column, and both hand the columns to
+the same checks and then to the index. Where a bulk check finds a fault, or
+a value it does not take in bulk (a bool, a numpy.float64, a str subclass),
+the per-item code runs over the same items and raises the first error in
+them, with the message it always had, or passes what it accepts. A node
+order in which every edge points forward is taken as the topological order
+after one pass over the edges; any other order goes through Kahn's
+algorithm.
 """
 
 from __future__ import annotations
@@ -21,15 +28,17 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
+from functools import cached_property
+from itertools import accumulate, repeat
 from operator import attrgetter, eq, itemgetter, lt
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import (
     CycleDetected,
     DuplicateEdge,
     DuplicateNodeId,
     EmptyGraph,
+    FloatRangeExceeded,
     GraphFormatError,
     InvalidNodeValue,
     NonPositiveWeight,
@@ -72,39 +81,77 @@ class DependencyEdge:
 
 
 class SkillsGraph:
-    """Validated dependency graph. Build through build_graph, then read-only."""
+    """Validated dependency graph. Build through build_graph, then read-only.
+
+    The graph is held as one integer index of columns:
+
+    - ids, the node ids in node order, and index, which maps an id to its
+      position there;
+    - src and dst, the positions of each edge's ends, with weights and
+      consumption (the objective costs), in edge order;
+    - out_start/out_order and in_start/in_order: the edges out of (into) the
+      node at position i are out_order[out_start[i]:out_start[i + 1]]
+      (in_order[in_start[i]:in_start[i + 1]]), in edge order.
+
+    The nodes and edges views, which out_edges, in_edges, node and edge hand
+    out, are built from the columns on first use and kept.
+    SkillsGraph(nodes, edges) checks nothing and keeps the objects it is
+    given as its views.
+    """
 
     def __init__(self, nodes: Sequence[SkillNode], edges: Sequence[DependencyEdge]):
-        self.nodes = tuple(nodes)
-        self.edges = tuple(edges)
-        self._node_by_id = {n.id: n for n in self.nodes}
-        out: dict[str, list[DependencyEdge]] = {n.id: [] for n in self.nodes}
-        into: dict[str, list[DependencyEdge]] = {n.id: [] for n in self.nodes}
-        for e in self.edges:
-            out[e.src].append(e)
-            into[e.dst].append(e)
-        # tuples: smaller than lists, and handed out without a copy
-        self._out = {nid: tuple(es) for nid, es in out.items()}
-        self._in = {nid: tuple(es) for nid, es in into.items()}
+        nodes, edges = tuple(nodes), tuple(edges)
+        node_columns, (src, dst, *edge_values) = _node_columns(nodes), _edge_columns(edges)
+        index = _index(node_columns[0])
+        self._hold(node_columns, index, [index[s] for s in src], [index[d] for d in dst], *edge_values)
+        vars(self).update(nodes=nodes, edges=edges)  # where cached_property keeps them
+
+    @classmethod
+    def _indexed(cls, node_columns, index, src, dst, weights, consumption) -> SkillsGraph:
+        graph = cls.__new__(cls)
+        graph._hold(node_columns, index, src, dst, weights, consumption)
+        return graph
+
+    def _hold(self, node_columns, index, src, dst, weights, consumption) -> None:
+        ids, *self._node_values = node_columns
+        self.ids = tuple(ids)
+        self.index = index
+        self.src, self.dst, self.weights, self.consumption = src, dst, weights, consumption
+        self.out_start, self.out_order = _grouped(src, len(ids))
+        self.in_start, self.in_order = _grouped(dst, len(ids))
+
+    @cached_property
+    def nodes(self) -> tuple[SkillNode, ...]:
+        return tuple(map(SkillNode, self.ids, *self._node_values))
+
+    @cached_property
+    def edges(self) -> tuple[DependencyEdge, ...]:
+        ids = self.ids
+        ends = map(ids.__getitem__, self.src), map(ids.__getitem__, self.dst)
+        return tuple(map(DependencyEdge, *ends, self.weights, self.consumption))
 
     def node(self, node_id: str) -> SkillNode:
-        return self._node_by_id[node_id]
+        return self.nodes[self.index[node_id]]
 
     def has_node(self, node_id: str) -> bool:
-        return node_id in self._node_by_id
+        return node_id in self.index
 
     def out_edges(self, node_id: str) -> tuple[DependencyEdge, ...]:
-        return self._out[node_id]
+        i, start = self.index[node_id], self.out_start
+        return tuple(map(self.edges.__getitem__, self.out_order[start[i]:start[i + 1]]))
 
     def in_edges(self, node_id: str) -> tuple[DependencyEdge, ...]:
-        return self._in[node_id]
+        i, start = self.index[node_id], self.in_start
+        return tuple(map(self.edges.__getitem__, self.in_order[start[i]:start[i + 1]]))
 
     def edge(self, src: str, dst: str) -> DependencyEdge | None:
         """The edge src -> dst, or None; a scan of src's out-edges."""
-        return next((e for e in self._out.get(src, ()) if e.dst == dst), None)
+        if src not in self.index:
+            return None
+        return next((e for e in self.out_edges(src) if e.dst == dst), None)
 
     def node_ids(self) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes)
+        return self.ids
 
     def __eq__(self, other):
         return (
@@ -114,7 +161,21 @@ class SkillsGraph:
         )
 
     def __repr__(self):
-        return f"SkillsGraph({len(self.nodes)} nodes, {len(self.edges)} edges)"
+        return f"SkillsGraph({len(self.ids)} nodes, {len(self.src)} edges)"
+
+
+def _index(ids: Sequence[str]) -> dict[str, int]:
+    return dict(zip(ids, range(len(ids))))
+
+
+def _grouped(keys: list[int], n: int) -> tuple[list[int], list[int]]:
+    """(start, order): the positions e with keys[e] == i are
+    order[start[i]:start[i + 1]], in increasing order."""
+    start = [0] * (n + 1)
+    for key in keys:
+        start[key + 1] += 1
+    # sorted is stable, so each group keeps the edge order
+    return list(accumulate(start)), sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def finite_number(value) -> bool:
@@ -141,9 +202,8 @@ def _check_node_fields(node: SkillNode) -> None:
             raise InvalidNodeValue(f"node {node.id!r}: capacity must be finite and >= 0 or None, got {cap!r}")
 
 
-def _check_nodes(nodes: Sequence[SkillNode]) -> set[str]:
-    """Check one node at a time; raise the first error in node order, else
-    return the set of node ids."""
+def _check_nodes(nodes: Sequence[SkillNode]) -> None:
+    """Check one node at a time; raise the first error in node order."""
     seen_ids = set()
     for n in nodes:
         if not isinstance(n.id, str):
@@ -156,12 +216,11 @@ def _check_nodes(nodes: Sequence[SkillNode]) -> set[str]:
             raise InvalidNodeValue(f"node {n.id!r}: label must be a string, got {n.label!r}")
         seen_ids.add(n.id)
         _check_node_fields(n)
-    return seen_ids
 
 
-def _check_edges(edges: Sequence[DependencyEdge], node_ids: set[str]) -> None:
+def _check_edges(edges: Sequence[DependencyEdge], node_ids: Container[str]) -> None:
     """Check one edge at a time; raise the first error in edge order."""
-    seen_pairs = set()  # freed on return, before the graph builds its own index
+    seen_pairs = set()
     for e in edges:
         if not isinstance(e.src, str) or e.src not in node_ids:
             raise UnknownEndpoint(f"edge ({e.src!r} -> {e.dst!r}): unknown source {e.src!r}")
@@ -179,8 +238,14 @@ def _check_edges(edges: Sequence[DependencyEdge], node_ids: set[str]) -> None:
             raise InvalidNodeValue(f"edge ({e.src!r} -> {e.dst!r}): objective_cost must be finite and >= 0, got {oc!r}")
 
 
-def _column(items: Sequence, field: str) -> list:
-    return list(map(attrgetter(field), items))
+def _node_columns(nodes: Sequence[SkillNode]) -> list[list]:
+    """ids, labels, effectiveness, cost and capacity, one list each."""
+    return [list(map(attrgetter(field), nodes)) for field in ("id", "label", "effectiveness", "cost", "capacity")]
+
+
+def _edge_columns(edges: Sequence[DependencyEdge]) -> list[list]:
+    """Sources, targets, weights and objective costs, one list each."""
+    return [list(map(attrgetter(field), edges)) for field in ("src", "dst", "weight", "objective_cost")]
 
 
 def _in_range(values: Sequence, strict: bool = False) -> bool:
@@ -194,43 +259,61 @@ def _in_range(values: Sequence, strict: bool = False) -> bool:
     """
     if not set(map(type, values)) <= {int, float}:
         return False
-    if strict:
-        return all(0.0 < v <= _FLOAT_MAX for v in values)
-    return all(0.0 <= v <= _FLOAT_MAX for v in values)
+    above = (0.0).__lt__ if strict else (0.0).__le__
+    return all(map(above, values)) and all(map(_FLOAT_MAX.__ge__, values))
 
 
-def _node_ids_in_bulk(nodes: Sequence[SkillNode]) -> set[str] | None:
-    """The set of node ids if every node passes _check_nodes, checked a
-    column at a time; None if any column check fails."""
-    ids = _column(nodes, "id")
-    if not set(map(type, ids)) | set(map(type, _column(nodes, "label"))) <= {str}:
-        return None
-    id_set = set(ids)
-    bounded = [c for c in _column(nodes, "capacity") if c is not UNBOUNDED]
+def _nodes_pass_in_bulk(node_columns: list[list]) -> bool:
+    """Whether every node passes _check_nodes, checked a column at a time."""
+    ids, labels, effectiveness, cost, capacity = node_columns
     # a separator that is neither '-' nor '>' makes no '->' of its own
-    if (
-        len(id_set) == len(ids)
-        and "->" not in " ".join(ids)
-        and _in_range(_column(nodes, "effectiveness"))
-        and _in_range(_column(nodes, "cost"))
-        and _in_range(bounded)
-    ):
-        return id_set
-    return None
-
-
-def _edges_pass_in_bulk(edges: Sequence[DependencyEdge], node_ids: set[str]) -> bool:
-    """Whether every edge passes _check_edges, checked a column at a time."""
-    src, dst = _column(edges, "src"), _column(edges, "dst")
     return (
-        set(map(type, src)) | set(map(type, dst)) <= {str}
-        and node_ids.issuperset(src)
-        and node_ids.issuperset(dst)
-        and not any(map(eq, src, dst))
-        and len(set(zip(src, dst))) == len(edges)
-        and _in_range(_column(edges, "weight"), strict=True)
-        and _in_range(_column(edges, "objective_cost"))
+        set(map(type, ids)) | set(map(type, labels)) <= {str}
+        and len(set(ids)) == len(ids)
+        and "->" not in " ".join(ids)
+        and _in_range(effectiveness)
+        and _in_range(cost)
+        and _in_range([c for c in capacity if c is not UNBOUNDED])
     )
+
+
+def _edge_ends_in_bulk(edge_columns: list[list], index: dict[str, int]) -> tuple[list, list] | None:
+    """The node positions of every edge's source and target if every edge
+    passes _check_edges, checked a column at a time; None if any check fails."""
+    src_ids, dst_ids, weights, consumption = edge_columns
+    if not set(map(type, src_ids)) | set(map(type, dst_ids)) <= {str}:
+        return None
+    src, dst = list(map(index.get, src_ids)), list(map(index.get, dst_ids))
+    if (
+        None in src
+        or None in dst
+        or any(map(eq, src, dst))
+        or len(set(zip(src, dst))) != len(src)
+        or not _in_range(weights, strict=True)
+        or not _in_range(consumption)
+    ):
+        return None
+    return src, dst
+
+
+def _checked_graph(node_columns: list[list], edge_columns: list[list], allow_cycles: bool) -> SkillsGraph:
+    """Check the columns as build_graph does and index them.
+
+    Nodes, then edges, are checked a column at a time; where that finds a
+    fault, or a value it does not take in bulk, the per-item checks run over
+    the same items and raise the first error, or pass them.
+    """
+    if not _nodes_pass_in_bulk(node_columns):
+        _check_nodes(list(map(SkillNode, *node_columns)))
+    index = _index(node_columns[0])
+    ends = _edge_ends_in_bulk(edge_columns, index)
+    if ends is None:
+        _check_edges(list(map(DependencyEdge, *edge_columns)), index)
+        ends = [list(map(index.__getitem__, column)) for column in edge_columns[:2]]
+    graph = SkillsGraph._indexed(node_columns, index, *ends, *edge_columns[2:])
+    if not allow_cycles:
+        validate_dag(graph)  # raises CycleDetected with a witness
+    return graph
 
 
 def build_graph(
@@ -250,38 +333,31 @@ def build_graph(
 
     Nodes, then edges, are checked a column at a time; where that finds a
     fault, or a value it does not take in bulk, the per-item checks run and
-    raise the first error in the list, or pass it.
+    raise the first error in the list, or pass it. The graph keeps the
+    objects given as its nodes and edges views.
     """
-    node_list = list(nodes)
-    node_ids = _node_ids_in_bulk(node_list)
-    if node_ids is None:
-        node_ids = _check_nodes(node_list)
-
-    edge_list = list(edges)
-    if not _edges_pass_in_bulk(edge_list, node_ids):
-        _check_edges(edge_list, node_ids)
-
-    graph = SkillsGraph(node_list, edge_list)
-    if not allow_cycles:
-        validate_dag(graph)  # raises CycleDetected with a witness
+    nodes, edges = tuple(nodes), tuple(edges)
+    graph = _checked_graph(_node_columns(nodes), _edge_columns(edges), allow_cycles)
+    vars(graph).update(nodes=nodes, edges=edges)
     return graph
 
 
-def _witness_cycle(graph: SkillsGraph, stuck: set[str]) -> list[str]:
+def _witness_cycle(graph: SkillsGraph, stuck: set[int]) -> list[str]:
     """Walk predecessors inside the stuck set until a node repeats.
 
     Every stuck node kept an unfinished, so stuck, predecessor; successors
     offer no such guarantee, since a node fed by a cycle is stuck too.
     """
-    start = next(nid for nid in graph.node_ids() if nid in stuck)
+    src, start, order = graph.src, graph.in_start, graph.in_order
     path, seen_at = [], {}
-    current = start
+    current = min(stuck)  # the earliest stuck node in node order
     while current not in seen_at:
         seen_at[current] = len(path)
         path.append(current)
-        current = next(e.src for e in graph.in_edges(current) if e.src in stuck)
+        current = next(src[e] for e in order[start[current]:start[current + 1]] if src[e] in stuck)
     cycle = path[seen_at[current]:]
-    return cycle[:1] + cycle[:0:-1]  # in edge direction, from the repeated node
+    # in edge direction, from the repeated node
+    return list(map(graph.ids.__getitem__, cycle[:1] + cycle[:0:-1]))
 
 
 def validate_dag(graph: SkillsGraph) -> list[str]:
@@ -295,50 +371,58 @@ def validate_dag(graph: SkillsGraph) -> list[str]:
     very order there: once the nodes before node k are out, node k is ready,
     and it is the earliest node still waiting.
     """
-    ids = graph.node_ids()
-    order_index = {nid: i for i, nid in enumerate(ids)}
-    position = order_index.__getitem__
-    sources = map(position, map(attrgetter("src"), graph.edges))
-    targets = map(position, map(attrgetter("dst"), graph.edges))
-    if all(map(lt, sources, targets)):
+    ids, dst = graph.ids, graph.dst
+    if all(map(lt, graph.src, dst)):
         return list(ids)
 
-    indegree = {nid: 0 for nid in ids}
-    for e in graph.edges:
-        indegree[e.dst] += 1
-
-    # frontier: a heap of insertion indices, so the earliest ready node goes next
-    frontier = [i for i, nid in enumerate(ids) if indegree[nid] == 0]
-    result: list[str] = []
+    indegree = [0] * len(ids)
+    for i in dst:
+        indegree[i] += 1
+    start, order = graph.out_start, graph.out_order
+    # frontier: a heap of node positions, so the earliest ready node goes
+    # next; the ascending list it starts as is a heap already
+    frontier = [i for i, degree in enumerate(indegree) if degree == 0]
+    result: list[int] = []
     while frontier:
-        current = ids[heapq.heappop(frontier)]
+        current = heapq.heappop(frontier)
         result.append(current)
-        for e in graph.out_edges(current):
-            indegree[e.dst] -= 1
-            if indegree[e.dst] == 0:
-                heapq.heappush(frontier, order_index[e.dst])
+        for e in order[start[current]:start[current + 1]]:
+            indegree[dst[e]] -= 1
+            if indegree[dst[e]] == 0:
+                heapq.heappush(frontier, dst[e])
 
-    if len(result) != len(graph.nodes):
-        done = set(result)
-        stuck = {nid for nid in ids if nid not in done}
+    if len(result) != len(ids):
+        stuck = set(range(len(ids))).difference(result)
         cycle = _witness_cycle(graph, stuck)
         raise CycleDetected(f"graph contains a cycle: {' -> '.join(cycle)}", cycle=cycle)
-    return result
+    return list(map(ids.__getitem__, result))
+
+
+def out_weight_shares(weights: Sequence[float], start: Sequence[int]) -> list[float]:
+    """Each node's share of the total edge weight, where weights lists the
+    edge weights grouped by source node, node i's at weights[start[i]:start[i + 1]].
+
+    fsum is exactly rounded, so the shares do not depend on the edge order.
+    FloatRangeExceeded where the weights sum beyond the float range.
+    """
+    try:
+        total = math.fsum(weights)
+    except OverflowError:
+        raise FloatRangeExceeded("the edge weights sum beyond the float range") from None
+    return [math.fsum(weights[a:b]) / total for a, b in zip(start, start[1:])]
 
 
 def weighted_centrality(graph: SkillsGraph) -> NodeScores:
     """Share of total edge weight carried by each node's outgoing edges.
 
     Scores are nonnegative and sum to 1; sink nodes score 0. Requires at
-    least one edge.
+    least one edge; FloatRangeExceeded where the weights sum beyond the
+    float range.
     """
-    if not graph.edges:
+    if not graph.src:
         raise EmptyGraph("centrality requires a graph with at least one edge")
-    total = math.fsum(e.weight for e in graph.edges)
-    return {
-        nid: math.fsum(e.weight for e in graph.out_edges(nid)) / total
-        for nid in graph.node_ids()
-    }
+    grouped = list(map(graph.weights.__getitem__, graph.out_order))
+    return dict(zip(graph.ids, out_weight_shares(grouped, graph.out_start)))
 
 
 # -- JSON file format ---------------------------------------------------------
@@ -449,26 +533,29 @@ def _columns(raws: list, allowed: set[str], required: set[str], strings, numbers
         return None
     for key, default in numbers:
         values = list(map(dict.get, raws, repeat(key), repeat(_ABSENT)))
-        if not set(map(type, values)) <= {int, float, _Absent}:
+        types = set(map(type, values))
+        if not types <= {int, float, _Absent}:
             return None
-        try:
-            columns.append([default if v is _ABSENT else float(v) for v in values])
-        except OverflowError:
-            return None
+        if not types <= {float}:
+            try:
+                values = [default if v is _ABSENT else float(v) for v in values]
+            except OverflowError:
+                return None
+        columns.append(values)
     return columns
 
 
-def _read_nodes(raws: list) -> list[SkillNode]:
+def _read_nodes(raws: list) -> list[list]:
     columns = _columns(
         raws, _NODE_KEYS, _NODE_REQUIRED, ("id", "label"),
         (("effectiveness", None), ("cost", None), ("capacity", UNBOUNDED)),
     )
-    return _nodes_by_item(raws) if columns is None else list(map(SkillNode, *columns))
+    return _node_columns(_nodes_by_item(raws)) if columns is None else columns
 
 
-def _read_edges(raws: list) -> list[DependencyEdge]:
+def _read_edges(raws: list) -> list[list]:
     columns = _columns(raws, _EDGE_KEYS, _EDGE_REQUIRED, ("from", "to"), (("weight", None), ("objective_cost", 0.0)))
-    return _edges_by_item(raws) if columns is None else list(map(DependencyEdge, *columns))
+    return _edge_columns(_edges_by_item(raws)) if columns is None else columns
 
 
 def graph_from_dict(data: Mapping, allow_cycles: bool = False) -> SkillsGraph:
@@ -476,14 +563,14 @@ def graph_from_dict(data: Mapping, allow_cycles: bool = False) -> SkillsGraph:
 
     Each array is read a column at a time. Where that finds a fault, or a
     value it does not take in bulk, the array is read one item at a time,
-    which raises its first error. Nodes are read before edges.
+    which raises its first error. Nodes are read before edges. The columns
+    go to the checks and into the graph's index as they are; no SkillNode
+    or DependencyEdge is built unless a check fails or a view is asked for.
     """
     _require_keys(data, {"nodes", "edges"}, {"nodes", "edges"}, "graph")
     if not isinstance(data["nodes"], list) or not isinstance(data["edges"], list):
         raise GraphFormatError("graph: 'nodes' and 'edges' must be arrays")
-    # each reader drops its columns on return, so the load peaks no higher
-    # than a read one item at a time
-    return build_graph(_read_nodes(data["nodes"]), _read_edges(data["edges"]), allow_cycles=allow_cycles)
+    return _checked_graph(_read_nodes(data["nodes"]), _read_edges(data["edges"]), allow_cycles)
 
 
 def graph_to_dict(graph: SkillsGraph) -> dict:

@@ -20,6 +20,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import InvalidQuery, NoFeasiblePath, UnknownNode
 from .exact import integer_sum_to_float, scale_to_integers
@@ -43,34 +44,37 @@ def _check_endpoints(graph: SkillsGraph, source: str, target: str) -> None:
             raise UnknownNode(f"unknown node {nid!r}")
 
 
-def _scaled(edges) -> tuple[list, int, int]:
-    """(edge, integer weight, integer consumption) triples, plus both denominators.
+def _scaled(graph: SkillsGraph, edges: Sequence[int]) -> tuple[list, int, int]:
+    """(edge, integer weight, integer consumption) triples for the edges at
+    the given positions, plus both denominators.
 
     Any common denominator yields the same correctly rounded sums, so a query
     scales only the edges it can use.
     """
-    weights, wden = scale_to_integers([e.weight for e in edges])
-    consumption, cden = scale_to_integers([e.objective_cost for e in edges])
+    weights, wden = scale_to_integers(map(graph.weights.__getitem__, edges))
+    consumption, cden = scale_to_integers(map(graph.consumption.__getitem__, edges))
     return list(zip(edges, weights, consumption)), wden, cden
 
 
-def _edges_into(graph: SkillsGraph, target: str) -> list:
+def _edges_into(graph: SkillsGraph, target: int) -> list[int]:
     """Every edge on some path to target: the in-edges of its ancestors."""
+    src, start, order = graph.src, graph.in_start, graph.in_order
     seen, stack, edges = {target}, [target], []
     while stack:
-        for edge in graph.in_edges(stack.pop()):
-            edges.append(edge)
-            if edge.src not in seen:
-                seen.add(edge.src)
-                stack.append(edge.src)
+        node = stack.pop()
+        for e in order[start[node]:start[node + 1]]:
+            edges.append(e)
+            if src[e] not in seen:
+                seen.add(src[e])
+                stack.append(src[e])
     return edges
 
 
-def _least_consumption(scaled: list, target: str) -> dict:
+def _least_consumption(graph: SkillsGraph, scaled: list, target: int) -> dict:
     """Reverse Dijkstra: least exact consumption from each node to target."""
-    into: dict[str, list] = {}
-    for edge, _, consumption in scaled:
-        into.setdefault(edge.dst, []).append((edge.src, consumption))
+    into: dict[int, list] = {}
+    for e, _, consumption in scaled:
+        into.setdefault(graph.dst[e], []).append((graph.src[e], consumption))
     need = {target: 0}
     heap = [(0, target)]
     while heap:
@@ -86,39 +90,44 @@ def _least_consumption(scaled: list, target: str) -> dict:
 
 
 def _search(graph: SkillsGraph, source: str, target: str, tau: float | None) -> Path:
-    """Least (cost, node sequence) path with consumption <= tau, exact."""
-    scaled, wden, cden = _scaled(_edges_into(graph, target))
+    """Least (cost, node sequence) path with consumption <= tau, exact.
+
+    Nodes are searched by position; a label carries its node sequence as ids,
+    which the heap compares, so ties go to the smallest sequence of ids.
+    """
+    start, goal = graph.index[source], graph.index[target]
+    scaled, wden, cden = _scaled(graph, _edges_into(graph, goal))
     # edges out of each node that lead on to target; others are never tried
-    succ: dict[str, list] = {}
-    for edge, weight, consumption in scaled:
-        succ.setdefault(edge.src, []).append((edge.dst, weight, consumption))
+    ids, src, dst = graph.ids, graph.src, graph.dst
+    succ: dict[int, list] = {}
+    for e, weight, consumption in scaled:
+        succ.setdefault(src[e], []).append((dst[e], ids[dst[e]], weight, consumption))
 
     if tau is None:
         cap, need = None, None
     else:
         # consumption is an integer count of 1/cden units, so <= tau is <= cap
         cap = math.floor(Fraction(tau) * cden)
-        need = _least_consumption(scaled, target)
+        need = _least_consumption(graph, scaled, goal)
 
     # kept[node]: consumption of the last label kept there; labels pop in
     # (cost, nodes) order, so a later one survives only by consuming less
-    kept: dict[str, int] = {}
-    heap = [(0, (source,), 0)]
+    kept: dict[int, int] = {}
+    heap = [(0, (source,), 0, start)]
     while heap:
-        cost, nodes, used = heapq.heappop(heap)
-        node = nodes[-1]
+        cost, nodes, used, node = heapq.heappop(heap)
         if node in kept and (cap is None or used >= kept[node]):
             continue
-        if node == target:
+        if node == goal:
             return Path(nodes, integer_sum_to_float(cost, wden), integer_sum_to_float(used, cden))
         kept[node] = used
-        for dst, weight, consumption in succ.get(node, ()):
+        for nxt, nxt_id, weight, consumption in succ.get(node, ()):
             total = used + consumption
-            if cap is not None and total + need[dst] > cap:
+            if cap is not None and total + need[nxt] > cap:
                 continue
-            if dst in kept and (cap is None or total >= kept[dst]):
+            if nxt in kept and (cap is None or total >= kept[nxt]):
                 continue
-            heapq.heappush(heap, (cost + weight, nodes + (dst,), total))
+            heapq.heappush(heap, (cost + weight, nodes + (nxt_id,), total, nxt))
     within = "" if tau is None else f" with consumption <= {tau}"
     raise NoFeasiblePath(f"no path from {source!r} to {target!r}{within}")
 
@@ -147,21 +156,21 @@ def enumerate_paths(graph: SkillsGraph, source: str, target: str) -> list[Path]:
     """
     _check_endpoints(graph, source, target)
     validate_dag(graph)
-    scaled, wden, cden = _scaled(graph.edges)
-    sums = {edge: (weight, consumption) for edge, weight, consumption in scaled}
+    scaled, wden, cden = _scaled(graph, range(len(graph.src)))
+    goal, ids, dst = graph.index[target], graph.ids, graph.dst
+    start, order = graph.out_start, graph.out_order
 
     results: list[Path] = []
 
-    def walk(path: tuple[str, ...], cost: int, obj: int) -> None:
-        node = path[-1]
-        if node == target:
+    def walk(path: tuple[str, ...], node: int, cost: int, obj: int) -> None:
+        if node == goal:
             results.append(
                 Path(path, integer_sum_to_float(cost, wden), integer_sum_to_float(obj, cden))
             )
             return
-        for edge in graph.out_edges(node):
-            weight, consumption = sums[edge]
-            walk(path + (edge.dst,), cost + weight, obj + consumption)
+        for e in order[start[node]:start[node + 1]]:
+            _, weight, consumption = scaled[e]
+            walk(path + (ids[dst[e]],), dst[e], cost + weight, obj + consumption)
 
-    walk((source,), 0, 0)
+    walk((source,), graph.index[source], 0, 0)
     return results

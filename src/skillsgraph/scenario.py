@@ -144,7 +144,7 @@ def load_scenario(path) -> dict:
 
 def validate_stage(graph) -> dict:
     order = validate_dag(graph)
-    return {"nodes": len(graph.nodes), "edges": len(graph.edges), "topological_order": order}
+    return {"nodes": len(graph.ids), "edges": len(graph.src), "topological_order": order}
 
 
 def allocation_stage(graph, budget, mode: str) -> dict:

@@ -143,6 +143,47 @@ class TestExitCodes:
         assert "NoFeasiblePath" in err
 
 
+GRAPH = str(CASE_STUDY / "graph.json")
+FEEDBACK = ["feedback", "--graph", GRAPH, "--metrics", str(CASE_STUDY / "metrics.json")]
+# (command, flag, spellings of one number that float() reads)
+NUMBER_SPELLINGS = [
+    (["path", "--graph", GRAPH, "--from", "v1", "--to", "v5"], "--tau", ["-100000.0", "-1e5", "-1E+05", "-100_000"]),
+    (["path", "--graph", GRAPH, "--from", "v1", "--to", "v5"], "--tau", ["-inf", "-Infinity", "-1e999"]),
+    (["allocate", "--graph", GRAPH], "--budget", ["-100000.0", "-1e5"]),
+    (FEEDBACK + ["--eta", "0.5"], "--budget", ["-100000.0", "-1e5"]),
+    (FEEDBACK + ["--budget", "10"], "--eta", ["-0.5", "-5e-1", "-.5"]),
+    (FEEDBACK + ["--budget", "10", "--eta", "0.5"], "--iters", ["-1000", "-1_000"]),
+    (["markov", "--counts", str(CASE_STUDY / "transitions.csv")], "--iters", ["-1000", "-1_000"]),
+    (["cohort", "gen"], "--n", ["-1000", "-1_000"]),
+    (["cohort", "gen", "--n", "5"], "--seed", ["-1000", "-1_000"]),
+    (["train", "--data", "absent.csv"], "--seed", ["-1000", "-1_000"]),
+    (["train", "--data", "absent.csv"], "--folds", ["-1000", "-1_000"]),
+]
+
+
+class TestNumberSpellings:
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # how argparse ends a usage error
+            code = exc.code
+        return code, json.loads(capsys.readouterr().out)["error"]["kind"]
+
+    @pytest.mark.parametrize(
+        "command, flag, spellings", NUMBER_SPELLINGS, ids=[f"{c[0]}{f}{s[-1]}" for c, f, s in NUMBER_SPELLINGS]
+    )
+    def test_every_spelling_of_a_number_is_a_value(self, capsys, command, flag, spellings):
+        # "--flag=value" always names the value; "--flag value" must end alike
+        outcomes = {
+            self.outcome(capsys, command + argv)
+            for text in spellings
+            for argv in ([flag, text], [f"{flag}={text}"])
+        }
+        assert len(outcomes) == 1
+        assert outcomes.pop()[1] != "UsageError"
+
+
 class TestGraphCommands:
     def test_validate_reports_order(self, capsys):
         code, payload = run_json(capsys, "validate", "--graph", str(CASE_STUDY / "graph.json"))
@@ -480,6 +521,53 @@ class TestLoaderErrors:
         counts.write_text(f"a,b,c\n{10**300},1,0\n{10**300},0,1\n0,0,1\n")
         message = assert_error(capsys, 1, "FloatRangeExceeded", "markov", "--counts", str(counts))
         assert "float range" in message
+
+
+class TestSumsBeyondTheFloatRange:
+    """A valid graph whose edge weights, a path's cost or a plan's objective
+    sum beyond the largest float."""
+
+    @pytest.fixture
+    def graph(self, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({
+            "nodes": [{"id": nid, "label": nid, "effectiveness": 1.0, "cost": 1.0} for nid in "abc"],
+            "edges": [{"from": "a", "to": "b", "weight": 1e308}, {"from": "b", "to": "c", "weight": 1e308}],
+        }))
+        return path
+
+    def test_centrality(self, capsys, graph):
+        message = assert_error(capsys, 1, "FloatRangeExceeded", "centrality", "--graph", str(graph))
+        assert "float range" in message
+
+    @pytest.mark.parametrize("tau", [[], ["--tau", "1.0"]], ids=["free", "tau"])
+    def test_path(self, capsys, graph, tau):
+        assert_error(capsys, 1, "FloatRangeExceeded", "path", "--graph", str(graph), "--from", "a", "--to", "c", *tau)
+
+    def test_path_within_range_still_answers(self, capsys, graph):
+        code, payload = run_json(capsys, "path", "--graph", str(graph), "--from", "a", "--to", "b")
+        assert code == 0 and payload["path"]["cost"] == 1e308
+
+    def test_feedback(self, capsys, graph, tmp_path):
+        metrics = tmp_path / "metrics.json"
+        metrics.write_text(json.dumps({"iterations": [{"edge_metrics": {"a->b": 1.0}}]}))
+        assert_error(
+            capsys, 1, "FloatRangeExceeded",
+            "feedback", "--graph", str(graph), "--metrics", str(metrics), "--eta", "0.5", "--budget", "1",
+        )
+
+    def test_run(self, capsys, graph, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"graph": "graph.json", "budget": 1.0}))
+        assert_error(capsys, 1, "FloatRangeExceeded", "run", str(scenario), "--out", str(tmp_path / "out"))
+
+    def test_select_objective(self, capsys, tmp_path):
+        graph = case_study_graph(tmp_path)
+        data = json.loads(graph.read_text())
+        for node in data["nodes"]:
+            node.update(effectiveness=1e308, cost=1.0)
+        graph.write_text(json.dumps(data))
+        assert_error(capsys, 1, "FloatRangeExceeded", "allocate", "--graph", str(graph), "--budget", "2", "--mode", "select")
 
 
 class TestModelCommands:

@@ -16,6 +16,7 @@ from skillsgraph import (
     SkillNode,
     SkillsGraph,
     build_graph,
+    find_optimal_path,
     load_graph,
     save_graph,
     validate_dag,
@@ -23,6 +24,7 @@ from skillsgraph import (
 )
 from skillsgraph.errors import (
     CycleDetected,
+    DomainError,
     DuplicateEdge,
     DuplicateNodeId,
     EmptyGraph,
@@ -32,7 +34,8 @@ from skillsgraph.errors import (
     SelfLoop,
     UnknownEndpoint,
 )
-from skillsgraph.graph import _node_ids_in_bulk, finite_number, graph_from_dict
+from skillsgraph.graph import _node_columns, _nodes_pass_in_bulk, finite_number, graph_from_dict
+from skillsgraph.scenario import validate_stage
 from tests.conftest import DEMO_EDGE_PAIRS, demo_graph, random_dag
 
 
@@ -431,6 +434,37 @@ def assert_same_build(nodes, edges, allow_cycles=False):
     return want
 
 
+def _answer(query, *args):
+    try:
+        return query(*args)
+    except DomainError as exc:
+        return type(exc), str(exc), getattr(exc, "cycle", None)
+
+
+def assert_index_matches_objects(data, allow_cycles=False):
+    """A graph that graph_from_dict indexes from the JSON columns answers as
+    one that build_graph indexes from the reference reader's objects: the
+    same views, out- and in-edges, order, and every path query's answer or
+    error, with and without a tau."""
+    want = reference_graph_from_dict(data, allow_cycles=True)
+    from_objects = build_graph(want.nodes, want.edges, allow_cycles=allow_cycles)
+    from_columns = graph_from_dict(data, allow_cycles=allow_cycles)
+    assert from_columns.nodes == from_objects.nodes == want.nodes
+    assert from_columns.edges == from_objects.edges == want.edges
+    ids = from_objects.node_ids()
+    for nid in ids:
+        out_edges = tuple(e for e in want.edges if e.src == nid)
+        in_edges = tuple(e for e in want.edges if e.dst == nid)
+        assert from_columns.out_edges(nid) == from_objects.out_edges(nid) == out_edges
+        assert from_columns.in_edges(nid) == from_objects.in_edges(nid) == in_edges
+    assert _answer(validate_dag, from_columns) == _answer(validate_dag, from_objects)
+    for source in ids:
+        for target in ids:
+            for tau in (None, 2.0):
+                args = source, target, tau
+                assert _answer(find_optimal_path, from_columns, *args) == _answer(find_optimal_path, from_objects, *args)
+
+
 def _shuffled_keys(rng, obj):
     keys = list(obj)
     rng.shuffle(keys)
@@ -577,9 +611,11 @@ FAULTS = {
 class TestLoaderAgainstReference:
     def test_valid_graphs(self):
         rng = random.Random(20261019)
-        for _ in range(300):
+        for k in range(300):
             data = random_graph_dict(rng)
             assert assert_same_load(data)[0] == "built"
+            if k % 5 == 0:
+                assert_index_matches_objects(data)
 
     @pytest.mark.parametrize("kind", sorted(FAULTS))
     def test_one_fault(self, kind):
@@ -663,7 +699,7 @@ class TestBuildGraphSemantics:
     )
     def test_id_or_label_not_a_string_refused(self, nodes, message):
         # the bulk check passes them on to the per-item checks, which name them
-        assert _node_ids_in_bulk(nodes) is None
+        assert not _nodes_pass_in_bulk(_node_columns(nodes))
         with pytest.raises(InvalidNodeValue) as exc:
             build_graph(nodes, [])
         assert str(exc.value) == message
@@ -691,7 +727,7 @@ class TestBuildGraphSemantics:
             pass
 
         nodes = [SkillNode("a", Name("A"))]
-        assert _node_ids_in_bulk(nodes) is None
+        assert not _nodes_pass_in_bulk(_node_columns(nodes))
         assert build_graph(nodes, []).nodes == tuple(nodes)
 
     def test_odd_values_against_reference(self):
@@ -718,24 +754,29 @@ class TestBuildGraphSemantics:
 class TestForwardOrder:
     def test_forward_listed_dags_match_kahn(self):
         rng = random.Random(11)
-        for _ in range(200):
-            graph = reference_graph_from_dict(random_graph_dict(rng, forward=True))
+        for k in range(200):
+            data = random_graph_dict(rng, forward=True)
+            graph = reference_graph_from_dict(data)
             assert validate_dag(graph) == reference_validate_dag(graph) == list(graph.node_ids())
+            if k % 5 == 0:
+                assert_index_matches_objects(data)
 
     def test_backward_edges_keep_the_kahn_order(self):
         rng = random.Random(12)
         backward = 0
-        for _ in range(200):
+        for k in range(200):
             data = random_graph_dict(rng, forward=False)
             graph, want = graph_from_dict(data), reference_graph_from_dict(data)
             position = {nid: i for i, nid in enumerate(graph.node_ids())}
             backward += any(position[e.src] > position[e.dst] for e in graph.edges)
             assert validate_dag(graph) == reference_validate_dag(want)
+            if k % 5 == 0:
+                assert_index_matches_objects(data)
         assert backward > 100
 
     def test_cycle_among_backward_edges(self):
         rng = random.Random(13)
-        for _ in range(200):
+        for k in range(200):
             data = random_graph_dict(rng, forward=rng.random() < 0.5)
             _cycle(rng, data)
             graph = graph_from_dict(data, allow_cycles=True)
@@ -745,3 +786,34 @@ class TestForwardOrder:
             with pytest.raises(CycleDetected) as got:
                 validate_dag(graph)
             assert (str(got.value), got.value.cycle) == (str(want.value), want.value.cycle)
+            if k % 5 == 0:
+                assert_index_matches_objects(data, allow_cycles=True)
+
+
+class TestQueriesReadTheIndex:
+    def test_loaded_graph_answers_without_node_or_edge_objects(self, monkeypatch, tmp_path):
+        built = []
+
+        def counting(init):
+            def counted(self, *args, **kwargs):
+                built.append(type(self).__name__)
+                init(self, *args, **kwargs)
+            return counted
+
+        for cls in (SkillNode, DependencyEdge):
+            monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+        rng = random.Random(22)
+        for k in range(20):
+            path = tmp_path / f"graph{k}.json"
+            # backward-listed graphs too, so Kahn's algorithm runs on the index
+            path.write_text(json.dumps(random_graph_dict(rng, forward=k % 2 == 0)))
+            graph = load_graph(path)
+            validate_stage(graph)
+            weighted_centrality(graph)
+            for source in graph.node_ids():
+                for target in graph.node_ids():
+                    for tau in (None, 2.0):
+                        _answer(find_optimal_path, graph, source, target, tau)
+            assert built == []
+        graph.edges  # the views are built on first use, and counted
+        assert set(built) == {"DependencyEdge"}
