@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     CostPrecisionError,
     CostResolutionExceeded,
+    FloatRangeExceeded,
     NegativeBudget,
 )
 from .exact import integer_sum_to_float, quantize_hundredths, scale_to_integers
@@ -126,7 +127,8 @@ def allocate_fractional(graph: SkillsGraph, budget: float) -> AllocationPlan:
     Exact for the linear objective: fill the most effective node to capacity,
     then the next, until the budget runs out. Ties go to the smaller node id;
     unbounded capacity means the node could absorb the whole budget. Nodes
-    with zero effectiveness receive nothing.
+    with zero effectiveness receive nothing. FloatRangeExceeded where the
+    objective is beyond the float range.
     """
     _check_budget(budget)
     allocation = {nid: 0.0 for nid in graph.node_ids()}
@@ -138,9 +140,16 @@ def allocate_fractional(graph: SkillsGraph, budget: float) -> AllocationPlan:
         if room > 0:
             allocation[node.id] = room
             remaining -= room
-    objective = math.fsum(
-        graph.node(nid).effectiveness * amount for nid, amount in allocation.items()
-    )
+    # every term is >= 0, so a term or a partial sum beyond the float range
+    # puts the sum there too
+    try:
+        objective = math.fsum(
+            graph.node(nid).effectiveness * amount for nid, amount in allocation.items()
+        )
+    except OverflowError:
+        objective = math.inf
+    if objective == math.inf:
+        raise FloatRangeExceeded("the allocation's objective is beyond the float range")
     return AllocationPlan(allocation=allocation, objective=objective, budget=budget)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path as FsPath
@@ -248,7 +249,7 @@ def cmd_predict(args) -> str:
     table = load_cohort_csv(args.data)
     columns, labels = feature_columns(table)
     predictions = predict_many(tree, apply_stats(columns, stats))
-    correct = sum(1 for p, y in zip(predictions, labels) if p == y)
+    correct = sum(map(operator.eq, predictions, labels))
     n = len(table)
     return _predictions_text(correct / n if n else None, n, table.student_id, predictions)
 

@@ -16,19 +16,21 @@ mentoring dose response; both knobs default to zero so the calibrated default
 profile stays a pure mixture, while planted_profile() uses them to embed a
 recoverable signal for learner evaluation.
 
-A cohort CSV takes one of two read paths, which give the same table and
-the same errors. A plain file (the exact header line, then lines of exactly
-8 commas with no '"', carriage return or NUL, none longer than the csv
-field limit) is split at commas a few thousand rows at a time, straight
-into columns, and checked column by column. Any other file, and a plain
-file that fails a check, is read by the csv module row by row, so quoted
-cells and CRLF line ends load and an error names the first bad row and its
-column. Count cells (mentoring_sessions, research_projects) must be integers
->= 0 small enough to convert to a float, since the learner works in floats.
-The writer quotes a cell only where the csv module needs it, except that if
-any student_id holds a carriage return every cell of the file is quoted (a
-missing value is then ""). Either way a file the loader accepts loads to the
-same table after it is written back.
+A cohort CSV takes one of two read paths, which give the same table and the
+same errors. A plain file (the exact header line, then lines of exactly 8
+commas with no '"' or NUL, a carriage return only in a CRLF line end, none
+longer than the csv field limit) is split at commas a few thousand rows at
+a time, straight into columns. In each such chunk a numeric column converts
+and checks each distinct cell once, with the row-wise rule for its column,
+and every cell is then looked up in that small table of values. Any other
+file, and a plain file that fails a check, is read by the csv module row by
+row, so quoted cells load and an error names the first bad row and its
+column. Count cells (mentoring_sessions, research_projects) must be
+integers >= 0 small enough to convert to a float, since the learner works
+in floats. The writer quotes a cell only where the csv module needs it,
+except that if any student_id holds a carriage return every cell of the
+file is quoted (a missing value is then ""). Either way a file the loader
+accepts loads to the same table after it is written back.
 """
 
 from __future__ import annotations
@@ -449,6 +451,51 @@ def _read_rows(path) -> CohortTable:
     return CohortTable(*(tuple(columns.pop(0)) for _ in _COLUMNS))
 
 
+def _counts_ok(values) -> bool:
+    """Integers >= 0 small enough for the learner's floats, as _parse_count requires."""
+    return min(values) >= 0 and finite_number(max(values))
+
+
+def _hours_ok(values) -> bool:
+    """Floats that are finite and >= 0, as _read_rows requires of workshop_hours."""
+    return not any(map(math.isnan, values)) and min(values) >= 0.0 and max(values) < math.inf
+
+
+def _labels_ok(values) -> bool:
+    """0 or 1, as _read_rows requires of employed."""
+    return {0, 1}.issuperset(values)
+
+
+# each numeric column: the conversion of a cell, whether an empty cell is a
+# missing value (None), and the check that every converted value must pass
+_NUMERIC_CELLS = {
+    "mentoring_sessions": (int, True, _counts_ok),
+    "workshop_hours": (float, True, _hours_ok),
+    "research_projects": (int, False, _counts_ok),
+    "employed": (int, False, _labels_ok),
+}
+
+
+def _cell_values(cells, convert, optional, valid) -> dict | None:
+    """Each distinct cell of a column mapped to its value; None if a value
+    fails valid. ValueError where convert refuses a cell.
+
+    Each distinct cell is converted once, by map() in C, and the check runs
+    over the distinct values with builtins: a column of few distinct values
+    costs about one lookup per cell, and one whose cells are all distinct
+    one conversion and one table entry per cell.
+    """
+    distinct = set(cells)
+    if optional:
+        distinct.discard("")
+    values = dict(zip(distinct, map(convert, distinct)))
+    if values and not valid(values.values()):
+        return None
+    if optional:
+        values[""] = None
+    return values
+
+
 def _read_plain(path) -> CohortTable | None:
     """Read a plain cohort file into columns; None if the file is not plain
     or any cell fails a check.
@@ -458,9 +505,11 @@ def _read_plain(path) -> CohortTable | None:
     a CRLF line end, and no more characters than csv.field_size_limit(). The
     csv module splits such a line at its commas and at its line end and
     nowhere else, so splitting a chunk of lines at commas and newlines, CRLF
-    read as LF, gives the cells it would, row after row. The conversions are
-    int() and float() themselves, so a cell passes here exactly when it
-    passes _read_rows.
+    read as LF, gives the cells it would, row after row. In each chunk a
+    numeric column converts each distinct cell once, with int() or float()
+    themselves, and checks each distinct value against _read_rows's rule for
+    that column; every cell is then looked up in that small table. So a cell
+    passes here exactly when it passes _read_rows.
     """
     width = len(_COLUMNS)
     limit = csv.field_size_limit()
@@ -489,14 +538,11 @@ def _read_plain(path) -> CohortTable | None:
                 columns["student_id"].extend(column["student_id"])
                 for name, vocabulary in _VOCABULARIES.items():
                     columns[name].extend(map(vocabulary.__getitem__, column[name]))
-                columns["mentoring_sessions"].extend(
-                    [int(v) if v else None for v in column["mentoring_sessions"]]
-                )
-                columns["workshop_hours"].extend(
-                    [float(v) if v else None for v in column["workshop_hours"]]
-                )
-                columns["research_projects"].extend(map(int, column["research_projects"]))
-                columns["employed"].extend(map(int, column["employed"]))
+                for name, rule in _NUMERIC_CELLS.items():
+                    values = _cell_values(column[name], *rule)
+                    if values is None:
+                        return None
+                    columns[name].extend(map(values.__getitem__, column[name]))
                 del column
         # an unknown category, a cell that int() or float() refuses, or bytes
         # that are not UTF-8
@@ -504,26 +550,18 @@ def _read_plain(path) -> CohortTable | None:
             return None
 
     ids = columns["student_id"]
-    counts = [v for v in columns["mentoring_sessions"] if v is not None]
-    counts += columns["research_projects"]
-    if (
-        len(set(ids)) != len(ids)
-        or "" in ids
-        or min(counts, default=0) < 0
-        or not finite_number(max(counts, default=0))
-        or not all(0.0 <= h < math.inf for h in columns["workshop_hours"] if h is not None)
-        or not set(columns["employed"]) <= {0, 1}
-    ):
+    if len(set(ids)) != len(ids) or "" in ids:
         return None
-    del ids, counts
+    del ids
     return CohortTable(**{name: tuple(columns.pop(name)) for name in _COLUMNS})
 
 
 def load_cohort_csv(path) -> CohortTable:
     """Read and validate a cohort CSV into columns; empty fields are missing values.
 
-    A plain file is split at commas in chunks of rows and checked in bulk.
-    Any other file, or one that fails a check, is read by the csv module row
+    A plain file is split at commas in chunks of rows, and each chunk's
+    numeric columns are converted and checked once per distinct cell. Any
+    other file, or one that fails a check, is read by the csv module row
     by row, so quoted cells load and the error raised is the first in the
     file, with its line and column.
     """

@@ -25,6 +25,7 @@ from skillsgraph.allocate import DEFAULT_MAX_CELLS, plan_to_dict
 from skillsgraph.errors import (
     CostPrecisionError,
     CostResolutionExceeded,
+    FloatRangeExceeded,
     NegativeBudget,
 )
 from skillsgraph.exact import scale_to_integers
@@ -275,6 +276,16 @@ class TestFractional:
         g = item_graph([(0.0, 0.0), (1.0, 0.0)], capacities={0: 1.0, 1: 1.0})
         plan = allocate_fractional(g, 5.0)
         assert plan.allocation == {"a": 0.0, "b": 1.0}
+
+    @pytest.mark.parametrize("capacities", [{}, {0: 1.0, 1: 1.0}], ids=["one-term", "partial-sum"])
+    def test_objective_beyond_the_float_range(self, capacities):
+        g = item_graph([(1e308, 0.0), (1e308, 0.0)], capacities=capacities)
+        with pytest.raises(FloatRangeExceeded, match="float range"):
+            allocate_fractional(g, 2.0)
+
+    def test_objective_at_the_float_range_still_answers(self):
+        g = item_graph([(1e308, 0.0), (1e308, 0.0)], capacities={0: 1.0, 1: 1.0})
+        assert allocate_fractional(g, 1.0).objective == 1e308
 
     def test_grid_dominance(self):
         rng = random.Random(99)

@@ -561,13 +561,40 @@ class TestSumsBeyondTheFloatRange:
         scenario.write_text(json.dumps({"graph": "graph.json", "budget": 1.0}))
         assert_error(capsys, 1, "FloatRangeExceeded", "run", str(scenario), "--out", str(tmp_path / "out"))
 
-    def test_select_objective(self, capsys, tmp_path):
+    @pytest.fixture
+    def effective_graph(self, tmp_path):
+        """The case-study graph with every node's effectiveness 1e308 and cost 1."""
         graph = case_study_graph(tmp_path)
         data = json.loads(graph.read_text())
         for node in data["nodes"]:
             node.update(effectiveness=1e308, cost=1.0)
         graph.write_text(json.dumps(data))
-        assert_error(capsys, 1, "FloatRangeExceeded", "allocate", "--graph", str(graph), "--budget", "2", "--mode", "select")
+        return graph
+
+    def test_select_objective(self, capsys, effective_graph):
+        assert_error(
+            capsys, 1, "FloatRangeExceeded",
+            "allocate", "--graph", str(effective_graph), "--budget", "2", "--mode", "select",
+        )
+
+    def test_fractional_objective(self, capsys, effective_graph):
+        message = assert_error(
+            capsys, 1, "FloatRangeExceeded",
+            "allocate", "--graph", str(effective_graph), "--budget", "2", "--mode", "fractional",
+        )
+        assert "float range" in message
+
+    def test_feedback_objective(self, capsys, effective_graph):
+        assert_error(
+            capsys, 1, "FloatRangeExceeded",
+            "feedback", "--graph", str(effective_graph), "--metrics", str(CASE_STUDY / "metrics.json"),
+            "--eta", "0.5", "--budget", "2",
+        )
+
+    def test_run_objective(self, capsys, effective_graph, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"graph": effective_graph.name, "budget": 2.0}))
+        assert_error(capsys, 1, "FloatRangeExceeded", "run", str(scenario), "--out", str(tmp_path / "out"))
 
 
 class TestModelCommands:

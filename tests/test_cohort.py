@@ -570,6 +570,14 @@ def assert_same_as_reference(path):
         assert feature_columns(load_cohort_csv(path)) == reference_feature_columns(want)
 
 
+def assert_plain_split_as_reference(path):
+    """The plain split reads the file to the reference's table, or gives up
+    (None) where the reference raises; load_cohort_csv matches the reference."""
+    want = _outcome(reference_load_cohort_csv, path)
+    assert cohort_module._read_plain(path) == (want if isinstance(want, CohortTable) else None)
+    assert_same_as_reference(path)
+
+
 class TestColumnarLoader:
     def test_random_corruptions_match_the_row_wise_reference(self, tmp_path, monkeypatch):
         # small chunks, so every file below spans several of them
@@ -702,6 +710,51 @@ class TestColumnarLoader:
         path = _write_rows(tmp_path / "c.csv", rows)
         assert_same_as_reference(path)
         assert len(load_cohort_csv(path)) == len(rows)
+
+    def test_all_distinct_hours_across_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cohort_module, "_CHUNK_ROWS", 64)
+        rows = _generated_rows(400, seed=17)
+        for n, row in enumerate(rows):
+            row[6] = repr(n * 0.37 + 0.01)
+        path = _write_rows(tmp_path / "c.csv", rows)
+        assert_plain_split_as_reference(path)
+        assert len(set(load_cohort_csv(path).workshop_hours)) == len(rows)
+
+    @pytest.mark.parametrize(
+        "column, bad",
+        [
+            (5, "x"),
+            (5, "-1"),
+            (5, "1" + "0" * 400),
+            (6, "nan"),
+            (6, "-0.5"),
+            (6, "1e400"),
+            (7, ""),
+            (7, "-2"),
+            (8, "2"),
+            (8, "-1"),
+        ],
+    )
+    def test_first_bad_cell_in_a_later_chunk(self, tmp_path, monkeypatch, column, bad):
+        # the bad cell is in the fifth chunk of 64 rows, and its value first appears there
+        monkeypatch.setattr(cohort_module, "_CHUNK_ROWS", 64)
+        rows = _generated_rows(400, seed=19)
+        rows[300][column] = bad
+        path = _write_rows(tmp_path / "c.csv", rows)
+        assert_plain_split_as_reference(path)
+        with pytest.raises(SchemaViolation) as err:
+            load_cohort_csv(path)
+        assert (err.value.row, err.value.column) == (302, CSV_HEADER.split(",")[column])
+
+    @pytest.mark.parametrize("spelling", ["01", "+1", " 1", "1 ", "1_0", "1.5", "-0", "١"])
+    @pytest.mark.parametrize("column", [5, 6, 7, 8])
+    def test_spellings_int_and_float_read_apart(self, tmp_path, monkeypatch, column, spelling):
+        monkeypatch.setattr(cohort_module, "_CHUNK_ROWS", 64)
+        rows = _generated_rows(200, seed=23)
+        for row in rows[70:200:40]:
+            row[column] = spelling
+        path = _write_rows(tmp_path / "c.csv", rows)
+        assert_plain_split_as_reference(path)
 
     def test_header_only_file_is_an_empty_table(self, tmp_path):
         table = load_cohort_csv(write_lines(tmp_path / "c.csv"))
