@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -344,23 +345,44 @@ def write_cohort_csv(table: CohortTable, path) -> None:
         writer.writerows(zip(*(getattr(table, name) for name in _COLUMNS)))
 
 
+_SHOWN = 32  # characters of a cell that an error message repeats
+_FLOAT_DIGITS = len(str(int(sys.float_info.max)))  # 309: an integer of more overflows a float
+
+
+def _shown(value) -> str:
+    """A cell (shown by repr) or a number for an error message. Past _SHOWN
+    characters only its start shows, with its length, so one bad cell makes
+    one short line."""
+    text = str(value)
+    show = repr if isinstance(value, str) else str
+    if len(text) <= _SHOWN:
+        return show(value)
+    return f"{show(text[:_SHOWN])}... ({len(text)} characters)"
+
+
 def _parse_int(raw: str, lineno: int, column: str, minimum: int = 0) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise SchemaViolation(lineno, column, f"not an integer: {raw!r}") from None
+        raise SchemaViolation(lineno, column, f"not an integer: {_shown(raw)}") from None
     if value < minimum:
-        raise SchemaViolation(lineno, column, f"must be >= {minimum}, got {value}")
+        raise SchemaViolation(lineno, column, f"must be >= {minimum}, got {_shown(value)}")
     return value
 
 
 def _parse_count(raw: str, lineno: int, column: str) -> int:
-    """A count cell: an integer >= 0 small enough for the learner's floats."""
-    value = _parse_int(raw, lineno, column)
-    if not finite_number(value):
-        raise SchemaViolation(
-            lineno, column, f"must fit a float, got an integer of {len(str(value))} digits"
-        )
+    """A count cell: an integer >= 0 small enough for the learner's floats.
+
+    A cell of ASCII digits alone is read from its digits after any leading
+    zeros, without int() on the cell, which refuses more than 4,300 digits:
+    so such a cell of any length gets its value or its digit count.
+    """
+    digits = raw.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        digits = str(_parse_int(raw, lineno, column))
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > _FLOAT_DIGITS or not finite_number(value := int(digits)):
+        raise SchemaViolation(lineno, column, f"must fit a float, got an integer of {len(digits)} digits")
     return value
 
 
@@ -416,13 +438,13 @@ def _read_rows(path) -> CohortTable:
             if not student_id:
                 raise SchemaViolation(lineno, "student_id", "must not be empty")
             if student_id in seen_ids:
-                raise DuplicateStudentId(f"line {lineno}: duplicate student_id {student_id!r}")
+                raise DuplicateStudentId(f"line {lineno}: duplicate student_id {_shown(student_id)}")
             seen_ids.add(student_id)
 
             categories = []
             for (column, vocabulary), value in zip(_VOCABULARIES.items(), row[1:5]):
                 if value not in vocabulary:
-                    raise SchemaViolation(lineno, column, f"{value!r} not in {list(vocabulary)}")
+                    raise SchemaViolation(lineno, column, f"{_shown(value)} not in {list(vocabulary)}")
                 categories.append(vocabulary[value])
 
             if mentoring == "":
@@ -435,14 +457,14 @@ def _read_rows(path) -> CohortTable:
                 try:
                     workshop = float(workshop)
                 except ValueError:
-                    raise SchemaViolation(lineno, "workshop_hours", f"not a number: {workshop!r}") from None
+                    raise SchemaViolation(lineno, "workshop_hours", f"not a number: {_shown(workshop)}") from None
                 if not math.isfinite(workshop) or workshop < 0:
                     raise SchemaViolation(lineno, "workshop_hours", f"must be >= 0, got {workshop}")
 
             research = _parse_count(research, lineno, "research_projects")
             employed = _parse_int(employed, lineno, "employed")
             if employed not in (0, 1):
-                raise SchemaViolation(lineno, "employed", f"must be 0 or 1, got {employed}")
+                raise SchemaViolation(lineno, "employed", f"must be 0 or 1, got {_shown(employed)}")
 
             values = (student_id, *categories, mentoring, workshop, research, employed)
             for cells, value in zip(columns, values):

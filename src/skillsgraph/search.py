@@ -10,10 +10,14 @@ ascending order: the least complex model that achieves the score.
 Depths share their fits. A node's split does not depend on max_depth beyond
 the depth < max_depth gate, so a depth-d tree predicts exactly like the
 deepest tree of the same (min_samples_leaf, criterion) cut off at depth d.
-Each fold is therefore fit once per (min_samples_leaf, criterion), at the
-grid's largest depth, and every depth is scored from that tree by a walk that
-stops at depth d. A search makes leaves x criteria x folds + 1 fits; the
-scores, and so the cv table, equal those of one fit per configuration.
+Each fold therefore grows one tree per (min_samples_leaf, criterion), at the
+grid's largest depth, and scores it at every grid depth it serves in one
+walk that reports each depth on the way down. The trees of a fold grow
+together in one fit_trees call: a node the trees share is sorted and
+counted once, and each tree takes its own split from those counts. A search
+grows leaves x criteria x folds trees in folds fit_trees calls, then makes
+one fit_tree refit; the scores, and so the cv table, equal those of one fit
+per configuration.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from .errors import InsufficientSamples
 from .prepare import PreparedDataset, stratified_folds, stratified_split
-from .tree import DecisionTree, TreeParams, _score, accuracy, fit_tree
+from .tree import DecisionTree, TreeParams, _scores, accuracy, fit_tree, fit_trees
 
 TRAIN_FRACTION = 0.7  # the share of rows in the train side of the 70/30 split
 
@@ -91,15 +95,18 @@ def grid_search_cv(
     shares: dict[tuple[int, str], list[int]] = {}
     for config_id, params in enumerate(configs):
         shares.setdefault((params.min_samples_leaf, params.criterion), []).append(config_id)
+    shared = [
+        TreeParams(max_depth=deepest, min_samples_leaf=leaf, criterion=criterion) for leaf, criterion in shares
+    ]
 
-    # one fit per (leaf minimum, criterion, fold), cut off at each grid depth
+    # per fold, one tree per (leaf minimum, criterion), all grown together,
+    # each scored at every grid depth it serves in one walk
     scores: list[list[float]] = [[] for _ in configs]
-    for (leaf, criterion), config_ids in shares.items():
-        shared = TreeParams(max_depth=deepest, min_samples_leaf=leaf, criterion=criterion)
-        for fit_part, held_part in fold_parts:
-            tree = fit_tree(fit_part, shared)
-            for config_id in config_ids:
-                scores[config_id].append(_score(tree, held_part, configs[config_id].max_depth))
+    for fit_part, held_part in fold_parts:
+        for tree, config_ids in zip(fit_trees(fit_part, shared), shares.values()):
+            depths = [configs[config_id].max_depth for config_id in config_ids]
+            for config_id, score in zip(config_ids, _scores(tree, held_part, depths)):
+                scores[config_id].append(score)
 
     cv_table: list[CVRow] = []
     for config_id, params in enumerate(configs):

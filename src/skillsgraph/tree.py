@@ -9,6 +9,15 @@ still splits on the lowest-index feature at its smallest admissible threshold:
 parity problems (XOR) have flat first-level gains and are otherwise
 unreachable. Equal gains break toward the lowest feature index, then the
 smallest threshold. Fitting is deterministic: same data, same tree.
+
+fit_trees grows several trees on one dataset in a single preorder
+recursion. At a node that several trees hold, the rows are sorted, the
+admissible cuts listed and the class counts on each side taken once; the
+gain is computed once per criterion, and each tree picks from the cuts its
+own leaf minimum admits. Trees that pick the same split grow its children
+together. A larger leaf minimum only drops cuts from the list, keeping
+their order, so each tree is the one it would be if grown alone. fit_tree
+is fit_trees with one params.
 """
 
 from __future__ import annotations
@@ -173,52 +182,80 @@ def _majority(counts: np.ndarray, classes: tuple[int, ...]) -> int:
     return classes[best]
 
 
-def _best_split(X, codes, rows, n_classes, min_leaf, criterion):
-    """Best admissible (gain, feature, threshold) plus the fallback split.
+def _best_splits(X, codes, rows, n_classes, choices):
+    """Best admissible (gain, feature, threshold) plus the fallback split, for
+    each (min_leaf, criterion) in choices: (None, None) where none is admissible.
 
-    One stable argsort sorts every column and one (n, F, K) prefix holds the
-    class counts left of each cut, so every admissible (feature, threshold)
-    is scored at once. Candidates are listed feature-major with thresholds
-    ascending, so the first argmax breaks ties toward the lowest feature, then
-    the smallest threshold. The fallback is the first admissible candidate,
-    used when the best gain is exactly zero.
+    One argsort sorts every column and one (n, F, K) prefix holds the class
+    counts left of each cut; cuts fall only between distinct values, so the
+    order of tied rows changes no count. Every (feature, threshold) admissible
+    at the smallest min_leaf is scored at once, once per criterion. Candidates
+    are listed feature-major with thresholds ascending; a larger min_leaf only
+    drops some of them, keeping that order. So the first argmax over a
+    choice's own candidates breaks ties toward the lowest feature, then the
+    smallest threshold, and its fallback, used when the best gain is exactly
+    zero, is its first candidate.
     """
     n = len(rows)
     y = codes[rows]
-    parent_counts = np.bincount(y, minlength=n_classes).astype(float)
-    parent_imp = float(_impurity_rows(parent_counts[None, :], np.array([float(n)]), criterion)[0])
-
     sub = X[rows]
-    order = np.argsort(sub, axis=0, kind="stable")
-    sv = np.take_along_axis(sub, order, axis=0)
+    order = np.argsort(sub, axis=0)
+    sv = sub[order, np.arange(sub.shape[1])]
     # cut i of a column falls between sorted rows i and i+1: a candidate when
     # the values differ there and both sides keep min_leaf rows
+    least = min(min_leaf for min_leaf, _ in choices)
     left_sizes = np.arange(1, n)
-    sized = (left_sizes >= min_leaf) & ((n - left_sizes) >= min_leaf)
+    sized = (left_sizes >= least) & ((n - left_sizes) >= least)
     feature, cut = np.nonzero(((sv[1:] != sv[:-1]) & sized[:, None]).T)
     if feature.size == 0:
-        return None, None
+        return [(None, None)] * len(choices)
     thresholds = (sv[cut, feature] + sv[cut + 1, feature]) / 2.0
 
     onehot = np.zeros(sub.shape + (n_classes,))
     onehot[np.arange(n)[:, None], np.arange(sub.shape[1]), y[order]] = 1.0
     prefix = np.cumsum(onehot, axis=0)
     left_counts = prefix[cut, feature]
-    right_counts = prefix[-1, feature] - left_counts
     lsz = (cut + 1).astype(float)
     rsz = float(n) - lsz
-    gains = (
-        parent_imp
-        - (lsz / n) * _impurity_rows(left_counts, lsz, criterion)
-        - (rsz / n) * _impurity_rows(right_counts, rsz, criterion)
-    )
-    k = int(np.argmax(gains))  # first max: lowest feature, then smallest threshold
-    best = (float(gains[k]), int(feature[k]), float(thresholds[k]))
-    return best, (int(feature[0]), float(thresholds[0]))
+    # the node's counts (the last prefix row), then each candidate's left and
+    # right side, in one count matrix: one impurity pass per criterion
+    m = len(cut)
+    counts = np.concatenate([prefix[-1, :1], left_counts, prefix[-1, feature] - left_counts])
+    sizes = np.concatenate([[float(n)], lsz, rsz])
+
+    gains = {}
+    for criterion in {criterion for _, criterion in choices}:
+        impurity = _impurity_rows(counts, sizes, criterion)
+        gains[criterion] = impurity[0] - (lsz / n) * impurity[1 : m + 1] - (rsz / n) * impurity[m + 1 :]
+
+    picks = []
+    admitted = {}  # min_leaf -> the indices of its candidates
+    for min_leaf, criterion in choices:
+        if min_leaf not in admitted:
+            admitted[min_leaf] = np.flatnonzero((lsz >= min_leaf) & (rsz >= min_leaf))
+        own = admitted[min_leaf]
+        if own.size == 0:
+            picks.append((None, None))
+            continue
+        k = own[int(np.argmax(gains[criterion][own]))]  # first max: lowest feature, then smallest threshold
+        first = own[0]
+        picks.append(
+            (
+                (float(gains[criterion][k]), int(feature[k]), float(thresholds[k])),
+                (int(feature[first]), float(thresholds[first])),
+            )
+        )
+    return picks
 
 
-def fit_tree(data: PreparedDataset, params: TreeParams) -> DecisionTree:
-    """Grow a tree on the prepared dataset. Deterministic, no randomness."""
+def fit_trees(data: PreparedDataset, params_list: Sequence[TreeParams]) -> list[DecisionTree]:
+    """Grow one tree per params on the prepared dataset, all in one recursion.
+
+    The trees that hold a node share its sort and class counts (_best_splits);
+    each takes its own split from them, and the trees that take the same one
+    grow its children together. Each tree equals a fit of it alone.
+    Deterministic, no randomness.
+    """
     if len(data) == 0:
         raise EmptyTrainingSet("cannot fit a tree on zero rows")
     classes = tuple(sorted(set(int(v) for v in data.y)))
@@ -227,63 +264,79 @@ def fit_tree(data: PreparedDataset, params: TreeParams) -> DecisionTree:
     X = data.X
     n_classes = len(classes)
 
-    nodes: list[TreeNode] = []
-    max_depth_seen = 0
+    nodes: list[list[TreeNode]] = [[] for _ in params_list]
+    depths = [0] * len(params_list)
 
-    def grow(rows: np.ndarray, depth: int) -> int:
-        nonlocal max_depth_seen
-        max_depth_seen = max(max_depth_seen, depth)
+    def grow(rows: np.ndarray, depth: int, group: list[int]) -> None:
+        """Add the node of these rows, and the nodes below it, to each tree of group."""
         counts = np.bincount(codes[rows], minlength=n_classes)
-        here = len(nodes)
-        nodes.append(None)  # reserve preorder slot
+        class_counts = tuple(counts.tolist())
+        prediction = _majority(counts, classes)
+        here = {}
+        for t in group:
+            depths[t] = max(depths[t], depth)
+            here[t] = len(nodes[t])
+            nodes[t].append(None)  # reserve preorder slot
 
-        pure = int(np.count_nonzero(counts)) <= 1
-        split = None
-        if not pure and depth < params.max_depth:
-            best, fallback = _best_split(
-                X, codes, rows, n_classes, params.min_samples_leaf, params.criterion
-            )
-            if best is not None:
-                gain, j, thr = best
-                if gain <= 0.0:
-                    j, thr = fallback  # zero-gain fallback keeps parity splits alive
-                split = (j, thr)
+        # (feature, threshold) -> the trees that split on it, with the
+        # threshold each one keeps
+        splits: dict[tuple[int, float], list[tuple[int, float]]] = {}
+        if int(np.count_nonzero(counts)) > 1:
+            active = [t for t in group if depth < params_list[t].max_depth]
+            choices = [(params_list[t].min_samples_leaf, params_list[t].criterion) for t in active]
+            picks = _best_splits(X, codes, rows, n_classes, choices) if active else []
+            for t, (best, fallback) in zip(active, picks):
+                if best is not None:
+                    gain, j, thr = best
+                    if gain <= 0.0:
+                        j, thr = fallback  # zero-gain fallback keeps parity splits alive
+                    splits.setdefault((j, thr), []).append((t, thr))
 
-        if split is None:
-            nodes[here] = TreeNode(
-                kind="leaf",
-                feature=None,
-                threshold=None,
-                left=None,
-                right=None,
-                class_counts=tuple(int(c) for c in counts),
-                prediction=_majority(counts, classes),
-            )
-            return here
-
-        j, thr = split
-        mask = X[rows, j] <= thr
-        left = grow(rows[mask], depth + 1)
-        right = grow(rows[~mask], depth + 1)
-        nodes[here] = TreeNode(
-            kind="split",
-            feature=j,
-            threshold=thr,
-            left=left,
-            right=right,
-            class_counts=tuple(int(c) for c in counts),
-            prediction=_majority(counts, classes),
+        leaf = TreeNode(
+            kind="leaf",
+            feature=None,
+            threshold=None,
+            left=None,
+            right=None,
+            class_counts=class_counts,
+            prediction=prediction,
         )
-        return here
+        for t in group:
+            nodes[t][here[t]] = leaf  # until a split below replaces it
 
-    grow(np.arange(len(data)), 0)
-    return DecisionTree(
-        nodes=tuple(nodes),
-        params=params,
-        feature_names=data.feature_names,
-        classes=classes,
-        depth=max_depth_seen,
-    )
+        for (j, thr), taken in splits.items():
+            mask = X[rows, j] <= thr
+            sub = [t for t, _ in taken]
+            grow(rows[mask], depth + 1, sub)
+            right = {t: len(nodes[t]) for t in sub}
+            grow(rows[~mask], depth + 1, sub)
+            for t, own_thr in taken:
+                nodes[t][here[t]] = TreeNode(
+                    kind="split",
+                    feature=j,
+                    threshold=own_thr,
+                    left=here[t] + 1,  # preorder: the left child follows its parent
+                    right=right[t],
+                    class_counts=class_counts,
+                    prediction=prediction,
+                )
+
+    grow(np.arange(len(data)), 0, list(range(len(params_list))))
+    return [
+        DecisionTree(
+            nodes=tuple(nodes[t]),
+            params=params,
+            feature_names=data.feature_names,
+            classes=classes,
+            depth=depths[t],
+        )
+        for t, params in enumerate(params_list)
+    ]
+
+
+def fit_tree(data: PreparedDataset, params: TreeParams) -> DecisionTree:
+    """Grow a tree on the prepared dataset. Deterministic, no randomness."""
+    return fit_trees(data, [params])[0]
 
 
 def predict(tree: DecisionTree, row) -> int:
@@ -301,7 +354,7 @@ def predict(tree: DecisionTree, row) -> int:
     return predict_many(tree, vector[None, :])[0]
 
 
-def _descend(tree: DecisionTree, X: np.ndarray, max_depth: int | None = None) -> np.ndarray:
+def _descend(tree: DecisionTree, X: np.ndarray, max_depth: int | None = None, stops=None):
     """Prediction for each row of X, moving all rows down one level per step.
 
     A NaN read on a row's path is a MissingFeature. With max_depth the walk
@@ -309,12 +362,21 @@ def _descend(tree: DecisionTree, X: np.ndarray, max_depth: int | None = None) ->
     a max_depth fit puts there, as both predict the majority of the same
     counts. Children lie after their parent in preorder, so the walk ends
     within len(nodes) steps.
+
+    With stops, a sequence of depths (None for the whole tree), the one walk
+    goes as deep as the deepest of them and returns, in their order, the
+    predictions of the tree cut off at each.
     """
+    depths = [max_depth] if stops is None else list(stops)
+    last = None if None in depths else max(depths, default=0)
     arrays = tree._arrays
     node = np.zeros(len(X), dtype=np.intp)
     live = np.flatnonzero(arrays.feature[node] >= 0)
+    cut = {}
     depth = 0
-    while live.size and (max_depth is None or depth < max_depth):
+    while live.size and (last is None or depth < last):
+        if depth in depths:
+            cut[depth] = arrays.prediction[node]
         at = node[live]
         values = X[live, arrays.feature[at]]
         missing = np.isnan(values)
@@ -325,12 +387,19 @@ def _descend(tree: DecisionTree, X: np.ndarray, max_depth: int | None = None) ->
         node[live] = np.where(values <= arrays.threshold[at], arrays.left[at], arrays.right[at])
         live = live[arrays.feature[node[live]] >= 0]
         depth += 1
-    return arrays.prediction[node]
+    end = arrays.prediction[node]
+    predictions = [cut.get(d, end) for d in depths]
+    return predictions if stops is not None else predictions[0]
 
 
 def _score(tree: DecisionTree, data: PreparedDataset, max_depth: int | None = None) -> float:
     """Accuracy on data of the tree cut off at max_depth (whole when None)."""
-    return float(np.mean(_descend(tree, data.X, max_depth) == data.y))
+    return _scores(tree, data, [max_depth])[0]
+
+
+def _scores(tree: DecisionTree, data: PreparedDataset, depths) -> list[float]:
+    """_score at each of depths, from one walk of data down the tree."""
+    return [float(np.mean(p == data.y)) for p in _descend(tree, data.X, stops=depths)]
 
 
 def predict_many(tree: DecisionTree, X) -> list:

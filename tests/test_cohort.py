@@ -783,3 +783,69 @@ class TestColumnarLoader:
         reference = peak(lambda: reference_feature_columns(reference_load_cohort_csv(path)))
         columnar = peak(lambda: feature_columns(load_cohort_csv(path)))
         assert columnar <= reference
+
+
+class TestLongCells:
+    """A long bad cell gives one short message, whichever reader meets it."""
+
+    @staticmethod
+    def errors(tmp_path, cells):
+        """The error of the plain file holding cells in its second row, and of
+        its fully quoted copy, which the csv module reads."""
+        plain = write_lines(tmp_path / "plain.csv", GOOD_ROW.replace("S00001", "S00000"), ",".join(cells))
+        quoted = tmp_path / "quoted.csv"
+        with open(plain, newline="") as src, open(quoted, "w", newline="") as dst:
+            csv.writer(dst, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(csv.reader(src))
+        return [_outcome(load_cohort_csv, path) for path in (plain, quoted)]
+
+    @pytest.mark.parametrize("column", [5, 7])
+    @pytest.mark.parametrize("digits", [401, 4300, 4301, 5000, 100_000])
+    def test_all_digit_count_reports_its_digits(self, tmp_path, column, digits):
+        cells = GOOD_ROW.split(",")
+        cells[column] = "9" * digits
+        name = CSV_HEADER.split(",")[column]
+        want = (SchemaViolation, f"row 3, column {name!r}: must fit a float, got an integer of {digits} digits", 3, name)
+        assert self.errors(tmp_path, cells) == [want, want]
+
+    def test_leading_zeros_do_not_count(self, tmp_path):
+        cells = GOOD_ROW.split(",")
+        cells[5] = "0" * 5000 + "7"
+        cells[7] = "0" * 4000 + "9" * 400
+        name = "research_projects"
+        want = (SchemaViolation, f"row 3, column {name!r}: must fit a float, got an integer of 400 digits", 3, name)
+        assert self.errors(tmp_path, cells) == [want, want]
+        cells[7] = "0" * 5000
+        table = load_cohort_csv(write_lines(tmp_path / "zeros.csv", ",".join(cells)))
+        assert (table.mentoring_sessions, table.research_projects) == ((7,), (0,))
+
+    @pytest.mark.parametrize(
+        "column, cell",
+        [
+            (1, "M" * 5000),
+            (5, "1x" * 3000),
+            (5, "-" + "1" * 4000),
+            (6, "2.5" * 2000),
+            (7, "+" + "1" * 5000),
+            (8, "1" * 4000),
+            (8, "1" * 5000),
+        ],
+    )
+    def test_other_long_cells_show_a_prefix_and_a_length(self, tmp_path, column, cell):
+        cells = GOOD_ROW.split(",")
+        cells[column] = cell
+        plain, quoted = self.errors(tmp_path, cells)
+        assert plain == quoted and plain[0] is SchemaViolation
+        assert "\n" not in plain[1] and len(plain[1]) < 200
+        assert f"... ({len(cell)} characters)" in plain[1]
+
+    def test_long_duplicate_id(self, tmp_path):
+        row = GOOD_ROW.replace("S00001", "S" * 5000)
+        message = _outcome(load_cohort_csv, write_lines(tmp_path / "c.csv", row, row))[1]
+        assert message == "line 3: duplicate student_id " + repr("S" * 32) + "... (5000 characters)"
+
+    def test_short_cells_keep_their_messages(self, tmp_path):
+        cells = GOOD_ROW.split(",")
+        cells[8] = "2"
+        assert self.errors(tmp_path, cells)[0][1] == "row 3, column 'employed': must be 0 or 1, got 2"
+        cells[8], cells[5] = "1", "abc"
+        assert self.errors(tmp_path, cells)[0][1] == "row 3, column 'mentoring_sessions': not an integer: 'abc'"

@@ -23,7 +23,7 @@ from skillsgraph.errors import InsufficientSamples
 from skillsgraph.prepare import PreprocessStats, stratified_folds, stratified_split
 from skillsgraph import search
 from skillsgraph.search import CVRow, save_cv_table
-from skillsgraph.tree import accuracy, fit_tree, tree_to_dict
+from skillsgraph.tree import accuracy, fit_tree, fit_trees, tree_to_dict
 
 
 def dataset(X, y):
@@ -105,15 +105,24 @@ class TestSharedDepthFits:
         assert (got.train_size, got.test_size) == (want.train_size, want.test_size)
 
     def test_one_fit_per_leaf_criterion_and_fold_plus_the_refit(self, monkeypatch):
+        # the trees grown: the params handed to fit_trees, then the refit's
         fits = []
+        calls = []
+
+        def counting_fit_trees(data, params_list):
+            calls.append(len(data))
+            fits.extend(params_list)
+            return fit_trees(data, params_list)
 
         def counting_fit(data, params):
             fits.append(params)
             return fit_tree(data, params)
 
+        monkeypatch.setattr(search, "fit_trees", counting_fit_trees)
         monkeypatch.setattr(search, "fit_tree", counting_fit)
         grid = GridSpec(max_depths=(3, 1, 2), min_samples_leaves=(1, 2, 4), criteria=("entropy", "gini"))
         result = grid_search_cv(noisy(seed=2, n=90), grid, folds=4, seed=1)
+        assert len(calls) == 4  # one fit_trees call per fold
         assert len(fits) == 3 * 2 * 4 + 1
         assert all(params.max_depth == 3 for params in fits[:-1])
         assert fits[-1] == result.best_params

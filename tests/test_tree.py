@@ -34,9 +34,12 @@ from skillsgraph.errors import (
 )
 from skillsgraph.prepare import NUMERIC, PreprocessStats, RawColumn, preprocess
 from skillsgraph.tree import (
-    _best_split,
+    _best_splits,
     _descend,
     _impurity_rows,
+    _score,
+    _scores,
+    fit_trees,
     load_model,
     predict_many,
     save_model,
@@ -328,12 +331,118 @@ class TestBestSplit:
             rows = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
             min_leaf = int(rng.integers(1, 6))
             criterion = ("entropy", "gini")[trial % 2]
-            got = _best_split(X, codes, rows, k, min_leaf, criterion)
-            assert got == reference_best_split(X, codes, rows, k, min_leaf, criterion)
+            got = _best_splits(X, codes, rows, k, [(min_leaf, criterion)])
+            assert got == [reference_best_split(X, codes, rows, k, min_leaf, criterion)]
 
     def test_no_admissible_split(self):
         X = np.array([[0.5, 1.0], [0.5, 1.0], [0.5, 1.0]])
-        assert _best_split(X, np.array([0, 1, 0]), np.arange(3), 2, 1, "gini") == (None, None)
+        assert _best_splits(X, np.array([0, 1, 0]), np.arange(3), 2, [(1, "gini")]) == [(None, None)]
+
+    def test_several_choices_match_one_scan_each(self):
+        rng = np.random.default_rng(32)
+        for trial in range(200):
+            n = int(rng.integers(2, 60))
+            k = int(rng.integers(2, 6))
+            X = rng.random((n, int(rng.integers(1, 5)))).round(int(rng.integers(0, 3)))
+            codes = rng.integers(0, k, n)
+            rows = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+            choices = [
+                (int(rng.integers(1, 8)), ("entropy", "gini")[int(rng.integers(0, 2))])
+                for _ in range(int(rng.integers(1, 6)))
+            ]
+            got = _best_splits(X, codes, rows, k, choices)
+            assert got == [reference_best_split(X, codes, rows, k, m, c) for m, c in choices]
+
+
+def reference_fit_tree(data, params):
+    """One tree grown alone, each node's split from reference_best_split."""
+    classes = tuple(sorted(set(int(v) for v in data.y)))
+    codes = np.array([classes.index(int(v)) for v in data.y], dtype=int)
+    nodes = []
+    deepest = 0
+
+    def grow(rows, depth):
+        nonlocal deepest
+        deepest = max(deepest, depth)
+        counts = np.bincount(codes[rows], minlength=len(classes))
+        here = len(nodes)
+        nodes.append(None)
+        node = dict(kind="leaf", feature=None, threshold=None, left=None, right=None,
+                    class_counts=[int(c) for c in counts], prediction=classes[int(np.argmax(counts))])
+        if np.count_nonzero(counts) > 1 and depth < params.max_depth:
+            best, fallback = reference_best_split(
+                data.X, codes, rows, len(classes), params.min_samples_leaf, params.criterion
+            )
+            if best is not None:
+                j, thr = best[1:] if best[0] > 0.0 else fallback
+                mask = data.X[rows, j] <= thr
+                left = grow(rows[mask], depth + 1)
+                right = grow(rows[~mask], depth + 1)
+                node.update(kind="split", feature=j, threshold=thr, left=left, right=right)
+        nodes[here] = node
+        return here
+
+    grow(np.arange(len(data)), 0)
+    return {
+        "nodes": nodes,
+        "params": {"max_depth": params.max_depth, "min_samples_leaf": params.min_samples_leaf,
+                   "criterion": params.criterion},
+        "feature_names": list(data.feature_names),
+        "classes": list(classes),
+        "depth": deepest,
+    }
+
+
+class TestFitTrees:
+    """fit_trees grows many trees in one recursion; each must equal its own fit."""
+
+    @staticmethod
+    def random_case(rng):
+        n = int(rng.integers(1, 70))
+        X = rng.random((n, int(rng.integers(1, 5)))).round(int(rng.integers(0, 3)))  # ties
+        labels = rng.choice([-4, 0, 2, 5, 9, 30], size=int(rng.integers(1, 5)), replace=False)
+        y = labels[rng.integers(0, len(labels), n)]
+        params = [
+            TreeParams(
+                max_depth=int(rng.integers(0, 6)),
+                min_samples_leaf=int(rng.integers(1, n // 2 + 3)),  # some admit no split
+                criterion=("entropy", "gini")[int(rng.integers(0, 2))],
+            )
+            for _ in range(int(rng.integers(1, 7)))
+        ]
+        params += params[: int(rng.integers(0, 3))]  # repeated params
+        return dataset(X, y), params
+
+    def test_each_tree_equals_its_own_fit(self):
+        rng = np.random.default_rng(61)
+        for _ in range(250):
+            data, params = self.random_case(rng)
+            got = [tree_to_dict(tree) for tree in fit_trees(data, params)]
+            assert got == [tree_to_dict(fit_tree(data, p)) for p in params]
+            assert got == [reference_fit_tree(data, p) for p in params]
+
+    def test_one_row_and_depth_zero(self):
+        one = dataset([[0.3, 0.7]], [5])
+        params = [TreeParams(0), TreeParams(3, 1, "gini"), TreeParams(3, 2)]
+        for tree in fit_trees(one, params):
+            assert [n.kind for n in tree.nodes] == ["leaf"] and tree.nodes[0].prediction == 5
+        trees = fit_trees(XOR, [TreeParams(0), TreeParams(2), TreeParams(2, 3)])
+        assert [len(tree.nodes) for tree in trees] == [1, 7, 1]
+        assert [tree.depth for tree in trees] == [0, 2, 0]
+
+    def test_no_params_no_trees(self):
+        assert fit_trees(XOR, []) == []
+
+    def test_scores_at_many_depths_match_one_walk_each(self):
+        rng = np.random.default_rng(62)
+        for _ in range(60):
+            data, params = self.random_case(rng)
+            Z = rng.random((int(rng.integers(1, 40)), data.X.shape[1])).round(1)
+            held = dataset(Z, rng.choice(np.unique(data.y), len(Z)))
+            for tree in fit_trees(data, params):
+                # every depth from 0 to past the tree's own, in any order
+                depths = [int(d) for d in rng.permutation(tree.depth + 3)] + [None, 0]
+                assert _scores(tree, held, depths) == [_score(tree, held, d) for d in depths]
 
 
 class TestTruncation:
