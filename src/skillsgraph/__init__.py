@@ -72,7 +72,6 @@ from .tree import (
     fit_tree,
     gini,
     information_gain,
-    predict,
     predict_many,
 )
 

@@ -462,7 +462,14 @@ def _read_rows(path) -> CohortTable:
                     raise SchemaViolation(lineno, "workshop_hours", f"must be >= 0, got {workshop}")
 
             research = _parse_count(research, lineno, "research_projects")
-            employed = _parse_int(employed, lineno, "employed")
+            try:
+                employed = _parse_int(employed, lineno, "employed")
+            except SchemaViolation:
+                digits = employed.strip()
+                if not (digits.isascii() and digits.isdigit()):
+                    raise
+                # an integer of more digits than int() reads: 0 or 1 only if zeros lead
+                employed = int(digits[-1]) if digits.lstrip("0") in ("", "1") else employed
             if employed not in (0, 1):
                 raise SchemaViolation(lineno, "employed", f"must be 0 or 1, got {_shown(employed)}")
 

@@ -2,7 +2,7 @@
 
 Impurity is entropy (base 2) or gini. Candidate thresholds sit halfway
 between consecutive distinct sorted feature values; a split is admissible only
-if both children keep at least min_samples_leaf rows. Recursion stops on
+if both children keep at least min_samples_leaf rows. Growth stops on
 purity, the depth cap, or no admissible split. When every admissible split
 has zero information gain but the node is impure and depth remains, the node
 still splits on the lowest-index feature at its smallest admissible threshold:
@@ -10,14 +10,23 @@ parity problems (XOR) have flat first-level gains and are otherwise
 unreachable. Equal gains break toward the lowest feature index, then the
 smallest threshold. Fitting is deterministic: same data, same tree.
 
-fit_trees grows several trees on one dataset in a single preorder
-recursion. At a node that several trees hold, the rows are sorted, the
-admissible cuts listed and the class counts on each side taken once; the
-gain is computed once per criterion, and each tree picks from the cuts its
-own leaf minimum admits. Trees that pick the same split grow its children
-together. A larger leaf minimum only drops cuts from the list, keeping
-their order, so each tree is the one it would be if grown alone. fit_tree
-is fit_trees with one params.
+fit_trees grows several trees on one dataset in a single preorder pass.
+At a node that several trees hold, the rows are sorted, the admissible cuts
+listed and the class counts on each side taken once; the gain is computed
+once per criterion, and each tree picks from the cuts its own leaf minimum
+admits. Trees that pick the same split grow its children together. A larger
+leaf minimum only drops cuts from the list, keeping their order, so each
+tree is the one it would be if grown alone. fit_tree is fit_trees with one
+params. The nodes to grow wait on an explicit stack, not in Python
+recursion, so a tree of any depth fits.
+
+A tree is its nodes as preorder columns, the root at 0 and a left child
+right after its parent (DecisionTree): feature (-1 at a leaf), threshold
+(NaN at a leaf), left and right (-1 at a leaf), prediction, and the
+training class counts as one (nodes x classes) int64 array. Growth appends
+to the columns, prediction walks them, model.json is written from them and
+read into them, and feature_importance sums over their split rows.
+DecisionTree.nodes, a tuple of TreeNode, is a view built on first use.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -131,6 +140,8 @@ class TreeParams:
 
 @dataclass(frozen=True)
 class TreeNode:
+    """One node of the DecisionTree.nodes view."""
+
     kind: str  # "split" | "leaf"
     feature: int | None
     threshold: float | None
@@ -140,41 +151,39 @@ class TreeNode:
     prediction: int  # majority class label, ties to the lowest label
 
 
-class _NodeArrays(NamedTuple):
-    """tree.nodes as parallel arrays; a leaf has feature -1 and itself as children."""
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    prediction: np.ndarray  # object dtype: the nodes' own prediction values
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecisionTree:
-    nodes: tuple[TreeNode, ...]  # preorder, root at 0
+    """A fitted tree as preorder columns, one entry per node, root at 0."""
+
+    feature: np.ndarray  # intp, -1 at a leaf
+    threshold: np.ndarray  # float64, NaN at a leaf
+    left: np.ndarray  # intp, -1 at a leaf
+    right: np.ndarray  # intp, -1 at a leaf
+    prediction: np.ndarray  # object: the int each node predicts
+    counts: np.ndarray  # (nodes, classes) int64 training class counts
     params: TreeParams
     feature_names: tuple[str, ...]
     classes: tuple[int, ...]
     depth: int
 
     @cached_property
-    def _arrays(self) -> _NodeArrays:
-        """The nodes as the parallel arrays _descend walks, built on first use."""
-        n = len(self.nodes)
-        arrays = _NodeArrays(
-            feature=np.full(n, -1, dtype=np.intp),
-            threshold=np.full(n, np.nan),
-            left=np.arange(n),
-            right=np.arange(n),
-            prediction=np.empty(n, dtype=object),
-        )
-        for i, node in enumerate(self.nodes):
-            arrays.prediction[i] = node.prediction
-            if node.kind == "split":
-                arrays.feature[i], arrays.threshold[i] = node.feature, node.threshold
-                arrays.left[i], arrays.right[i] = node.left, node.right
-        return arrays
+    def nodes(self) -> tuple[TreeNode, ...]:
+        """The nodes as TreeNode objects, built on first use."""
+        return tuple(TreeNode(**{**node, "class_counts": tuple(node["class_counts"])}) for node in _node_dicts(self))
+
+
+# each column of a DecisionTree, and its dtype
+_COLUMNS = {"feature": np.intp, "threshold": float, "left": np.intp, "right": np.intp,
+            "prediction": object, "counts": np.int64}
+_LEAF = {"feature": -1, "threshold": math.nan, "left": -1, "right": -1}
+
+
+def _tree(columns: dict, params: TreeParams, feature_names, classes, depth) -> DecisionTree:
+    """A DecisionTree from a list per column of its nodes in preorder."""
+    arrays = {name: np.array(columns[name], dtype=dtype) for name, dtype in _COLUMNS.items()}
+    return DecisionTree(
+        **arrays, params=params, feature_names=tuple(feature_names), classes=tuple(classes), depth=depth
+    )
 
 
 def _majority(counts: np.ndarray, classes: tuple[int, ...]) -> int:
@@ -249,7 +258,7 @@ def _best_splits(X, codes, rows, n_classes, choices):
 
 
 def fit_trees(data: PreparedDataset, params_list: Sequence[TreeParams]) -> list[DecisionTree]:
-    """Grow one tree per params on the prepared dataset, all in one recursion.
+    """Grow one tree per params on the prepared dataset, all in one pass.
 
     The trees that hold a node share its sort and class counts (_best_splits);
     each takes its own split from them, and the trees that take the same one
@@ -264,25 +273,32 @@ def fit_trees(data: PreparedDataset, params_list: Sequence[TreeParams]) -> list[
     X = data.X
     n_classes = len(classes)
 
-    nodes: list[list[TreeNode]] = [[] for _ in params_list]
+    columns = [{name: [] for name in _COLUMNS} for _ in params_list]
     depths = [0] * len(params_list)
-
-    def grow(rows: np.ndarray, depth: int, group: list[int]) -> None:
-        """Add the node of these rows, and the nodes below it, to each tree of group."""
+    # the nodes still to grow: their rows, depth, and the trees that hold
+    # them, each with the node whose right child it is (None for a root or a
+    # left child). A left child is pushed last, so its subtree is taken
+    # before its right sibling: each tree's nodes come in preorder.
+    stack = [(np.arange(len(data)), 0, [(t, None) for t in range(len(params_list))])]
+    while stack:
+        rows, depth, holders = stack.pop()
         counts = np.bincount(codes[rows], minlength=n_classes)
-        class_counts = tuple(counts.tolist())
-        prediction = _majority(counts, classes)
+        leaf = {**_LEAF, "prediction": _majority(counts, classes), "counts": counts}
         here = {}
-        for t in group:
+        for t, parent in holders:
+            tree = columns[t]
+            here[t] = len(tree["feature"])
+            if parent is not None:
+                tree["right"][parent] = here[t]
+            for name, value in leaf.items():  # a leaf, until a split below makes it one
+                tree[name].append(value)
             depths[t] = max(depths[t], depth)
-            here[t] = len(nodes[t])
-            nodes[t].append(None)  # reserve preorder slot
 
         # (feature, threshold) -> the trees that split on it, with the
         # threshold each one keeps
         splits: dict[tuple[int, float], list[tuple[int, float]]] = {}
         if int(np.count_nonzero(counts)) > 1:
-            active = [t for t in group if depth < params_list[t].max_depth]
+            active = [t for t, _ in holders if depth < params_list[t].max_depth]
             choices = [(params_list[t].min_samples_leaf, params_list[t].criterion) for t in active]
             picks = _best_splits(X, codes, rows, n_classes, choices) if active else []
             for t, (best, fallback) in zip(active, picks):
@@ -292,44 +308,18 @@ def fit_trees(data: PreparedDataset, params_list: Sequence[TreeParams]) -> list[
                         j, thr = fallback  # zero-gain fallback keeps parity splits alive
                     splits.setdefault((j, thr), []).append((t, thr))
 
-        leaf = TreeNode(
-            kind="leaf",
-            feature=None,
-            threshold=None,
-            left=None,
-            right=None,
-            class_counts=class_counts,
-            prediction=prediction,
-        )
-        for t in group:
-            nodes[t][here[t]] = leaf  # until a split below replaces it
-
         for (j, thr), taken in splits.items():
-            mask = X[rows, j] <= thr
-            sub = [t for t, _ in taken]
-            grow(rows[mask], depth + 1, sub)
-            right = {t: len(nodes[t]) for t in sub}
-            grow(rows[~mask], depth + 1, sub)
             for t, own_thr in taken:
-                nodes[t][here[t]] = TreeNode(
-                    kind="split",
-                    feature=j,
-                    threshold=own_thr,
-                    left=here[t] + 1,  # preorder: the left child follows its parent
-                    right=right[t],
-                    class_counts=class_counts,
-                    prediction=prediction,
-                )
+                tree = columns[t]
+                tree["feature"][here[t]] = j
+                tree["threshold"][here[t]] = own_thr
+                tree["left"][here[t]] = here[t] + 1  # the right child sets "right" when it is taken
+            mask = X[rows, j] <= thr
+            stack.append((rows[~mask], depth + 1, [(t, here[t]) for t, _ in taken]))
+            stack.append((rows[mask], depth + 1, [(t, None) for t, _ in taken]))
 
-    grow(np.arange(len(data)), 0, list(range(len(params_list))))
     return [
-        DecisionTree(
-            nodes=tuple(nodes[t]),
-            params=params,
-            feature_names=data.feature_names,
-            classes=classes,
-            depth=depths[t],
-        )
+        _tree(columns[t], params, data.feature_names, classes, depths[t])
         for t, params in enumerate(params_list)
     ]
 
@@ -339,21 +329,6 @@ def fit_tree(data: PreparedDataset, params: TreeParams) -> DecisionTree:
     return fit_trees(data, [params])[0]
 
 
-def predict(tree: DecisionTree, row) -> int:
-    """Classify one row: a sequence in feature order, or a mapping by name.
-
-    The row becomes one float vector, NaN where it lacks a feature or holds
-    None, and goes through predict_many.
-    """
-    if isinstance(row, Mapping):
-        values = [row.get(name) for name in tree.feature_names]
-    else:
-        values = list(row[: len(tree.feature_names)])
-        values += [None] * (len(tree.feature_names) - len(values))
-    vector = np.array([np.nan if v is None else v for v in values], dtype=float)
-    return predict_many(tree, vector[None, :])[0]
-
-
 def _descend(tree: DecisionTree, X: np.ndarray, max_depth: int | None = None, stops=None):
     """Prediction for each row of X, moving all rows down one level per step.
 
@@ -361,7 +336,7 @@ def _descend(tree: DecisionTree, X: np.ndarray, max_depth: int | None = None, st
     stops there: a split node at depth max_depth then stands in for the leaf
     a max_depth fit puts there, as both predict the majority of the same
     counts. Children lie after their parent in preorder, so the walk ends
-    within len(nodes) steps.
+    within len(tree.feature) steps.
 
     With stops, a sequence of depths (None for the whole tree), the one walk
     goes as deep as the deepest of them and returns, in their order, the
@@ -369,25 +344,24 @@ def _descend(tree: DecisionTree, X: np.ndarray, max_depth: int | None = None, st
     """
     depths = [max_depth] if stops is None else list(stops)
     last = None if None in depths else max(depths, default=0)
-    arrays = tree._arrays
     node = np.zeros(len(X), dtype=np.intp)
-    live = np.flatnonzero(arrays.feature[node] >= 0)
+    live = np.flatnonzero(tree.feature[node] >= 0)
     cut = {}
     depth = 0
     while live.size and (last is None or depth < last):
         if depth in depths:
-            cut[depth] = arrays.prediction[node]
+            cut[depth] = tree.prediction[node]
         at = node[live]
-        values = X[live, arrays.feature[at]]
+        values = X[live, tree.feature[at]]
         missing = np.isnan(values)
         if missing.any():
             first = int(np.argmax(missing))
-            name = tree.feature_names[arrays.feature[at[first]]]
+            name = tree.feature_names[tree.feature[at[first]]]
             raise MissingFeature(f"row {live[first]} lacks feature {name!r}")
-        node[live] = np.where(values <= arrays.threshold[at], arrays.left[at], arrays.right[at])
-        live = live[arrays.feature[node[live]] >= 0]
+        node[live] = np.where(values <= tree.threshold[at], tree.left[at], tree.right[at])
+        live = live[tree.feature[node[live]] >= 0]
         depth += 1
-    end = arrays.prediction[node]
+    end = tree.prediction[node]
     predictions = [cut.get(d, end) for d in depths]
     return predictions if stops is not None else predictions[0]
 
@@ -416,26 +390,18 @@ def feature_importance(tree: DecisionTree) -> dict:
 
     Each split contributes (node rows / total rows) * its impurity decrease,
     measured with the tree's own training criterion, from the per-node
-    training counts the tree carries. An all-leaf tree scores every feature
-    zero.
+    training counts the tree carries, summed over the split nodes in
+    preorder. An all-leaf tree scores every feature zero.
     """
     totals = {name: 0.0 for name in tree.feature_names}
-    root_rows = sum(tree.nodes[0].class_counts)
-    criterion = tree.params.criterion
-
-    def imp(counts: tuple[int, ...]) -> float:
-        arr = np.array(counts, dtype=float)
-        return float(_impurity_rows(arr[None, :], np.array([arr.sum()]), criterion)[0])
-
-    for node in tree.nodes:
-        if node.kind != "split":
-            continue
-        n = sum(node.class_counts)
-        left = tree.nodes[node.left]
-        right = tree.nodes[node.right]
-        nl, nr = sum(left.class_counts), sum(right.class_counts)
-        decrease = imp(node.class_counts) - (nl / n) * imp(left.class_counts) - (nr / n) * imp(right.class_counts)
-        totals[tree.feature_names[node.feature]] += (n / root_rows) * decrease
+    sizes = tree.counts.sum(axis=1).tolist()
+    impurity = _impurity_rows(tree.counts.astype(float), np.array(sizes, dtype=float), tree.params.criterion).tolist()
+    split = np.flatnonzero(tree.feature >= 0)
+    rows = (split, tree.feature[split], tree.left[split], tree.right[split])
+    for i, j, left, right in zip(*(column.tolist() for column in rows)):
+        n = sizes[i]
+        decrease = impurity[i] - (sizes[left] / n) * impurity[left] - (sizes[right] / n) * impurity[right]
+        totals[tree.feature_names[j]] += (n / sizes[0]) * decrease
 
     grand = math.fsum(totals.values())
     if grand > 0:
@@ -446,20 +412,25 @@ def feature_importance(tree: DecisionTree) -> dict:
 # -- serialization ----------------------------------------------------------------
 
 
+def _node_dicts(tree: DecisionTree):
+    """Each node, in preorder, as the dict model.json holds for it."""
+    columns = (tree.feature, tree.threshold, tree.left, tree.right, tree.counts, tree.prediction)
+    for feature, threshold, left, right, counts, prediction in zip(*(column.tolist() for column in columns)):
+        split = feature >= 0
+        yield {
+            "kind": "split" if split else "leaf",
+            "feature": feature if split else None,
+            "threshold": threshold if split else None,
+            "left": left if split else None,
+            "right": right if split else None,
+            "class_counts": counts,
+            "prediction": prediction,
+        }
+
+
 def tree_to_dict(tree: DecisionTree) -> dict:
     return {
-        "nodes": [
-            {
-                "kind": n.kind,
-                "feature": n.feature,
-                "threshold": n.threshold,
-                "left": n.left,
-                "right": n.right,
-                "class_counts": list(n.class_counts),
-                "prediction": n.prediction,
-            }
-            for n in tree.nodes
-        ],
+        "nodes": list(_node_dicts(tree)),
         "params": {
             "max_depth": tree.params.max_depth,
             "min_samples_leaf": tree.params.min_samples_leaf,
@@ -471,53 +442,58 @@ def tree_to_dict(tree: DecisionTree) -> dict:
     }
 
 
+_INT64_MAX = 2**63 - 1
+
+
 def tree_from_dict(data: Mapping) -> DecisionTree:
+    """The tree a model.json object describes, its nodes checked one by one
+    as they fill the columns; a ModelFormatError names the first fault."""
     try:
         params = TreeParams(
             max_depth=data["params"]["max_depth"],
             min_samples_leaf=data["params"]["min_samples_leaf"],
             criterion=data["params"]["criterion"],
         )
-        nodes = tuple(
-            TreeNode(
-                kind=raw["kind"],
-                feature=raw["feature"],
-                threshold=raw["threshold"],
-                left=raw["left"],
-                right=raw["right"],
-                class_counts=tuple(raw["class_counts"]),
-                prediction=raw["prediction"],
+        raw_nodes = list(data["nodes"])
+        feature_names = tuple(data["feature_names"])
+        classes = tuple(data["classes"])
+        depth = data["depth"]
+        if not raw_nodes:
+            raise ModelFormatError("malformed model: empty node list")
+        columns = {name: [] for name in _COLUMNS}
+        for i, raw in enumerate(raw_nodes):
+            kind, feature, threshold, left, right, counts, prediction = (
+                raw[key] for key in ("kind", "feature", "threshold", "left", "right", "class_counts", "prediction")
             )
-            for raw in data["nodes"]
-        )
-        tree = DecisionTree(
-            nodes=nodes,
-            params=params,
-            feature_names=tuple(data["feature_names"]),
-            classes=tuple(data["classes"]),
-            depth=data["depth"],
-        )
+            if not _is_index(prediction):
+                raise ModelFormatError(f"malformed model: node {i} predicts {prediction!r}")
+            if not (
+                isinstance(counts, list)
+                and len(counts) == len(classes)
+                and all(_is_index(c) and 0 <= c <= _INT64_MAX for c in counts)
+            ):
+                raise ModelFormatError(
+                    f"malformed model: node {i} has class_counts {counts!r}, "
+                    f"not a list of {len(classes)} integers from 0 to 2**63 - 1"
+                )
+            if kind == "leaf":
+                feature, threshold, left, right = _LEAF.values()
+            elif kind != "split":
+                raise ModelFormatError(f"malformed model: node {i} has kind {kind!r}")
+            elif not _is_index(feature) or not 0 <= feature < len(feature_names):
+                raise ModelFormatError(f"malformed model: node {i} splits on feature {feature!r}")
+            elif not finite_number(threshold):
+                raise ModelFormatError(f"malformed model: node {i} has threshold {threshold!r}")
+            else:
+                # children after their parent: every walk down the tree then ends
+                for child in (left, right):
+                    if not _is_index(child) or not i < child < len(raw_nodes):
+                        raise ModelFormatError(f"malformed model: node {i} points at child {child!r}")
+            for name, value in zip(_COLUMNS, (feature, threshold, left, right, prediction, counts)):
+                columns[name].append(value)
     except (KeyError, TypeError, BadParams) as exc:
         raise ModelFormatError(f"malformed model: {exc}") from None
-
-    if not tree.nodes:
-        raise ModelFormatError("malformed model: empty node list")
-    for i, node in enumerate(tree.nodes):
-        if not _is_index(node.prediction):
-            raise ModelFormatError(f"malformed model: node {i} predicts {node.prediction!r}")
-        if node.kind == "leaf":
-            continue
-        if node.kind != "split":
-            raise ModelFormatError(f"malformed model: node {i} has kind {node.kind!r}")
-        if not _is_index(node.feature) or not 0 <= node.feature < len(tree.feature_names):
-            raise ModelFormatError(f"malformed model: node {i} splits on feature {node.feature!r}")
-        if not finite_number(node.threshold):
-            raise ModelFormatError(f"malformed model: node {i} has threshold {node.threshold!r}")
-        # children after their parent: every walk down the tree then ends
-        for child in (node.left, node.right):
-            if not _is_index(child) or not i < child < len(tree.nodes):
-                raise ModelFormatError(f"malformed model: node {i} points at child {child!r}")
-    return tree
+    return _tree(columns, params, feature_names, classes, depth)
 
 
 def _is_index(value) -> bool:

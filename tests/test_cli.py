@@ -773,6 +773,37 @@ class TestModelCommands:
         assert_input_error(capsys, "ModelFormatError", "predict", "--model", str(bad), "--data", str(cohort_csv))
 
     @pytest.mark.parametrize(
+        "value",
+        [
+            "12",  # a string, not a list
+            {"0": 1, "1": 2},
+            [1],  # the model has two classes
+            [1, 2, 3],
+            [1, True],
+            [1, 2.0],
+            [1, "2"],
+            [1, None],
+            [1, -1],
+            [1, 2**63],  # one past the int64 range
+        ],
+    )
+    def test_predict_rejects_malformed_class_counts(self, capsys, tmp_path, cohort_csv, value):
+        payload = self.trained_model(capsys, tmp_path, cohort_csv)
+        last = len(payload["nodes"]) - 1
+        payload["nodes"][last]["class_counts"] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        message = assert_error(capsys, 2, "ModelFormatError", "predict", "--model", str(bad), "--data", str(cohort_csv))
+        assert f"node {last} has class_counts" in message
+
+    def test_predict_reads_class_counts_up_to_the_int64_bound(self, capsys, tmp_path, cohort_csv):
+        payload = self.trained_model(capsys, tmp_path, cohort_csv)
+        payload["nodes"][-1]["class_counts"] = [0, 2**63 - 1]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        assert run_json(capsys, "predict", "--model", str(model), "--data", str(cohort_csv))[0] == 0
+
+    @pytest.mark.parametrize(
         "kind, field, value",
         [
             ("numeric", "median", "x"),

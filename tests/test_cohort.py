@@ -815,8 +815,10 @@ class TestLongCells:
         want = (SchemaViolation, f"row 3, column {name!r}: must fit a float, got an integer of 400 digits", 3, name)
         assert self.errors(tmp_path, cells) == [want, want]
         cells[7] = "0" * 5000
+        cells[8] = "0" * 5000 + "1"
         table = load_cohort_csv(write_lines(tmp_path / "zeros.csv", ",".join(cells)))
         assert (table.mentoring_sessions, table.research_projects) == ((7,), (0,))
+        assert table.employed == (1,)
 
     @pytest.mark.parametrize(
         "column, cell",
@@ -837,6 +839,8 @@ class TestLongCells:
         assert plain == quoted and plain[0] is SchemaViolation
         assert "\n" not in plain[1] and len(plain[1]) < 200
         assert f"... ({len(cell)} characters)" in plain[1]
+        if (column, cell) == (8, "1" * 5000):  # more digits than int() reads, but an integer
+            assert plain[1] == "row 3, column 'employed': must be 0 or 1, got " + repr("1" * 32) + "... (5000 characters)"
 
     def test_long_duplicate_id(self, tmp_path):
         row = GOOD_ROW.replace("S00001", "S" * 5000)

@@ -6,6 +6,7 @@ module's vectorized code paths) over random count vectors.
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from skillsgraph import (
     fit_tree,
     gini,
     information_gain,
-    predict,
 )
 from skillsgraph.errors import (
     BadParams,
@@ -32,6 +32,7 @@ from skillsgraph.errors import (
     ModelFormatError,
     PartitionMismatch,
 )
+from skillsgraph.cohort import feature_columns, generate_cohort, planted_profile
 from skillsgraph.prepare import NUMERIC, PreprocessStats, RawColumn, preprocess
 from skillsgraph.tree import (
     _best_splits,
@@ -180,8 +181,7 @@ class TestFitTree:
         model = fit_tree(XOR, params)
         assert model.depth == 2
         assert accuracy(model, XOR) == 1.0
-        assert predict(model, [0.0, 1.0]) == 1
-        assert predict(model, [1.0, 1.0]) == 0
+        assert predict_many(model, [[0.0, 1.0], [1.0, 1.0]]) == [1, 0]
 
     def test_single_class_single_leaf(self):
         data = dataset([[0.1], [0.5], [0.9]], [1, 1, 1])
@@ -278,8 +278,7 @@ class TestFitTree:
         data = dataset(X, y)
         model = fit_tree(data, TreeParams(max_depth=4, min_samples_leaf=1, criterion="gini"))
         # every training row lands on a leaf whose majority matches prediction
-        for i in range(n):
-            predict(model, X[i])  # must not raise
+        predict_many(model, X)  # must not raise
         assert 0.0 <= accuracy(model, data) <= 1.0
 
 
@@ -445,6 +444,28 @@ class TestFitTrees:
                 assert _scores(tree, held, depths) == [_score(tree, held, d) for d in depths]
 
 
+class TestDeepTrees:
+    """Growth holds no Python frame per level, so a tree may be of any depth."""
+
+    @staticmethod
+    def chain(n):
+        # labels alternate along one feature: each split peels one row off
+        return dataset(np.arange(n, dtype=float)[:, None], np.arange(n) % 2)
+
+    @pytest.mark.parametrize("criterion", ["entropy", "gini"])
+    def test_chain_deeper_than_the_recursion_limit(self, criterion):
+        data = self.chain(3000)
+        model = fit_tree(data, TreeParams(100000, 1, criterion))
+        assert model.depth == 2999 > sys.getrecursionlimit()
+        assert accuracy(model, data) == 1.0
+
+    @pytest.mark.parametrize("criterion", ["entropy", "gini"])
+    def test_chain_equals_the_recursive_reference(self, criterion):
+        data = self.chain(300)  # shallow enough for reference_fit_tree's recursion
+        params = TreeParams(100000, 1, criterion)
+        assert [tree_to_dict(tree) for tree in fit_trees(data, [params])] == [reference_fit_tree(data, params)]
+
+
 class TestTruncation:
     @pytest.mark.parametrize("criterion", ["entropy", "gini"])
     @pytest.mark.parametrize("min_leaf", [1, 3, 7])
@@ -464,25 +485,16 @@ class TestPredict:
     def setup_method(self):
         self.model = fit_tree(XOR, TreeParams(max_depth=2, min_samples_leaf=1, criterion="entropy"))
 
-    def test_mapping_rows(self):
-        assert predict(self.model, {"f0": 0.0, "f1": 0.0}) == 0
-        assert predict(self.model, {"f0": 1.0, "f1": 0.0}) == 1
-
-    def test_missing_feature_mapping(self):
-        with pytest.raises(MissingFeature):
-            predict(self.model, {"f0": 0.0})
-
-    def test_short_row(self):
-        with pytest.raises(MissingFeature):
-            predict(self.model, [0.0])
+    def test_rows_in_feature_order(self):
+        assert predict_many(self.model, [[0.0, 0.0], [1.0, 0.0]]) == [0, 1]
 
     def test_nan_feature(self):
         with pytest.raises(MissingFeature):
-            predict(self.model, [0.0, float("nan")])
+            predict_many(self.model, [[0.0, float("nan")]])
 
     def test_predict_many_matches_predict(self):
         rows = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
-        assert predict_many(self.model, rows) == [predict(self.model, r) for r in rows]
+        assert predict_many(self.model, rows) == [predict_many(self.model, [r])[0] for r in rows]
 
     def test_predict_many_matches_predict_on_random_trees(self):
         rng = np.random.default_rng(8)
@@ -491,12 +503,12 @@ class TestPredict:
             y = rng.integers(0, 3, 80)
             model = fit_tree(dataset(X, y), TreeParams(max_depth=int(rng.integers(0, 7)), min_samples_leaf=1))
             Z = rng.random((50, 3)).round(1)
-            assert predict_many(model, Z) == [predict(model, row) for row in Z]
+            assert predict_many(model, Z) == [predict_many(model, [row])[0] for row in Z]
             # with missing cells, the two calls agree row by row: same class, or both raise
             Z[rng.random(Z.shape) < 0.1] = np.nan
             for row in Z:
                 try:
-                    want = predict(model, row)
+                    want = predict_many(model, [row])[0]
                 except MissingFeature:
                     with pytest.raises(MissingFeature):
                         predict_many(model, [row])
@@ -514,16 +526,59 @@ class TestPredict:
         data = dataset([[0.0, 0.9], [0.2, 0.4], [0.8, 0.1], [1.0, 0.7]], [0, 0, 1, 1])
         model = fit_tree(data, TreeParams(max_depth=1, min_samples_leaf=1, criterion="entropy"))
         assert {node.feature for node in model.nodes if node.kind == "split"} == {0}
-        assert predict(model, {"f0": 0.1}) == 0
-        assert predict(model, {"f0": 0.9, "f1": None}) == 1
-        assert predict(model, [0.9]) == 1
         assert predict_many(model, [[0.1, float("nan")]]) == [0]
+        assert predict_many(model, [[0.9, float("nan")]]) == [1]
 
     def test_predict_many_no_rows(self):
         assert predict_many(self.model, []) == []
 
 
+def reference_feature_importance(tree):
+    """feature_importance walking the TreeNode view, one node at a time."""
+    totals = {name: 0.0 for name in tree.feature_names}
+    root_rows = sum(tree.nodes[0].class_counts)
+    criterion = tree.params.criterion
+
+    def imp(counts):
+        arr = np.array(counts, dtype=float)
+        return float(_impurity_rows(arr[None, :], np.array([arr.sum()]), criterion)[0])
+
+    for node in tree.nodes:
+        if node.kind != "split":
+            continue
+        n = sum(node.class_counts)
+        left = tree.nodes[node.left]
+        right = tree.nodes[node.right]
+        nl, nr = sum(left.class_counts), sum(right.class_counts)
+        decrease = imp(node.class_counts) - (nl / n) * imp(left.class_counts) - (nr / n) * imp(right.class_counts)
+        totals[tree.feature_names[node.feature]] += (n / root_rows) * decrease
+
+    grand = math.fsum(totals.values())
+    if grand > 0:
+        totals = {name: v / grand for name, v in totals.items()}
+    return totals
+
+
 class TestImportance:
+    def test_equals_the_node_walk_on_random_trees(self):
+        rng = np.random.default_rng(61)
+        criteria = set()
+        for _ in range(150):
+            data, params = TestFitTrees.random_case(rng)
+            for tree in fit_trees(data, params):
+                assert feature_importance(tree) == reference_feature_importance(tree)  # bit for bit
+                criteria.add(tree.params.criterion)
+        assert criteria == {"entropy", "gini"}
+
+    @pytest.mark.parametrize("criterion", ["entropy", "gini"])
+    def test_equals_the_node_walk_on_a_loaded_model(self, tmp_path, criterion):
+        prepared = preprocess(*feature_columns(generate_cohort(300, seed=4, profile=planted_profile())))
+        model = fit_tree(prepared, TreeParams(max_depth=8, min_samples_leaf=2, criterion=criterion))
+        save_model(tmp_path / "model.json", model, prepared.stats)
+        loaded, _ = load_model(tmp_path / "model.json")
+        assert len(loaded.feature) > 20
+        assert feature_importance(loaded) == reference_feature_importance(loaded) == feature_importance(model)
+
     def test_single_leaf_all_zero(self):
         data = dataset([[0.3], [0.4]], [1, 1])
         model = fit_tree(data, TreeParams(max_depth=3, min_samples_leaf=1, criterion="entropy"))
