@@ -2,15 +2,16 @@
 
 Two modes. select: 0/1 knapsack over node costs maximizing total
 effectiveness, solved exactly by dynamic programming on costs quantized to
-cents. fractional: divisible budget poured across nodes proportional to
-nothing fancier than a greedy on effectiveness, which is exact for a linear
-objective with box constraints.
+cents. fractional: a divisible budget poured greedily into the most
+effective nodes first, up to each node's capacity, which is exact for a
+linear objective with box constraints. Both read the graph's node columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -65,12 +66,13 @@ def select_knapsack(
     """
     _check_budget(budget)
     try:
-        cost_units = quantize_hundredths([n.cost for n in graph.nodes], "cost")
+        cost_units = quantize_hundredths(graph.costs, "cost")
         (budget_units,) = quantize_hundredths([budget], "budget")
     except ValueError as exc:
         raise CostPrecisionError(str(exc)) from None
 
-    n = len(graph.nodes)
+    ids = graph.ids
+    n = len(ids)
     cap = min(budget_units, sum(cost_units))
     cells = (n + 1) * (cap + 1)
     if cells > max_cells:
@@ -79,10 +81,10 @@ def select_knapsack(
             "coarsen costs or lower the budget"
         )
 
-    values, denom = scale_to_integers([n_.effectiveness for n_ in graph.nodes])
+    values, denom = scale_to_integers(graph.effectiveness)
     # process in ascending id order so the greedy reconstruction below yields
     # the lexicographically smallest optimal id set
-    order = sorted(range(n), key=lambda i: graph.nodes[i].id)
+    order = sorted(range(n), key=ids.__getitem__)
 
     # One key per (objective, count): key = objective * (n + 1) - count. As
     # 0 <= count <= n, a larger key means a larger objective, then fewer
@@ -105,17 +107,17 @@ def select_knapsack(
 
     # include an item iff doing so still reaches the optimal (objective, count);
     # visiting ids in ascending order makes the surviving set lex-smallest
-    chosen_ids = set()
+    chosen = []
     w = cap
     for i in range(n):
         if take[i, w]:
             item = order[i]
-            chosen_ids.add(graph.nodes[item].id)
+            chosen.append(item)
             w -= cost_units[item]
 
     total = (int(best[cap]) + n) // (n + 1)
     return NodeSelection(
-        chosen=tuple(nid for nid in graph.node_ids() if nid in chosen_ids),
+        chosen=tuple(ids[i] for i in sorted(chosen)),
         objective=integer_sum_to_float(total, denom),
         budget=budget,
     )
@@ -131,26 +133,25 @@ def allocate_fractional(graph: SkillsGraph, budget: float) -> AllocationPlan:
     objective is beyond the float range.
     """
     _check_budget(budget)
-    allocation = {nid: 0.0 for nid in graph.node_ids()}
+    ids, effectiveness, capacities = graph.ids, graph.effectiveness, graph.capacities
+    amounts = [0.0] * len(ids)
     remaining = budget
-    for node in sorted(graph.nodes, key=lambda n: (-n.effectiveness, n.id)):
-        if remaining <= 0 or node.effectiveness <= 0:
+    for i in sorted(range(len(ids)), key=lambda i: (-effectiveness[i], ids[i])):
+        if remaining <= 0 or effectiveness[i] <= 0:
             break
-        room = float(remaining if node.capacity is UNBOUNDED else min(node.capacity, remaining))
+        room = float(remaining if capacities[i] is UNBOUNDED else min(capacities[i], remaining))
         if room > 0:
-            allocation[node.id] = room
+            amounts[i] = room
             remaining -= room
     # every term is >= 0, so a term or a partial sum beyond the float range
     # puts the sum there too
     try:
-        objective = math.fsum(
-            graph.node(nid).effectiveness * amount for nid, amount in allocation.items()
-        )
+        objective = math.fsum(map(mul, effectiveness, amounts))
     except OverflowError:
         objective = math.inf
     if objective == math.inf:
         raise FloatRangeExceeded("the allocation's objective is beyond the float range")
-    return AllocationPlan(allocation=allocation, objective=objective, budget=budget)
+    return AllocationPlan(allocation=dict(zip(ids, amounts)), objective=objective, budget=budget)
 
 
 def plan_to_dict(plan) -> dict:

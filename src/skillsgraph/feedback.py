@@ -8,10 +8,10 @@ constant-rate update
 
 so the gap to a steady observation decays by (1 - eta) per round. The loop
 re-derives centrality after every update and keeps the full trajectory. It
-runs on one float64 array of the weights, in graph edge order, and builds
-the updated graph once, at the end. The fractional allocation depends only
-on the nodes and the budget, which no round changes, so it is computed once
-per cycle and every snapshot shares it.
+runs on one float64 array of the weights, in graph edge order, and
+re-weights the graph once, at the end, with SkillsGraph.with_weights. The
+fractional allocation depends only on the nodes and the budget, which no
+round changes, so it is computed once per cycle and every snapshot shares it.
 
 The loop also keeps one text layout per cycle: the '"src->dst": w' item of
 each weight and the item of each node's centrality, in json's key order, and
@@ -47,7 +47,7 @@ from .errors import (
     UnknownEdge,
     load_json,
 )
-from .graph import DependencyEdge, SkillsGraph, finite_number, out_weight_shares, weighted_centrality
+from .graph import SkillsGraph, finite_number, out_weight_shares, weighted_centrality
 from .jsonio import FloatItems, object_line
 
 EdgeKey = tuple  # (src, dst)
@@ -175,7 +175,8 @@ def _checked_round(index: Mapping, metrics: MetricsReport, config: FeedbackConfi
 
 
 def _edge_index(graph: SkillsGraph) -> dict:
-    return {(e.src, e.dst): i for i, e in enumerate(graph.edges)}
+    ids = graph.ids
+    return {(ids[s], ids[d]): e for e, (s, d) in enumerate(zip(graph.src, graph.dst))}
 
 
 def update_weights(
@@ -183,14 +184,10 @@ def update_weights(
 ) -> SkillsGraph:
     """New graph with observed edges nudged toward their metrics; input untouched."""
     idx, values = _checked_round(_edge_index(graph), metrics, config)
-    positions = idx.tolist()
-    edges = list(graph.edges)
-    old = np.array([edges[i].weight for i in positions], np.float64)
-    for i, w in zip(positions, _step(old, values, config).tolist()):
-        e = edges[i]
-        edges[i] = DependencyEdge(e.src, e.dst, w, e.objective_cost)
-    # construction invariants already hold; rebuild without re-running Kahn
-    return SkillsGraph(graph.nodes, edges)
+    weights = list(graph.weights)  # an unobserved weight stays as it was, an int included
+    for i, w in zip(idx.tolist(), _step(np.array(weights, np.float64)[idx], values, config).tolist()):
+        weights[i] = w
+    return graph.with_weights(weights)
 
 
 class _SnapshotLayout:
@@ -235,7 +232,7 @@ def run_feedback_cycle(
     keys = list(index)
     first = CycleSnapshot(
         iteration=0,
-        weights={key: e.weight for key, e in zip(keys, graph.edges)},
+        weights=dict(zip(keys, graph.weights)),
         centrality=weighted_centrality(graph),
         allocation=allocate_fractional(graph, budget),
     )
@@ -279,15 +276,7 @@ def run_feedback_cycle(
             layout.encode(snapshot)
         snapshots.append(snapshot)
 
-    final = graph
-    if config.iterations:
-        final = SkillsGraph(
-            graph.nodes,
-            [
-                DependencyEdge(e.src, e.dst, w, e.objective_cost)
-                for e, w in zip(graph.edges, weights.tolist())
-            ],
-        )
+    final = graph.with_weights(weights.tolist()) if config.iterations else graph
     return CycleHistory(snapshots=tuple(snapshots), final_graph=final)
 
 

@@ -5,10 +5,10 @@ w > 0 says u feeds v, and the weight carries the strength of that dependency.
 Graphs are validated once at construction and treated as immutable afterwards;
 every traversal order is deterministic (insertion order, never hash order).
 
-A SkillsGraph is one integer index of columns (see its docstring).
-validate_dag, weighted_centrality and the path search read the index alone;
-the SkillNode and DependencyEdge views are built from it on first use and
-kept, so validate, centrality and path never build them.
+A SkillsGraph is one integer index of columns (see its docstring), and
+library code reads nothing else. The SkillNode and DependencyEdge views are
+built from the columns on first use, for callers that ask; no command or
+analysis builds them.
 
 Loading checks in bulk first and one item at a time only where that fails:
 graph_from_dict reads each JSON array a column at a time and build_graph
@@ -54,6 +54,10 @@ NodeScores = dict  # node id -> score, insertion-ordered by graph node order
 
 _FLOAT_MAX = sys.float_info.max
 
+_NODE_COLUMNS = ("ids", "labels", "effectiveness", "costs", "capacities")
+_node_table = attrgetter(*_NODE_COLUMNS)
+_columns_of = attrgetter(*_NODE_COLUMNS, "src", "dst", "weights", "consumption")
+
 
 @dataclass(frozen=True)
 class SkillNode:
@@ -87,6 +91,7 @@ class SkillsGraph:
 
     - ids, the node ids in node order, and index, which maps an id to its
       position there;
+    - labels, effectiveness, costs and capacities, in node order;
     - src and dst, the positions of each edge's ends, with weights and
       consumption (the objective costs), in edge order;
     - out_start/out_order and in_start/in_order: the edges out of (into) the
@@ -95,8 +100,8 @@ class SkillsGraph:
 
     The nodes and edges views, which out_edges, in_edges, node and edge hand
     out, are built from the columns on first use and kept.
-    SkillsGraph(nodes, edges) checks nothing and keeps the objects it is
-    given as its views.
+    SkillsGraph(nodes, edges) checks nothing; with_weights re-weights a
+    graph and shares the rest of its index.
     """
 
     def __init__(self, nodes: Sequence[SkillNode], edges: Sequence[DependencyEdge]):
@@ -104,16 +109,9 @@ class SkillsGraph:
         node_columns, (src, dst, *edge_values) = _node_columns(nodes), _edge_columns(edges)
         index = _index(node_columns[0])
         self._hold(node_columns, index, [index[s] for s in src], [index[d] for d in dst], *edge_values)
-        vars(self).update(nodes=nodes, edges=edges)  # where cached_property keeps them
-
-    @classmethod
-    def _indexed(cls, node_columns, index, src, dst, weights, consumption) -> SkillsGraph:
-        graph = cls.__new__(cls)
-        graph._hold(node_columns, index, src, dst, weights, consumption)
-        return graph
 
     def _hold(self, node_columns, index, src, dst, weights, consumption) -> None:
-        ids, *self._node_values = node_columns
+        ids, self.labels, self.effectiveness, self.costs, self.capacities = node_columns
         self.ids = tuple(ids)
         self.index = index
         self.src, self.dst, self.weights, self.consumption = src, dst, weights, consumption
@@ -122,7 +120,7 @@ class SkillsGraph:
 
     @cached_property
     def nodes(self) -> tuple[SkillNode, ...]:
-        return tuple(map(SkillNode, self.ids, *self._node_values))
+        return tuple(map(SkillNode, *_node_table(self)))
 
     @cached_property
     def edges(self) -> tuple[DependencyEdge, ...]:
@@ -130,11 +128,16 @@ class SkillsGraph:
         ends = map(ids.__getitem__, self.src), map(ids.__getitem__, self.dst)
         return tuple(map(DependencyEdge, *ends, self.weights, self.consumption))
 
+    def with_weights(self, weights: list) -> SkillsGraph:
+        """This graph with weights (in edge order) as its edge weights, sharing
+        every other column; nothing is checked and Kahn does not run again."""
+        graph = object.__new__(type(self))
+        vars(graph).update(vars(self), weights=weights)
+        vars(graph).pop("edges", None)  # a kept view holds the old weights
+        return graph
+
     def node(self, node_id: str) -> SkillNode:
         return self.nodes[self.index[node_id]]
-
-    def has_node(self, node_id: str) -> bool:
-        return node_id in self.index
 
     def out_edges(self, node_id: str) -> tuple[DependencyEdge, ...]:
         i, start = self.index[node_id], self.out_start
@@ -150,15 +153,11 @@ class SkillsGraph:
             return None
         return next((e for e in self.out_edges(src) if e.dst == dst), None)
 
-    def node_ids(self) -> tuple[str, ...]:
-        return self.ids
-
     def __eq__(self, other):
-        return (
-            isinstance(other, SkillsGraph)
-            and self.nodes == other.nodes
-            and self.edges == other.edges
-        )
+        """Equal columns; with unique ids, that is equal nodes and edges views."""
+        if not isinstance(other, SkillsGraph):
+            return False
+        return list(map(list, _columns_of(self))) == list(map(list, _columns_of(other)))
 
     def __repr__(self):
         return f"SkillsGraph({len(self.ids)} nodes, {len(self.src)} edges)"
@@ -310,7 +309,8 @@ def _checked_graph(node_columns: list[list], edge_columns: list[list], allow_cyc
     if ends is None:
         _check_edges(list(map(DependencyEdge, *edge_columns)), index)
         ends = [list(map(index.__getitem__, column)) for column in edge_columns[:2]]
-    graph = SkillsGraph._indexed(node_columns, index, *ends, *edge_columns[2:])
+    graph = object.__new__(SkillsGraph)
+    graph._hold(node_columns, index, *ends, *edge_columns[2:])
     if not allow_cycles:
         validate_dag(graph)  # raises CycleDetected with a witness
     return graph
@@ -333,13 +333,11 @@ def build_graph(
 
     Nodes, then edges, are checked a column at a time; where that finds a
     fault, or a value it does not take in bulk, the per-item checks run and
-    raise the first error in the list, or pass it. The graph keeps the
-    objects given as its nodes and edges views.
+    raise the first error in the list, or pass it. The graph holds each
+    field of the objects given in its columns, not the objects.
     """
     nodes, edges = tuple(nodes), tuple(edges)
-    graph = _checked_graph(_node_columns(nodes), _edge_columns(edges), allow_cycles)
-    vars(graph).update(nodes=nodes, edges=edges)
-    return graph
+    return _checked_graph(_node_columns(nodes), _edge_columns(edges), allow_cycles)
 
 
 def _witness_cycle(graph: SkillsGraph, stuck: set[int]) -> list[str]:
@@ -575,14 +573,15 @@ def graph_from_dict(data: Mapping, allow_cycles: bool = False) -> SkillsGraph:
 
 def graph_to_dict(graph: SkillsGraph) -> dict:
     nodes = []
-    for n in graph.nodes:
-        entry = {"id": n.id, "label": n.label, "effectiveness": n.effectiveness, "cost": n.cost}
-        if n.capacity is not UNBOUNDED:
-            entry["capacity"] = n.capacity
+    for nid, label, effectiveness, cost, capacity in zip(*_node_table(graph)):
+        entry = {"id": nid, "label": label, "effectiveness": effectiveness, "cost": cost}
+        if capacity is not UNBOUNDED:
+            entry["capacity"] = capacity
         nodes.append(entry)
+    ids = graph.ids
     edges = [
-        {"from": e.src, "to": e.dst, "weight": e.weight, "objective_cost": e.objective_cost}
-        for e in graph.edges
+        {"from": ids[s], "to": ids[d], "weight": weight, "objective_cost": cost}
+        for s, d, weight, cost in zip(graph.src, graph.dst, graph.weights, graph.consumption)
     ]
     return {"nodes": nodes, "edges": edges}
 

@@ -40,7 +40,7 @@ def path_to_dict(path: Path) -> dict:
 
 def _check_endpoints(graph: SkillsGraph, source: str, target: str) -> None:
     for nid in (source, target):
-        if not graph.has_node(nid):
+        if nid not in graph.index:
             raise UnknownNode(f"unknown node {nid!r}")
 
 

@@ -377,8 +377,14 @@ def _scores(tree: DecisionTree, data: PreparedDataset, depths) -> list[float]:
 
 
 def predict_many(tree: DecisionTree, X) -> list:
-    """Classify each row of X, a matrix in feature order; NaN counts as missing."""
-    return _descend(tree, np.asarray(X, dtype=float)).tolist()
+    """Classify each row of X, a matrix in feature order; NaN counts as missing.
+    Rows narrower than the features (a flat X has no columns) raise
+    MissingFeature for the first one they lack; extra columns are ignored."""
+    X = np.asarray(X, dtype=float)
+    width = X.shape[1] if X.ndim > 1 else 0
+    if len(X) and width < len(tree.feature_names):
+        raise MissingFeature(f"row 0 lacks feature {tree.feature_names[width]!r}")
+    return _descend(tree, X).tolist()
 
 
 def accuracy(tree: DecisionTree, data: PreparedDataset) -> float:

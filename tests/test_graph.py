@@ -1,5 +1,6 @@
 """Graph construction, validation, topological order, and centrality."""
 
+import dataclasses
 import heapq
 import json
 import math
@@ -34,7 +35,7 @@ from skillsgraph.errors import (
     SelfLoop,
     UnknownEndpoint,
 )
-from skillsgraph.graph import _node_columns, _nodes_pass_in_bulk, finite_number, graph_from_dict
+from skillsgraph.graph import _node_columns, _nodes_pass_in_bulk, finite_number, graph_from_dict, graph_to_dict
 from skillsgraph.scenario import validate_stage
 from tests.conftest import DEMO_EDGE_PAIRS, demo_graph, random_dag
 
@@ -56,7 +57,7 @@ class TestBuildValidation:
 
     @pytest.mark.parametrize("nid", ["a-", ">b", "-", ">", "a>-b", "a- >b"])
     def test_arrow_halves_are_allowed(self, nid):
-        assert build_graph([node(nid)], []).node_ids() == (nid,)
+        assert build_graph([node(nid)], []).ids == (nid,)
 
     def test_unknown_endpoint(self):
         with pytest.raises(UnknownEndpoint):
@@ -174,7 +175,7 @@ class TestTopologicalOrder:
             g = random_dag(rng)
             order = validate_dag(g)
             position = {nid: i for i, nid in enumerate(order)}
-            assert sorted(position) == sorted(g.node_ids())
+            assert sorted(position) == sorted(g.ids)
             for e in g.edges:
                 assert position[e.src] < position[e.dst]
 
@@ -262,6 +263,85 @@ class TestSerialization:
         assert "line" in str(exc.value)
 
 
+# -- equality of the columns and the re-weighted graph ---------------------------
+
+
+def reference_graph_eq(a, b):
+    """Graph equality as it compared the views."""
+    return a.nodes == b.nodes and a.edges == b.edges
+
+
+def _random_parts(rng):
+    """The nodes and edges of a random DAG whose capacities are None or a value."""
+    graph = random_dag(rng)
+    nodes = [
+        dataclasses.replace(n, capacity=rng.choice([None, 0.0, 1.5, 4.0])) for n in graph.nodes
+    ]
+    return nodes, list(graph.edges)
+
+
+def _one_change(rng, nodes, edges):
+    """(kind, nodes, edges) with one field of one node or edge changed."""
+    nodes, edges = list(nodes), list(edges)
+    kinds = ["label", "capacity"] + (["weight", "objective_cost", "int weight"] if edges else [])
+    kind = rng.choice(kinds)
+    if kind in ("label", "capacity"):
+        i = rng.randrange(len(nodes))
+        n = nodes[i]
+        if kind == "label":
+            nodes[i] = dataclasses.replace(n, label=n.label + rng.choice(["", "x"]))
+        else:
+            nodes[i] = dataclasses.replace(n, capacity=rng.choice([None, 0.0, 1.5, 4.0]))
+        return kind, nodes, edges
+    i = rng.randrange(len(edges))
+    e = edges[i]
+    if kind == "int weight":
+        edges[i] = dataclasses.replace(e, weight=int(e.weight) if e.weight.is_integer() else e.weight + 1)
+    elif kind == "weight":
+        edges[i] = dataclasses.replace(e, weight=rng.choice([0.25, 1.0, 3.0]))
+    else:
+        edges[i] = dataclasses.replace(e, objective_cost=rng.choice([0.0, 0.5, 5.0]))
+    return kind, nodes, edges
+
+
+def test_equality_matches_view_equality():
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(400):
+        nodes, edges = _random_parts(rng)
+        a = build_graph(nodes, edges)
+        loaded = graph_from_dict(json.loads(json.dumps(graph_to_dict(a))))
+        pairs = [("equal", a, build_graph(nodes, edges)), ("equal", a, loaded)]
+        kind, changed_nodes, changed_edges = _one_change(rng, nodes, edges)
+        pairs.append((kind, a, build_graph(changed_nodes, changed_edges)))
+        for kind, x, y in pairs:
+            want = reference_graph_eq(x, y)
+            assert (x == y) is want and (y == x) is want and (x != y) is not want
+            outcomes.add((kind, want))
+    assert outcomes >= {("equal", True)} | {
+        (kind, want) for kind in ("label", "capacity", "weight", "objective_cost") for want in (True, False)
+    } | {("int weight", True)}
+    assert demo_graph() != object() and demo_graph() != "graph"
+
+
+def test_with_weights_shares_the_index_and_leaves_the_input_alone():
+    graph = demo_graph(objective_costs={("v1", "v2"): 0.5})
+    view = graph.edges
+    before = list(graph.weights)
+    weights = [float(i + 2) for i in range(len(before))]
+    reweighted = graph.with_weights(weights)
+    assert graph.weights == before and graph.edges is view
+    assert [e.weight for e in view] == before
+    assert reweighted.weights is weights and "edges" not in vars(reweighted)
+    assert [e.weight for e in reweighted.edges] == weights
+    for name in ("ids", "index", "labels", "effectiveness", "costs", "capacities", "src", "dst",
+                 "consumption", "out_start", "out_order", "in_start", "in_order"):
+        assert getattr(reweighted, name) is getattr(graph, name)
+    rebuilt = build_graph(graph.nodes, [dataclasses.replace(e, weight=w) for e, w in zip(view, weights)])
+    assert reweighted == rebuilt and reweighted.edges == rebuilt.edges
+    assert weighted_centrality(reweighted) == weighted_centrality(rebuilt)
+
+
 # -- reference loader ----------------------------------------------------------
 #
 # The graph loader checked one item at a time, as it did before the column
@@ -270,7 +350,7 @@ class TestSerialization:
 # building an equal graph.
 
 def reference_validate_dag(graph):
-    ids = graph.node_ids()
+    ids = graph.ids
     order_index = {nid: i for i, nid in enumerate(ids)}
     indegree = {nid: 0 for nid in ids}
     for e in graph.edges:
@@ -419,7 +499,7 @@ def _outcome(load, *args, **kwargs):
         graph = load(*args, **kwargs)
     except Exception as exc:  # the reference and the loader must fail alike
         return ("raised", type(exc), str(exc), getattr(exc, "cycle", None))
-    return ("built", _typed(graph), graph.node_ids())
+    return ("built", _typed(graph), graph.ids)
 
 
 def assert_same_load(data, allow_cycles=False):
@@ -451,7 +531,7 @@ def assert_index_matches_objects(data, allow_cycles=False):
     from_columns = graph_from_dict(data, allow_cycles=allow_cycles)
     assert from_columns.nodes == from_objects.nodes == want.nodes
     assert from_columns.edges == from_objects.edges == want.edges
-    ids = from_objects.node_ids()
+    ids = from_objects.ids
     for nid in ids:
         out_edges = tuple(e for e in want.edges if e.src == nid)
         in_edges = tuple(e for e in want.edges if e.dst == nid)
@@ -757,7 +837,7 @@ class TestForwardOrder:
         for k in range(200):
             data = random_graph_dict(rng, forward=True)
             graph = reference_graph_from_dict(data)
-            assert validate_dag(graph) == reference_validate_dag(graph) == list(graph.node_ids())
+            assert validate_dag(graph) == reference_validate_dag(graph) == list(graph.ids)
             if k % 5 == 0:
                 assert_index_matches_objects(data)
 
@@ -767,7 +847,7 @@ class TestForwardOrder:
         for k in range(200):
             data = random_graph_dict(rng, forward=False)
             graph, want = graph_from_dict(data), reference_graph_from_dict(data)
-            position = {nid: i for i, nid in enumerate(graph.node_ids())}
+            position = {nid: i for i, nid in enumerate(graph.ids)}
             backward += any(position[e.src] > position[e.dst] for e in graph.edges)
             assert validate_dag(graph) == reference_validate_dag(want)
             if k % 5 == 0:
@@ -810,8 +890,8 @@ class TestQueriesReadTheIndex:
             graph = load_graph(path)
             validate_stage(graph)
             weighted_centrality(graph)
-            for source in graph.node_ids():
-                for target in graph.node_ids():
+            for source in graph.ids:
+                for target in graph.ids:
                     for tau in (None, 2.0):
                         _answer(find_optimal_path, graph, source, target, tau)
             assert built == []

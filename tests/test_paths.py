@@ -168,7 +168,7 @@ class TestFindOptimalPath:
             g = random_dag(rng, max_nodes=8)
             if not g.edges:
                 continue
-            nodes = g.node_ids()
+            nodes = g.ids
             source, target = nodes[0], nodes[-1]
             tau = rng.choice([None, 0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
             want = oracle_best(g, source, target, tau)
@@ -186,7 +186,7 @@ class TestFindOptimalPath:
         rng = random.Random(77)
         for _ in range(30):
             g = random_dag(rng, max_nodes=7)
-            nodes = g.node_ids()
+            nodes = g.ids
             source, target = nodes[0], nodes[-1]
             costs = []
             for tau in (0.5, 1.0, 2.0, 5.0, None):
@@ -201,7 +201,7 @@ class TestFindOptimalPath:
         rng = random.Random(11)
         for _ in range(20):
             g = random_dag(rng, max_nodes=6)
-            ids = g.node_ids()
+            ids = g.ids
             for target in ids[1:]:
                 want = oracle_best(g, ids[0], target, None)
                 if want is None:
@@ -219,7 +219,7 @@ class TestFindOptimalPath:
                 validate_dag(g)
             except CycleDetected:
                 cyclic += 1
-            source, target = rng.sample(g.node_ids(), 2)
+            source, target = rng.sample(g.ids, 2)
             tau = rng.choice([None, 0.0, 0.5, 1.0, 2.0, 4.0])
             want = simple_path_best(g, source, target, tau)
             if want is None:
@@ -287,7 +287,7 @@ class TestEnumeratePaths:
         rng = random.Random(8)
         for _ in range(20):
             g = random_dag(rng, max_nodes=6)
-            ids = g.node_ids()
+            ids = g.ids
             for p in enumerate_paths(g, ids[0], ids[-1]):
                 pairs = list(zip(p.nodes, p.nodes[1:]))
                 assert p.cost == pytest.approx(sum(g.edge(a, b).weight for a, b in pairs), abs=1e-9)

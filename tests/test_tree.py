@@ -531,6 +531,27 @@ class TestPredict:
 
     def test_predict_many_no_rows(self):
         assert predict_many(self.model, []) == []
+        assert predict_many(self.model, np.empty((0, 1))) == []
+
+    @pytest.mark.parametrize(
+        "X,lacks",
+        [([[0.0]], "f1"), ([[1.0], [0.0]], "f1"), ([[]], "f0"), ([0.0, 1.0], "f0"), ([[float("nan")]], "f1")],
+    )
+    def test_short_rows_name_the_first_missing_feature(self, X, lacks):
+        with pytest.raises(MissingFeature, match=f"^row 0 lacks feature '{lacks}'$"):
+            predict_many(self.model, X)
+
+    def test_short_rows_are_missing_whatever_path_they_take(self):
+        data = dataset([[0.0, 0.9], [0.2, 0.4], [0.8, 0.1], [1.0, 0.7]], [0, 0, 1, 1], names=("a", "b"))
+        model = fit_tree(data, TreeParams(max_depth=1, min_samples_leaf=1, criterion="entropy"))
+        leaf = fit_tree(data, TreeParams(max_depth=0, min_samples_leaf=1, criterion="entropy"))
+        assert {node.feature for node in model.nodes if node.kind == "split"} == {0}
+        for tree in (model, leaf):
+            with pytest.raises(MissingFeature, match="^row 0 lacks feature 'b'$"):
+                predict_many(tree, [[0.1]])
+
+    def test_extra_columns_are_ignored(self):
+        assert predict_many(self.model, [[0.0, 1.0, 7.0], [1.0, 1.0, float("nan")]]) == [1, 0]
 
 
 def reference_feature_importance(tree):
