@@ -5,14 +5,14 @@ tests hold them to exact equality against brute-force oracles. Comparing
 accumulated float sums cannot honor that: addition order perturbs ties. Every
 finite float is a dyadic rational, so a family of floats can be rewritten as
 integers over one shared power-of-two denominator; integer sums are exact and
-order-free, and converting a final sum back through Fraction yields the
-correctly rounded float regardless of how the optimum was assembled.
+order-free, and converting a final sum back by int true division, which
+CPython rounds correctly, yields the correctly rounded float regardless of
+how the optimum was assembled.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import FloatRangeExceeded
@@ -36,7 +36,7 @@ def integer_sum_to_float(total: int, denominator: int) -> float:
     """Correctly rounded float of the exact rational total/denominator;
     FloatRangeExceeded where that is beyond the largest float."""
     try:
-        return float(Fraction(total, denominator))
+        return total / denominator
     except OverflowError:
         raise FloatRangeExceeded("an exact sum is beyond the float range") from None
 

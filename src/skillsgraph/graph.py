@@ -99,7 +99,7 @@ class SkillsGraph:
       (in_order[in_start[i]:in_start[i + 1]]), in edge order.
 
     The nodes and edges views, which out_edges, in_edges, node and edge hand
-    out, are built from the columns on first use and kept.
+    out, are built from the columns on first use and kept, and so is rank.
     SkillsGraph(nodes, edges) checks nothing; with_weights re-weights a
     graph and shares the rest of its index.
     """
@@ -128,9 +128,31 @@ class SkillsGraph:
         ends = map(ids.__getitem__, self.src), map(ids.__getitem__, self.dst)
         return tuple(map(DependencyEdge, *ends, self.weights, self.consumption))
 
+    @cached_property
+    def rank(self) -> Sequence[int] | None:
+        """Each node's position in the topological order validate_dag
+        returns, by node position; None where the graph has a cycle.
+
+        When every edge runs from an earlier node to a later one, that is the
+        node order itself, found in one pass over the edges: once the nodes
+        before node k are out, Kahn's algorithm finds node k ready, and it is
+        the earliest node still waiting.
+        """
+        n = len(self.ids)
+        if all(map(lt, self.src, self.dst)):
+            return range(n)
+        order = _kahn(self)
+        if len(order) < n:
+            return None
+        rank = [0] * n
+        for position, node in enumerate(order):
+            rank[node] = position
+        return rank
+
     def with_weights(self, weights: list) -> SkillsGraph:
         """This graph with weights (in edge order) as its edge weights, sharing
-        every other column; nothing is checked and Kahn does not run again."""
+        every other column and a rank already computed; nothing is checked
+        and Kahn does not run again."""
         graph = object.__new__(type(self))
         vars(graph).update(vars(self), weights=weights)
         vars(graph).pop("edges", None)  # a kept view holds the old weights
@@ -358,22 +380,14 @@ def _witness_cycle(graph: SkillsGraph, stuck: set[int]) -> list[str]:
     return list(map(graph.ids.__getitem__, cycle[:1] + cycle[:0:-1]))
 
 
-def validate_dag(graph: SkillsGraph) -> list[str]:
-    """Kahn's algorithm; ties go to node insertion order.
+def _kahn(graph: SkillsGraph) -> list[int]:
+    """Kahn's algorithm over node positions; ties go to node insertion order.
 
-    Returns the topological order of node ids, or raises CycleDetected whose
-    .cycle attribute carries one witness cycle.
-
-    When every edge runs from an earlier node to a later one, the node order
-    is returned after one pass over the edges. Kahn's algorithm returns that
-    very order there: once the nodes before node k are out, node k is ready,
-    and it is the earliest node still waiting.
+    Returns the positions in topological order; on a graph with a cycle, only
+    those of the nodes no cycle holds back.
     """
-    ids, dst = graph.ids, graph.dst
-    if all(map(lt, graph.src, dst)):
-        return list(ids)
-
-    indegree = [0] * len(ids)
+    dst = graph.dst
+    indegree = [0] * len(graph.ids)
     for i in dst:
         indegree[i] += 1
     start, order = graph.out_start, graph.out_order
@@ -388,12 +402,25 @@ def validate_dag(graph: SkillsGraph) -> list[str]:
             indegree[dst[e]] -= 1
             if indegree[dst[e]] == 0:
                 heapq.heappush(frontier, dst[e])
+    return result
 
-    if len(result) != len(ids):
-        stuck = set(range(len(ids))).difference(result)
+
+def validate_dag(graph: SkillsGraph) -> list[str]:
+    """Kahn's algorithm; ties go to node insertion order.
+
+    Returns the topological order of node ids, or raises CycleDetected whose
+    .cycle attribute carries one witness cycle. The order is read from
+    graph.rank, which is computed on the first call and kept.
+    """
+    rank = graph.rank
+    if rank is None:
+        stuck = set(range(len(graph.ids))).difference(_kahn(graph))
         cycle = _witness_cycle(graph, stuck)
         raise CycleDetected(f"graph contains a cycle: {' -> '.join(cycle)}", cycle=cycle)
-    return list(map(ids.__getitem__, result))
+    order = [None] * len(rank)
+    for node_id, position in zip(graph.ids, rank):
+        order[position] = node_id
+    return order
 
 
 def out_weight_shares(weights: Sequence[float], start: Sequence[int]) -> list[float]:
@@ -556,6 +583,14 @@ def _read_edges(raws: list) -> list[list]:
     return _edge_columns(_edges_by_item(raws)) if columns is None else columns
 
 
+def _read_graph(data: Mapping) -> tuple[list[list], list[list]]:
+    """The node and edge columns of a graph's JSON form, nodes read first."""
+    _require_keys(data, {"nodes", "edges"}, {"nodes", "edges"}, "graph")
+    if not isinstance(data["nodes"], list) or not isinstance(data["edges"], list):
+        raise GraphFormatError("graph: 'nodes' and 'edges' must be arrays")
+    return _read_nodes(data["nodes"]), _read_edges(data["edges"])
+
+
 def graph_from_dict(data: Mapping, allow_cycles: bool = False) -> SkillsGraph:
     """Read a graph from its JSON form; see build_graph for the checks.
 
@@ -565,10 +600,7 @@ def graph_from_dict(data: Mapping, allow_cycles: bool = False) -> SkillsGraph:
     go to the checks and into the graph's index as they are; no SkillNode
     or DependencyEdge is built unless a check fails or a view is asked for.
     """
-    _require_keys(data, {"nodes", "edges"}, {"nodes", "edges"}, "graph")
-    if not isinstance(data["nodes"], list) or not isinstance(data["edges"], list):
-        raise GraphFormatError("graph: 'nodes' and 'edges' must be arrays")
-    return _checked_graph(_read_nodes(data["nodes"]), _read_edges(data["edges"]), allow_cycles)
+    return _checked_graph(*_read_graph(data), allow_cycles)
 
 
 def graph_to_dict(graph: SkillsGraph) -> dict:
@@ -587,7 +619,10 @@ def graph_to_dict(graph: SkillsGraph) -> dict:
 
 
 def load_graph(path, allow_cycles: bool = False) -> SkillsGraph:
-    return graph_from_dict(load_json(path, GraphFormatError), allow_cycles=allow_cycles)
+    """graph_from_dict of the file's JSON; the parsed document is dropped
+    once its columns are read, before the checks build the index."""
+    columns = _read_graph(load_json(path, GraphFormatError))
+    return _checked_graph(*columns, allow_cycles)
 
 
 def save_graph(graph: SkillsGraph, path) -> None:

@@ -5,10 +5,24 @@ and a query may cap the total consumption at tau. One exact best-first search
 answers both kinds of query (Irnich & Desaulniers 2005): labels leave a heap
 in (cost, node sequence) order, so ties on cost go to the lexicographically
 smallest node sequence, and the first label to reach the target is the
-answer. A constrained query keeps a label only while its consumption is
-strictly below that of every earlier label at its node, since a pricier
-prefix that consumes less can still win later; without tau the first label
-at each node wins, which is Dijkstra.
+answer.
+
+A constrained query first walks the target's ancestors once, in descending
+topological rank, for two exact bounds per node (Dumitrescu & Boland 2003):
+need, the least consumption on to the target, and most, the largest. A label
+is pushed only if its consumption plus need[v] fits under the cap. At a node
+v, a later label is kept only while its consumption is strictly below that
+of every earlier label there, since a pricier prefix that consumes less can
+still win later. But a label L kept at v with used + most[v] <= cap closes
+v, and no later label is pushed or kept there. That is exact: labels pop in
+(cost, nodes) order, so a later label L' at v has (cost', nodes') >= (cost,
+nodes), and with positive weights neither sequence is a prefix of the other
+when the costs tie; so for every completion P, L + P comes before L' + P,
+and L + P is feasible because the consumption of P is at most most[v].
+Without tau every node closes at its first label, which is Dijkstra.
+
+A graph with a cycle (only allow_cycles builds one) has no finite most.
+There need comes from a reverse Dijkstra, and no node closes early.
 
 All comparisons happen on exact integer renditions of the float inputs (see
 exact.py), so optima and ties are well-defined and reproducible.
@@ -17,14 +31,12 @@ exact.py), so optima and ties are well-defined and reproducible.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidQuery, NoFeasiblePath, UnknownNode
 from .exact import integer_sum_to_float, scale_to_integers
-from .graph import SkillsGraph, validate_dag
+from .graph import SkillsGraph, finite_number, validate_dag
 
 
 @dataclass(frozen=True)
@@ -71,7 +83,8 @@ def _edges_into(graph: SkillsGraph, target: int) -> list[int]:
 
 
 def _least_consumption(graph: SkillsGraph, scaled: list, target: int) -> dict:
-    """Reverse Dijkstra: least exact consumption from each node to target."""
+    """Reverse Dijkstra: least exact consumption from each node to target,
+    for a graph with a cycle, where _bounds has no topological rank."""
     into: dict[int, list] = {}
     for e, _, consumption in scaled:
         into.setdefault(graph.dst[e], []).append((graph.src[e], consumption))
@@ -89,6 +102,18 @@ def _least_consumption(graph: SkillsGraph, scaled: list, target: int) -> dict:
     return need
 
 
+def _bounds(graph: SkillsGraph, succ: dict, target: int) -> tuple[dict, dict]:
+    """Least and largest exact consumption from each node to target, in one
+    walk of target's ancestors in descending topological rank: every
+    successor of a node ranks above it, so its bounds are final first."""
+    need, most = {target: 0}, {target: 0}
+    for node in sorted(succ, key=graph.rank.__getitem__, reverse=True):
+        arcs = succ[node]
+        need[node] = min(consumption + need[nxt] for nxt, _, _, consumption in arcs)
+        most[node] = max(consumption + most[nxt] for nxt, _, _, consumption in arcs)
+    return need, most
+
+
 def _search(graph: SkillsGraph, source: str, target: str, tau: float | None) -> Path:
     """Least (cost, node sequence) path with consumption <= tau, exact.
 
@@ -103,29 +128,35 @@ def _search(graph: SkillsGraph, source: str, target: str, tau: float | None) -> 
     for e, weight, consumption in scaled:
         succ.setdefault(src[e], []).append((dst[e], ids[dst[e]], weight, consumption))
 
-    if tau is None:
-        cap, need = None, None
-    else:
+    cap = need = most = None
+    if tau is not None:
         # consumption is an integer count of 1/cden units, so <= tau is <= cap
-        cap = math.floor(Fraction(tau) * cden)
-        need = _least_consumption(graph, scaled, goal)
+        numerator, denominator = tau.as_integer_ratio()
+        cap = numerator * cden // denominator
+        if graph.rank is None:
+            need = _least_consumption(graph, scaled, goal)
+        else:
+            need, most = _bounds(graph, succ, goal)
 
-    # kept[node]: consumption of the last label kept there; labels pop in
-    # (cost, nodes) order, so a later one survives only by consuming less
+    # kept[node]: a later label there is kept only if it consumes less; labels
+    # pop in (cost, nodes) order, so a kept label that no completion can take
+    # past the cap closes its node (0), and without tau every node closes
     kept: dict[int, int] = {}
-    heap = [(0, (source,), 0, start)]
+    # a source with no edge on to target starts no search
+    heap = [(0, (source,), 0, start)] if start in succ else []
     while heap:
         cost, nodes, used, node = heapq.heappop(heap)
-        if node in kept and (cap is None or used >= kept[node]):
+        if node in kept and used >= kept[node]:
             continue
         if node == goal:
             return Path(nodes, integer_sum_to_float(cost, wden), integer_sum_to_float(used, cden))
-        kept[node] = used
+        closes = cap is None or (most is not None and used + most[node] <= cap)
+        kept[node] = 0 if closes else used
         for nxt, nxt_id, weight, consumption in succ.get(node, ()):
             total = used + consumption
             if cap is not None and total + need[nxt] > cap:
                 continue
-            if nxt in kept and (cap is None or total >= kept[nxt]):
+            if nxt in kept and total >= kept[nxt]:
                 continue
             heapq.heappush(heap, (cost + weight, nodes + (nxt_id,), total, nxt))
     within = "" if tau is None else f" with consumption <= {tau}"
@@ -138,10 +169,11 @@ def find_optimal_path(
     """Cheapest path by total weight, optionally capping objective consumption.
 
     Among equal-cost feasible paths the lexicographically smallest node
-    sequence is returned. tau=None means unconstrained.
+    sequence is returned. tau=None means unconstrained; otherwise tau must
+    be a finite int or float >= 0 (InvalidQuery).
     """
     _check_endpoints(graph, source, target)
-    if tau is not None and (not math.isfinite(tau) or tau < 0):
+    if tau is not None and (not finite_number(tau) or tau < 0):
         raise InvalidQuery(f"tau must be finite and >= 0, got {tau!r}")
     if source == target:
         return Path(nodes=(source,), cost=0.0, objective=0.0)

@@ -335,7 +335,7 @@ def test_with_weights_shares_the_index_and_leaves_the_input_alone():
     assert reweighted.weights is weights and "edges" not in vars(reweighted)
     assert [e.weight for e in reweighted.edges] == weights
     for name in ("ids", "index", "labels", "effectiveness", "costs", "capacities", "src", "dst",
-                 "consumption", "out_start", "out_order", "in_start", "in_order"):
+                 "consumption", "out_start", "out_order", "in_start", "in_order", "rank"):
         assert getattr(reweighted, name) is getattr(graph, name)
     rebuilt = build_graph(graph.nodes, [dataclasses.replace(e, weight=w) for e, w in zip(view, weights)])
     assert reweighted == rebuilt and reweighted.edges == rebuilt.edges
@@ -854,6 +854,18 @@ class TestForwardOrder:
                 assert_index_matches_objects(data)
         assert backward > 100
 
+    def test_rank_is_each_node_position_in_the_kahn_order(self):
+        rng = random.Random(14)
+        for k in range(200):
+            data = random_graph_dict(rng, forward=k % 2 == 0)
+            graph = graph_from_dict(data, allow_cycles=True)
+            want = reference_validate_dag(reference_graph_from_dict(data))
+            assert list(graph.rank) == [want.index(nid) for nid in graph.ids]
+            # validate_dag reads the kept rank, and a re-weighted graph shares it
+            rank = graph.rank
+            assert validate_dag(graph) == validate_dag(graph) == want
+            assert graph.rank is rank and graph.with_weights(list(graph.weights)).rank is rank
+
     def test_cycle_among_backward_edges(self):
         rng = random.Random(13)
         for k in range(200):
@@ -866,6 +878,7 @@ class TestForwardOrder:
             with pytest.raises(CycleDetected) as got:
                 validate_dag(graph)
             assert (str(got.value), got.value.cycle) == (str(want.value), want.value.cycle)
+            assert graph.rank is None
             if k % 5 == 0:
                 assert_index_matches_objects(data, allow_cycles=True)
 

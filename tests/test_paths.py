@@ -1,5 +1,7 @@
 """Constrained path search against a brute-force enumeration oracle."""
 
+import heapq
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +9,9 @@ import pytest
 
 from skillsgraph import DependencyEdge, SkillNode, build_graph, enumerate_paths, find_optimal_path
 from skillsgraph.errors import CycleDetected, InvalidQuery, NoFeasiblePath, UnknownNode
+from skillsgraph.exact import integer_sum_to_float
 from skillsgraph.graph import validate_dag
+from skillsgraph.paths import Path, _edges_into, _scaled
 from tests.conftest import DEMO_EDGE_PAIRS, demo_graph, random_dag
 
 # objective costs used by the constrained fixture: the direct shortcut is
@@ -108,6 +112,102 @@ def layered_best(arcs, ids, source, target, cap):
     return min(finals.values()) if finals else None
 
 
+# -- reference search ----------------------------------------------------------
+#
+# The label-setting search as it was before the topological bounds: need
+# comes from a reverse Dijkstra, the cap from a Fraction, and a later label
+# at a node is kept whenever it consumes less than every earlier one there,
+# however slack the cap. find_optimal_path must give the same Path, or the
+# same NoFeasiblePath, on every query.
+
+def reference_least_consumption(graph, scaled, target):
+    into = {}
+    for e, _, consumption in scaled:
+        into.setdefault(graph.dst[e], []).append((graph.src[e], consumption))
+    need = {target: 0}
+    heap = [(0, target)]
+    while heap:
+        used, node = heapq.heappop(heap)
+        if used > need[node]:
+            continue
+        for src, consumption in into.get(node, ()):
+            total = used + consumption
+            if src not in need or total < need[src]:
+                need[src] = total
+                heapq.heappush(heap, (total, src))
+    return need
+
+
+def reference_search(graph, source, target, tau):
+    start, goal = graph.index[source], graph.index[target]
+    scaled, wden, cden = _scaled(graph, _edges_into(graph, goal))
+    ids, src, dst = graph.ids, graph.src, graph.dst
+    succ = {}
+    for e, weight, consumption in scaled:
+        succ.setdefault(src[e], []).append((dst[e], ids[dst[e]], weight, consumption))
+    if tau is None:
+        cap, need = None, None
+    else:
+        cap = math.floor(Fraction(tau) * cden)
+        need = reference_least_consumption(graph, scaled, goal)
+    kept = {}
+    heap = [(0, (source,), 0, start)]
+    while heap:
+        cost, nodes, used, node = heapq.heappop(heap)
+        if node in kept and (cap is None or used >= kept[node]):
+            continue
+        if node == goal:
+            return Path(nodes, integer_sum_to_float(cost, wden), integer_sum_to_float(used, cden))
+        kept[node] = used
+        for nxt, nxt_id, weight, consumption in succ.get(node, ()):
+            total = used + consumption
+            if cap is not None and total + need[nxt] > cap:
+                continue
+            if nxt in kept and (cap is None or total >= kept[nxt]):
+                continue
+            heapq.heappush(heap, (cost + weight, nodes + (nxt_id,), total, nxt))
+    within = "" if tau is None else f" with consumption <= {tau}"
+    raise NoFeasiblePath(f"no path from {source!r} to {target!r}{within}")
+
+
+def outcome(search, graph, source, target, tau):
+    """The Path a search returns, or its NoFeasiblePath message."""
+    try:
+        return search(graph, source, target, tau)
+    except NoFeasiblePath as exc:
+        return str(exc)
+
+
+def shuffled_dag(rng, **choices):
+    """random_dag's graph with its nodes and edges listed in shuffled order,
+    so that Kahn's algorithm, not the listing, sets the topological rank."""
+    g = random_dag(rng, **choices)
+    nodes, edges = list(g.nodes), list(g.edges)
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    return build_graph(nodes, edges)
+
+
+def consumption_range(graph, source, target):
+    """Least and largest exact consumption over the paths source -> target."""
+    sums = [
+        sum((Fraction(graph.edge(a, b).objective_cost) for a, b in zip(p.nodes, p.nodes[1:])), Fraction(0))
+        for p in enumerate_paths(graph, source, target)
+    ]
+    return (min(sums), max(sums)) if sums else None
+
+
+def taus_around(values):
+    """For each exact value: its nearest float, the floats either side of
+    that, a quarter below and above, and the whole numbers either side."""
+    taus = set()
+    for value in values:
+        near = float(value)
+        taus.update({near, math.nextafter(near, -math.inf), math.nextafter(near, math.inf)})
+        taus.update({near - 0.25, near + 0.25, math.floor(value), math.ceil(value)})
+    return sorted(tau for tau in taus if tau >= 0)
+
+
 class TestFindOptimalPath:
     def test_unbounded_takes_direct_edge(self, five_node_graph):
         p = find_optimal_path(five_node_graph, "v1", "v5")
@@ -156,9 +256,11 @@ class TestFindOptimalPath:
         with pytest.raises(UnknownNode):
             find_optimal_path(five_node_graph, "v1", "zz")
 
-    @pytest.mark.parametrize("tau", [-1.0, float("nan"), float("-inf")])
+    @pytest.mark.parametrize(
+        "tau", [-1.0, float("nan"), float("-inf"), pytest.param(10**400, id="10**400"), "2", True]
+    )
     def test_bad_tau(self, five_node_graph, tau):
-        with pytest.raises(InvalidQuery):
+        with pytest.raises(InvalidQuery, match="tau must be finite and >= 0"):
             find_optimal_path(five_node_graph, "v1", "v5", tau=tau)
 
     def test_oracle_agreement_100_random_dags(self):
@@ -254,6 +356,111 @@ class TestFindOptimalPath:
         assert find_optimal_path(g, source, target).nodes == free[1]
         with pytest.raises(NoFeasiblePath):
             find_optimal_path(g, source, target, tau=least - 0.5)
+
+
+class TestBoundsAndClosing:
+    def test_shuffled_dags_match_reference_around_each_bound(self):
+        # tau between, at, just below and just above each query's least and
+        # largest consumption; 0.1 makes sums that no float holds exactly
+        rng = random.Random(3101)
+        kinds, kahn = set(), 0
+        for _ in range(60):
+            g = shuffled_dag(rng, objective_choices=[0.0, 0.1, 0.5, 1.0, 2.0])
+            kahn += not isinstance(g.rank, range)
+            for source in g.ids:
+                for target in g.ids:
+                    if source == target:
+                        continue
+                    bounds = consumption_range(g, source, target)
+                    between = [float((3 * bounds[0] + bounds[1]) / 4), float(sum(bounds) / 2)] if bounds else []
+                    for tau in [None] + between + taus_around(bounds or ()):
+                        got = outcome(find_optimal_path, g, source, target, tau)
+                        assert got == outcome(reference_search, g, source, target, tau)
+                        slack = tau is None or (bounds is not None and tau >= bounds[1])
+                        kinds.add((type(got).__name__, slack))
+        # found and not found, each under a slack and a binding tau; a slack
+        # tau misses only where there is no path at all
+        assert kinds == {("Path", True), ("Path", False), ("str", True), ("str", False)}
+        assert kahn > 30
+
+    def test_equal_cost_ties_match_reference(self):
+        rng = random.Random(3102)
+        for _ in range(60):
+            g = shuffled_dag(rng, weight_choices=[1.0], objective_choices=[0.0, 1.0])
+            source, target = rng.sample(g.ids, 2)
+            for tau in (None, 0, 1, 2.0, 3, 100):
+                assert outcome(find_optimal_path, g, source, target, tau) == outcome(
+                    reference_search, g, source, target, tau
+                )
+
+    def test_closing_keeps_a_dearer_label_that_consumes_less(self):
+        # (a, b, d) reaches d first, at cost 2 using 1; (a, c, d) follows at
+        # cost 3 using 0. From d, t costs 5 directly and 2 through e, which
+        # uses 1. Under tau = 1 the first label must leave d open, since only
+        # the second can afford e; under tau = 2 it closes d and wins.
+        g = build_graph(
+            [SkillNode(x, x) for x in "abcdet"],
+            [
+                DependencyEdge("a", "b", 1.0, 1.0),
+                DependencyEdge("a", "c", 2.0, 0.0),
+                DependencyEdge("b", "d", 1.0, 0.0),
+                DependencyEdge("c", "d", 1.0, 0.0),
+                DependencyEdge("d", "t", 5.0, 0.0),
+                DependencyEdge("d", "e", 1.0, 1.0),
+                DependencyEdge("e", "t", 1.0, 0.0),
+            ],
+        )
+        want = {0: ("a", "c", "d", "t"), 1: ("a", "c", "d", "e", "t"), 2: ("a", "b", "d", "e", "t")}
+        for tau, nodes in want.items():
+            assert find_optimal_path(g, "a", "t", tau).nodes == nodes
+            assert find_optimal_path(g, "a", "t", float(tau)) == reference_search(g, "a", "t", float(tau))
+
+    def test_unreachable_source(self):
+        g = build_graph(
+            [SkillNode(x, x) for x in "abcd"],
+            [DependencyEdge("a", "b", 1.0, 1.0), DependencyEdge("c", "d", 1.0, 1.0)],
+        )
+        # a has an edge, but none on to d; b has no out-edge at all
+        for source in ("a", "b"):
+            for tau in (None, 0.0, 5.0):
+                with pytest.raises(NoFeasiblePath) as got:
+                    find_optimal_path(g, source, "d", tau)
+                assert str(got.value) == outcome(reference_search, g, source, "d", tau)
+
+    def test_cyclic_graphs_match_reference(self):
+        rng = random.Random(3103)
+        for _ in range(200):
+            g = random_digraph(rng)
+            source, target = rng.sample(g.ids, 2)
+            for tau in (None, 0.0, 0.5, 1.0, 2.0, 4.0, 100.0):
+                assert outcome(find_optimal_path, g, source, target, tau) == outcome(
+                    reference_search, g, source, target, tau
+                )
+
+    def test_slack_tau_pushes_each_relevant_edge_at_most_once(self, monkeypatch):
+        rng = random.Random(4025)
+        g, arcs, ids = layered_dag(rng)
+        source, target = ids[0][0], ids[-1][7]
+        most = {source: 0}
+        for a, b, _, c in arcs:  # listed layer by layer, so most[a] is final
+            if a in most:
+                most[b] = max(most.get(b, most[a] + c), most[a] + c)
+        tau = float(most[target])
+        pushes = []
+        push = heapq.heappush
+        monkeypatch.setattr(heapq, "heappush", lambda heap, item: (pushes.append(item), push(heap, item)))
+
+        got = find_optimal_path(g, source, target, tau)
+        closing = len(pushes)
+        relevant = _edges_into(g, g.index[target])
+        scaled, _, _ = _scaled(g, relevant)
+        pushes.clear()
+        reference_least_consumption(g, scaled, g.index[target])
+        bound = len(pushes)
+        pushes.clear()
+        want = reference_search(g, source, target, tau)
+        assert got == want == find_optimal_path(g, source, target)
+        assert closing <= len(relevant) < len(pushes) - bound
 
 
 class TestEnumeratePaths:
