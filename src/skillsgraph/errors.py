@@ -187,6 +187,11 @@ class CountsFormatError(InputError):
     pass
 
 
+class ChainTooLarge(DomainError):
+    """A counts file with more states than MAX_STATES, or a step count whose
+    work (steps x states^2) is beyond MAX_STEP_WORK."""
+
+
 # learner
 
 class PartitionMismatch(DomainError):

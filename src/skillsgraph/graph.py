@@ -100,8 +100,10 @@ class SkillsGraph:
 
     The nodes and edges views, which out_edges, in_edges, node and edge hand
     out, are built from the columns on first use and kept, and so is rank.
-    SkillsGraph(nodes, edges) checks nothing; with_weights re-weights a
-    graph and shares the rest of its index.
+    SkillsGraph(nodes, edges) checks nothing, so a cycle in a graph built
+    that way shows only where rank is read: validate_dag and every path
+    query raise CycleDetected. with_weights re-weights a graph and shares
+    the rest of its index.
     """
 
     def __init__(self, nodes: Sequence[SkillNode], edges: Sequence[DependencyEdge]):
@@ -129,9 +131,10 @@ class SkillsGraph:
         return tuple(map(DependencyEdge, *ends, self.weights, self.consumption))
 
     @cached_property
-    def rank(self) -> Sequence[int] | None:
+    def rank(self) -> Sequence[int]:
         """Each node's position in the topological order validate_dag
-        returns, by node position; None where the graph has a cycle.
+        returns, by node position; CycleDetected, with one witness cycle as
+        its .cycle, where the graph has a cycle.
 
         When every edge runs from an earlier node to a later one, that is the
         node order itself, found in one pass over the edges: once the nodes
@@ -143,7 +146,8 @@ class SkillsGraph:
             return range(n)
         order = _kahn(self)
         if len(order) < n:
-            return None
+            cycle = _witness_cycle(self, set(range(n)).difference(order))
+            raise CycleDetected(f"graph contains a cycle: {' -> '.join(cycle)}", cycle=cycle)
         rank = [0] * n
         for position, node in enumerate(order):
             rank[node] = position
@@ -317,7 +321,7 @@ def _edge_ends_in_bulk(edge_columns: list[list], index: dict[str, int]) -> tuple
     return src, dst
 
 
-def _checked_graph(node_columns: list[list], edge_columns: list[list], allow_cycles: bool) -> SkillsGraph:
+def _checked_graph(node_columns: list[list], edge_columns: list[list]) -> SkillsGraph:
     """Check the columns as build_graph does and index them.
 
     Nodes, then edges, are checked a column at a time; where that finds a
@@ -333,16 +337,11 @@ def _checked_graph(node_columns: list[list], edge_columns: list[list], allow_cyc
         ends = [list(map(index.__getitem__, column)) for column in edge_columns[:2]]
     graph = object.__new__(SkillsGraph)
     graph._hold(node_columns, index, *ends, *edge_columns[2:])
-    if not allow_cycles:
-        validate_dag(graph)  # raises CycleDetected with a witness
+    validate_dag(graph)  # raises CycleDetected with a witness
     return graph
 
 
-def build_graph(
-    nodes: Iterable[SkillNode],
-    edges: Iterable[DependencyEdge],
-    allow_cycles: bool = False,
-) -> SkillsGraph:
+def build_graph(nodes: Iterable[SkillNode], edges: Iterable[DependencyEdge]) -> SkillsGraph:
     """Validate and assemble a graph.
 
     Node ids and labels must be strings. Ids must be unique (case sensitive)
@@ -350,8 +349,7 @@ def build_graph(
     "src->dst" key, so that every edge has its own key. Edge endpoints must
     exist, edges must be unique per (src, dst), self-loops are rejected,
     weights must be positive and finite, objective costs finite and >= 0.
-    Acyclicity is enforced unless allow_cycles is set (state-transition style
-    graphs).
+    The graph must be acyclic (CycleDetected, with one witness cycle).
 
     Nodes, then edges, are checked a column at a time; where that finds a
     fault, or a value it does not take in bulk, the per-item checks run and
@@ -359,7 +357,7 @@ def build_graph(
     field of the objects given in its columns, not the objects.
     """
     nodes, edges = tuple(nodes), tuple(edges)
-    return _checked_graph(_node_columns(nodes), _edge_columns(edges), allow_cycles)
+    return _checked_graph(_node_columns(nodes), _edge_columns(edges))
 
 
 def _witness_cycle(graph: SkillsGraph, stuck: set[int]) -> list[str]:
@@ -408,15 +406,11 @@ def _kahn(graph: SkillsGraph) -> list[int]:
 def validate_dag(graph: SkillsGraph) -> list[str]:
     """Kahn's algorithm; ties go to node insertion order.
 
-    Returns the topological order of node ids, or raises CycleDetected whose
-    .cycle attribute carries one witness cycle. The order is read from
-    graph.rank, which is computed on the first call and kept.
+    Returns the topological order of node ids: graph.rank inverted. The rank
+    is computed on the first call and kept; on a graph with a cycle it
+    raises CycleDetected whose .cycle attribute carries one witness cycle.
     """
     rank = graph.rank
-    if rank is None:
-        stuck = set(range(len(graph.ids))).difference(_kahn(graph))
-        cycle = _witness_cycle(graph, stuck)
-        raise CycleDetected(f"graph contains a cycle: {' -> '.join(cycle)}", cycle=cycle)
     order = [None] * len(rank)
     for node_id, position in zip(graph.ids, rank):
         order[position] = node_id
@@ -591,7 +585,7 @@ def _read_graph(data: Mapping) -> tuple[list[list], list[list]]:
     return _read_nodes(data["nodes"]), _read_edges(data["edges"])
 
 
-def graph_from_dict(data: Mapping, allow_cycles: bool = False) -> SkillsGraph:
+def graph_from_dict(data: Mapping) -> SkillsGraph:
     """Read a graph from its JSON form; see build_graph for the checks.
 
     Each array is read a column at a time. Where that finds a fault, or a
@@ -600,7 +594,7 @@ def graph_from_dict(data: Mapping, allow_cycles: bool = False) -> SkillsGraph:
     go to the checks and into the graph's index as they are; no SkillNode
     or DependencyEdge is built unless a check fails or a view is asked for.
     """
-    return _checked_graph(*_read_graph(data), allow_cycles)
+    return _checked_graph(*_read_graph(data))
 
 
 def graph_to_dict(graph: SkillsGraph) -> dict:
@@ -618,11 +612,11 @@ def graph_to_dict(graph: SkillsGraph) -> dict:
     return {"nodes": nodes, "edges": edges}
 
 
-def load_graph(path, allow_cycles: bool = False) -> SkillsGraph:
+def load_graph(path) -> SkillsGraph:
     """graph_from_dict of the file's JSON; the parsed document is dropped
     once its columns are read, before the checks build the index."""
     columns = _read_graph(load_json(path, GraphFormatError))
-    return _checked_graph(*columns, allow_cycles)
+    return _checked_graph(*columns)
 
 
 def save_graph(graph: SkillsGraph, path) -> None:

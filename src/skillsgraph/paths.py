@@ -21,8 +21,8 @@ when the costs tie; so for every completion P, L + P comes before L' + P,
 and L + P is feasible because the consumption of P is at most most[v].
 Without tau every node closes at its first label, which is Dijkstra.
 
-A graph with a cycle (only allow_cycles builds one) has no finite most.
-There need comes from a reverse Dijkstra, and no node closes early.
+Every query reads graph.rank first, so a graph with a cycle (which only the
+unchecked SkillsGraph(nodes, edges) builds) raises CycleDetected.
 
 All comparisons happen on exact integer renditions of the float inputs (see
 exact.py), so optima and ties are well-defined and reproducible.
@@ -36,7 +36,7 @@ from typing import Sequence
 
 from .errors import InvalidQuery, NoFeasiblePath, UnknownNode
 from .exact import integer_sum_to_float, scale_to_integers
-from .graph import SkillsGraph, finite_number, validate_dag
+from .graph import SkillsGraph, finite_number
 
 
 @dataclass(frozen=True)
@@ -82,26 +82,6 @@ def _edges_into(graph: SkillsGraph, target: int) -> list[int]:
     return edges
 
 
-def _least_consumption(graph: SkillsGraph, scaled: list, target: int) -> dict:
-    """Reverse Dijkstra: least exact consumption from each node to target,
-    for a graph with a cycle, where _bounds has no topological rank."""
-    into: dict[int, list] = {}
-    for e, _, consumption in scaled:
-        into.setdefault(graph.dst[e], []).append((graph.src[e], consumption))
-    need = {target: 0}
-    heap = [(0, target)]
-    while heap:
-        used, node = heapq.heappop(heap)
-        if used > need[node]:
-            continue
-        for src, consumption in into.get(node, ()):
-            total = used + consumption
-            if src not in need or total < need[src]:
-                need[src] = total
-                heapq.heappush(heap, (total, src))
-    return need
-
-
 def _bounds(graph: SkillsGraph, succ: dict, target: int) -> tuple[dict, dict]:
     """Least and largest exact consumption from each node to target, in one
     walk of target's ancestors in descending topological rank: every
@@ -133,10 +113,7 @@ def _search(graph: SkillsGraph, source: str, target: str, tau: float | None) -> 
         # consumption is an integer count of 1/cden units, so <= tau is <= cap
         numerator, denominator = tau.as_integer_ratio()
         cap = numerator * cden // denominator
-        if graph.rank is None:
-            need = _least_consumption(graph, scaled, goal)
-        else:
-            need, most = _bounds(graph, succ, goal)
+        need, most = _bounds(graph, succ, goal)
 
     # kept[node]: a later label there is kept only if it consumes less; labels
     # pop in (cost, nodes) order, so a kept label that no completion can take
@@ -150,7 +127,7 @@ def _search(graph: SkillsGraph, source: str, target: str, tau: float | None) -> 
             continue
         if node == goal:
             return Path(nodes, integer_sum_to_float(cost, wden), integer_sum_to_float(used, cden))
-        closes = cap is None or (most is not None and used + most[node] <= cap)
+        closes = cap is None or used + most[node] <= cap
         kept[node] = 0 if closes else used
         for nxt, nxt_id, weight, consumption in succ.get(node, ()):
             total = used + consumption
@@ -170,11 +147,13 @@ def find_optimal_path(
 
     Among equal-cost feasible paths the lexicographically smallest node
     sequence is returned. tau=None means unconstrained; otherwise tau must
-    be a finite int or float >= 0 (InvalidQuery).
+    be a finite int or float >= 0 (InvalidQuery). A graph with a cycle
+    raises CycleDetected.
     """
     _check_endpoints(graph, source, target)
     if tau is not None and (not finite_number(tau) or tau < 0):
         raise InvalidQuery(f"tau must be finite and >= 0, got {tau!r}")
+    graph.rank  # CycleDetected on a graph with a cycle; kept once computed
     if source == target:
         return Path(nodes=(source,), cost=0.0, objective=0.0)
 
@@ -187,7 +166,7 @@ def enumerate_paths(graph: SkillsGraph, source: str, target: str) -> list[Path]:
     Requires an acyclic graph; raises CycleDetected otherwise.
     """
     _check_endpoints(graph, source, target)
-    validate_dag(graph)
+    graph.rank  # CycleDetected on a graph with a cycle
     scaled, wden, cden = _scaled(graph, range(len(graph.src)))
     goal, ids, dst = graph.index[target], graph.ids, graph.dst
     start, order = graph.out_start, graph.out_order

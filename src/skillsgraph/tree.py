@@ -366,13 +366,9 @@ def _descend(tree: DecisionTree, X: np.ndarray, max_depth: int | None = None, st
     return predictions if stops is not None else predictions[0]
 
 
-def _score(tree: DecisionTree, data: PreparedDataset, max_depth: int | None = None) -> float:
-    """Accuracy on data of the tree cut off at max_depth (whole when None)."""
-    return _scores(tree, data, [max_depth])[0]
-
-
 def _scores(tree: DecisionTree, data: PreparedDataset, depths) -> list[float]:
-    """_score at each of depths, from one walk of data down the tree."""
+    """Accuracy on data of the tree cut off at each of depths (whole where
+    None), from one walk of data down the tree."""
     return [float(np.mean(p == data.y)) for p in _descend(tree, data.X, stops=depths)]
 
 
@@ -388,7 +384,7 @@ def predict_many(tree: DecisionTree, X) -> list:
 
 
 def accuracy(tree: DecisionTree, data: PreparedDataset) -> float:
-    return _score(tree, data)
+    return _scores(tree, data, [None])[0]
 
 
 def feature_importance(tree: DecisionTree) -> dict:

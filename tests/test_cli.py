@@ -18,6 +18,7 @@ import skillsgraph
 from skillsgraph import GridSpec, cli, generate_cohort, planted_profile, summarize, write_cohort_csv
 from skillsgraph.cli import MAX_GRID_CONFIGS, MAX_RANGE_VALUES, _parse_range, main
 from skillsgraph.cohort import report_to_dict
+from skillsgraph.markov import MAX_STATES, MAX_STEP_WORK
 
 ROOT = Path(__file__).resolve().parents[1]
 CASE_STUDY = ROOT / "scenarios" / "case_study"
@@ -503,6 +504,21 @@ class TestLoaderErrors:
             "markov", "--counts", str(CASE_STUDY / "transitions.csv"), "--iters", str(10**20),
         )
         assert "100000" in message
+
+    def test_markov_states_beyond_the_cap(self, capsys, tmp_path):
+        # refused at the header, before the malformed row below it is read
+        counts = tmp_path / "counts.csv"
+        counts.write_text(",".join(f"s{i}" for i in range(MAX_STATES + 1)) + "\nx\n")
+        message = assert_error(capsys, 1, "ChainTooLarge", "markov", "--counts", str(counts))
+        assert f"{MAX_STATES + 1} states" in message and f"MAX_STATES = {MAX_STATES}" in message
+
+    def test_markov_step_work_beyond_the_cap(self, capsys, tmp_path):
+        counts = tmp_path / "counts.csv"
+        n = 317
+        rows = [",".join("1" if i == j else "0" for j in range(n)) for i in range(n)]
+        counts.write_text("\n".join([",".join(f"s{i}" for i in range(n)), *rows]) + "\n")
+        message = assert_error(capsys, 1, "ChainTooLarge", "markov", "--counts", str(counts), "--iters", "100000")
+        assert str(100000 * n * n) in message and f"MAX_STEP_WORK = {MAX_STEP_WORK}" in message
 
     def test_counts_whose_row_sum_overflows(self, capsys, tmp_path):
         counts = tmp_path / "counts.csv"

@@ -129,10 +129,12 @@ class TestBuildValidation:
     def test_two_cycle_witness(self):
         nodes = [node(x) for x in "ab"]
         edges = [DependencyEdge("a", "b", 1.0), DependencyEdge("b", "a", 1.0)]
-        g = build_graph(nodes, edges, allow_cycles=True)
+        with pytest.raises(CycleDetected) as want:
+            reference_validate_dag(reference_build_graph(nodes, edges, allow_cycles=True))
         with pytest.raises(CycleDetected) as exc:
-            validate_dag(g)
+            build_graph(nodes, edges)
         assert sorted(exc.value.cycle) == ["a", "b"]
+        assert (str(exc.value), exc.value.cycle) == (str(want.value), want.value.cycle)
 
     def test_long_chain_into_two_cycle(self):
         # the stuck set is found in linear time; the witness is the 2-cycle
@@ -151,13 +153,6 @@ class TestBuildValidation:
         with pytest.raises(CycleDetected) as exc:
             build_graph(nodes, edges)
         assert sorted(exc.value.cycle) == ["a", "b"]
-
-    def test_allow_cycles_defers_check(self):
-        nodes = [node(x) for x in "ab"]
-        edges = [DependencyEdge("a", "b", 1.0), DependencyEdge("b", "a", 1.0)]
-        g = build_graph(nodes, edges, allow_cycles=True)
-        with pytest.raises(CycleDetected):
-            validate_dag(g)
 
 
 class TestTopologicalOrder:
@@ -502,15 +497,15 @@ def _outcome(load, *args, **kwargs):
     return ("built", _typed(graph), graph.ids)
 
 
-def assert_same_load(data, allow_cycles=False):
-    want = _outcome(reference_graph_from_dict, data, allow_cycles=allow_cycles)
-    assert _outcome(graph_from_dict, data, allow_cycles=allow_cycles) == want
+def assert_same_load(data):
+    want = _outcome(reference_graph_from_dict, data)
+    assert _outcome(graph_from_dict, data) == want
     return want
 
 
-def assert_same_build(nodes, edges, allow_cycles=False):
-    want = _outcome(reference_build_graph, nodes, edges, allow_cycles=allow_cycles)
-    assert _outcome(build_graph, nodes, edges, allow_cycles=allow_cycles) == want
+def assert_same_build(nodes, edges):
+    want = _outcome(reference_build_graph, nodes, edges)
+    assert _outcome(build_graph, nodes, edges) == want
     return want
 
 
@@ -521,14 +516,14 @@ def _answer(query, *args):
         return type(exc), str(exc), getattr(exc, "cycle", None)
 
 
-def assert_index_matches_objects(data, allow_cycles=False):
+def assert_index_matches_objects(data):
     """A graph that graph_from_dict indexes from the JSON columns answers as
     one that build_graph indexes from the reference reader's objects: the
     same views, out- and in-edges, order, and every path query's answer or
     error, with and without a tau."""
-    want = reference_graph_from_dict(data, allow_cycles=True)
-    from_objects = build_graph(want.nodes, want.edges, allow_cycles=allow_cycles)
-    from_columns = graph_from_dict(data, allow_cycles=allow_cycles)
+    want = reference_graph_from_dict(data)
+    from_objects = build_graph(want.nodes, want.edges)
+    from_columns = graph_from_dict(data)
     assert from_columns.nodes == from_objects.nodes == want.nodes
     assert from_columns.edges == from_objects.edges == want.edges
     ids = from_objects.ids
@@ -705,7 +700,6 @@ class TestLoaderAgainstReference:
             data = random_graph_dict(rng)
             FAULTS[kind](rng, data)
             raised += assert_same_load(data)[0] == "raised"
-            raised += assert_same_load(data, allow_cycles=True)[0] == "raised"
         assert raised > 0
 
     def test_two_faults(self):
@@ -828,7 +822,7 @@ class TestBuildGraphSemantics:
                 DependencyEdge(rng.choice(ids + ["z"]), rng.choice(ids), rng.choice(values), rng.choice(values))
                 for _ in range(rng.randint(0, 3))
             ]
-            assert_same_build(nodes, edges, allow_cycles=rng.random() < 0.5)
+            assert_same_build(nodes, edges)
 
 
 class TestForwardOrder:
@@ -858,7 +852,7 @@ class TestForwardOrder:
         rng = random.Random(14)
         for k in range(200):
             data = random_graph_dict(rng, forward=k % 2 == 0)
-            graph = graph_from_dict(data, allow_cycles=True)
+            graph = graph_from_dict(data)
             want = reference_validate_dag(reference_graph_from_dict(data))
             assert list(graph.rank) == [want.index(nid) for nid in graph.ids]
             # validate_dag reads the kept rank, and a re-weighted graph shares it
@@ -867,20 +861,27 @@ class TestForwardOrder:
             assert graph.rank is rank and graph.with_weights(list(graph.weights)).rank is rank
 
     def test_cycle_among_backward_edges(self):
+        # each loader raises the reference witness, and so does the rank of
+        # the unchecked graph; the index is checked on the graph before its
+        # cycle is added
         rng = random.Random(13)
         for k in range(200):
             data = random_graph_dict(rng, forward=rng.random() < 0.5)
+            if k % 5 == 0:
+                assert_index_matches_objects(data)
             _cycle(rng, data)
-            graph = graph_from_dict(data, allow_cycles=True)
-            assert graph == reference_graph_from_dict(data, allow_cycles=True)
+            graph = reference_graph_from_dict(data, allow_cycles=True)
             with pytest.raises(CycleDetected) as want:
                 reference_validate_dag(graph)
-            with pytest.raises(CycleDetected) as got:
-                validate_dag(graph)
-            assert (str(got.value), got.value.cycle) == (str(want.value), want.value.cycle)
-            assert graph.rank is None
-            if k % 5 == 0:
-                assert_index_matches_objects(data, allow_cycles=True)
+            for raises in (
+                lambda: graph_from_dict(data),
+                lambda: build_graph(graph.nodes, graph.edges),
+                lambda: validate_dag(graph),
+                lambda: graph.rank,
+            ):
+                with pytest.raises(CycleDetected) as got:
+                    raises()
+                assert (str(got.value), got.value.cycle) == (str(want.value), want.value.cycle)
 
 
 class TestQueriesReadTheIndex:

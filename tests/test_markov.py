@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from skillsgraph import build_transition_matrix, stationary_distribution, step_distribution
 from skillsgraph.errors import (
+    ChainTooLarge,
     CountsFormatError,
     EmptyCounts,
     FloatRangeExceeded,
@@ -21,7 +22,7 @@ from skillsgraph.errors import (
     ShapeMismatch,
     StateMismatch,
 )
-from skillsgraph.markov import MAX_ITERATIONS, load_counts
+from skillsgraph.markov import MAX_ITERATIONS, MAX_STATES, MAX_STEP_WORK, load_counts
 
 SWAP = build_transition_matrix(["a", "b"], [[0, 1], [1, 0]])
 
@@ -238,6 +239,21 @@ class TestStepDistribution:
         with pytest.raises(StateMismatch, match=f"{MAX_ITERATIONS}"):
             step_distribution(SWAP, {"a": 1.0, "b": 0.0}, steps=steps)
 
+    def test_work_beyond_the_cap_rejected(self):
+        # 317 states is the fewest for which MAX_ITERATIONS steps pass the
+        # cap; refused before the first of them
+        n = 317
+        assert MAX_ITERATIONS * (n - 1) ** 2 <= MAX_STEP_WORK < MAX_ITERATIONS * n**2
+        tm = build_transition_matrix([f"s{i}" for i in range(n)], np.eye(n, dtype=int))
+        uniform = {s: 1.0 / n for s in tm.states}
+        with pytest.raises(ChainTooLarge) as exc:
+            step_distribution(tm, uniform, MAX_ITERATIONS)
+        assert str(exc.value) == (
+            f"{MAX_ITERATIONS} steps over {n} states are {MAX_ITERATIONS * n**2} units of work "
+            f"(steps x states^2), more than the cap of MAX_STEP_WORK = {MAX_STEP_WORK}"
+        )
+        assert step_distribution(tm, uniform, 2) == uniform
+
 
 class TestStationary:
     def test_hand_case(self):
@@ -375,6 +391,23 @@ class TestCountsFile:
         p = tmp_path / "c.csv"
         p.write_text("a,b\n9,1\n5," + "1" * 200_000 + "\n")
         with pytest.raises(CountsFormatError, match="line 3: field larger than field limit"):
+            load_counts(p)
+
+    @pytest.mark.parametrize(
+        "row", ["x", "1," * (MAX_STATES + 1) + "1", "1" * 200_000], ids=["not_a_count", "too_wide", "beyond_field_limit"]
+    )
+    def test_header_beyond_the_state_cap_is_refused_before_any_row(self, tmp_path, row):
+        p = tmp_path / "c.csv"
+        header = ",".join(f"s{i}" for i in range(MAX_STATES + 1))
+        p.write_text(f"{header}\n{row}\n")
+        with pytest.raises(ChainTooLarge) as exc:
+            load_counts(p)
+        assert str(exc.value) == (
+            f"{p}: the header names {MAX_STATES + 1} states, more than the cap of MAX_STATES = {MAX_STATES}"
+        )
+        # one state fewer passes the cap, and the row's own error shows
+        p.write_text(header.rsplit(",", 1)[0] + f"\n{row}\n")
+        with pytest.raises(CountsFormatError):
             load_counts(p)
 
     def test_bundled_example(self):

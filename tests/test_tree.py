@@ -38,7 +38,6 @@ from skillsgraph.tree import (
     _best_splits,
     _descend,
     _impurity_rows,
-    _score,
     _scores,
     fit_trees,
     load_model,
@@ -441,7 +440,7 @@ class TestFitTrees:
             for tree in fit_trees(data, params):
                 # every depth from 0 to past the tree's own, in any order
                 depths = [int(d) for d in rng.permutation(tree.depth + 3)] + [None, 0]
-                assert _scores(tree, held, depths) == [_score(tree, held, d) for d in depths]
+                assert _scores(tree, held, depths) == [_scores(tree, held, [d])[0] for d in depths]
 
 
 class TestDeepTrees:
